@@ -1,20 +1,27 @@
 """Campaign driver: bound sweeps, diagnostic tables, MSE benchmarks, CSV.
 
-A campaign is a grid (alpha) x (protocol, T).  Every row carries enough
-fields to recompute its efficiency ratio R = T * t_total * mse / bound;
-a failure at one grid point is recorded in that row's error column and
-never suppresses the others.
+A campaign is a grid (alpha) x (protocol, T).  One pass turns every grid
+point into a BenchResult row with its accounting (c0, g0, gamma, bound,
+t_total); the bounds, diag, gi and bench tables are that pass plus their
+own columns.  Every benchmark row carries enough fields to recompute its
+efficiency ratio R = T * t_total * mse / bound; a failure at one grid
+point is recorded in that row's error column and never suppresses the
+others.
 """
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from ._version import __version__
 from .bounds import diag_ratio as _diag_ratio
 from .estimators import (
+    _wrap,
     estimate_csqpe,
     estimate_curvefit_qft,
     estimate_qcels_ml,
@@ -23,11 +30,18 @@ from .estimators import (
 from .fim import f_i_max, total_fim
 from .schedules import ProtocolKind, gamma, realize, t_total
 from .simulate import sample_ht, sample_qft, write_ht_csv, write_qft_csv
-from .spectrum import make_spectrum
-
-_TWO_PI = 2.0 * np.pi
+from .spectrum import _PHASE_FAMILIES, make_spectrum
 
 _ROW_ERRORS = (ArithmeticError, ValueError, RuntimeError, KeyError)
+
+
+def _integer(name, value):
+    """A config count as an int; a fraction is rejected, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -48,9 +62,10 @@ class ProtocolSpec:
         T = d.pop("T")
         if not isinstance(T, (list, tuple)):
             T = [T]
+        T = [_integer("T", v) for v in T]
         if not T or any(v <= 0 for v in T):
             raise ValueError("every protocol needs a positive T list")
-        spec = cls(kind, [int(v) for v in T], **{k: int(v) for k, v in d.items()})
+        spec = cls(kind, T, **{k: _integer(k, v) for k, v in d.items()})
         if spec.N_t < 1 or spec.N_s < 1 or spec.sparsity < 1:
             raise ValueError("N_t, N_s and sparsity must be positive")
         if kind == ProtocolKind.QFT_QPE:
@@ -76,8 +91,11 @@ class CampaignConfig:
     def from_dict(cls, d):
         d = dict(d)
         protocols = [ProtocolSpec.from_dict(p) for p in d.pop("protocols", [])]
+        for name in ("L", "trials", "seed", "target"):
+            if name in d:
+                d[name] = _integer(name, d[name])
         cfg = cls(protocols=protocols, **d)
-        if cfg.spectrum not in ("uniform", "head_dense", "tail_dense"):
+        if cfg.spectrum not in _PHASE_FAMILIES:
             raise ValueError(f"unknown spectrum family {cfg.spectrum!r}")
         if cfg.L < 1:
             raise ValueError("L must be at least 1")
@@ -119,8 +137,16 @@ class BenchResult:
     error: str = ""
 
 
-def _wrap(x):
-    return (x + np.pi) % _TWO_PI - np.pi
+# the BenchResult fields each table subcommand writes, in CSV order;
+# bench writes every field
+COLUMNS = {
+    "bounds": (
+        "spectrum", "L", "alpha", "c0", "protocol", "T", "N_t",
+        "g0", "gamma", "bound", "error",
+    ),
+    "diag": ("spectrum", "L", "alpha", "protocol", "T", "N_t", "diag_ratio", "error"),
+    "gi": ("spectrum", "L", "alpha", "c0", "protocol", "T", "N_t", "g0", "error"),
+}
 
 
 def qcels_levels(T, N_t):
@@ -132,7 +158,14 @@ def qcels_levels(T, N_t):
 
 
 def _accounting(spectrum, pspec, T, target):
-    """g0, gamma, bound, t_total, N and the accumulated Fisher blocks."""
+    """g0, gamma, bound, t_total and the accumulated Fisher blocks.
+
+    QFT-QPE enters with gamma = 1.  QCELS is accounted over the
+    ``qcels_levels`` doubling ladder that its estimator samples, so g0 is
+    the mean over ladder levels h of g_i(h) (h/T)^2; ``fim.g_i`` and
+    ``bounds.cost_product_bound`` bound a single arithmetic level at T
+    instead.  The two definitions agree for every other protocol.
+    """
     kind = pspec.kind
     if kind == ProtocolKind.QCELS:
         horizons = qcels_levels(T, pspec.N_t)
@@ -142,38 +175,66 @@ def _accounting(spectrum, pspec, T, target):
         N = len(horizons) * pspec.N_t * pspec.N_s
         ttl = sum(t_total(kind, h, pspec.N_t, pspec.N_s) for h in horizons)
         gam = ttl / (N * T)
-    elif kind == ProtocolKind.QFT_QPE:
-        fim = total_fim(spectrum, kind, T, 1, pspec.N_s)
-        N = pspec.N_s
-        ttl = t_total(kind, T, 1, pspec.N_s)
-        gam = 1.0
     else:
         fim = total_fim(spectrum, kind, T, pspec.N_t, pspec.N_s)
         N = pspec.N_t * pspec.N_s
         ttl = t_total(kind, T, pspec.N_t, pspec.N_s)
-        gam = gamma(kind, T, pspec.N_t)
+        gam = 1.0 if kind == ProtocolKind.QFT_QPE else gamma(kind, T, pspec.N_t)
     pos = fim.index_of(target)
     g0 = float(fim.theta_theta[pos, pos] / (N * float(T) ** 2))
     return g0, gam, gam / g0, ttl, fim
+
+
+def _grid(config):
+    """Grid points (alpha, protocol spec, T) in seed-index order."""
+    return [(a, p, T) for a in config.alphas for p in config.protocols for T in p.T]
+
+
+def _pass(config, extra=None):
+    """One accounted BenchResult row per grid point.
+
+    Each row gets c0, g0, gamma, bound and t_total; ``extra(row, spectrum,
+    fim, point_idx, pspec, T)`` may fill more columns.  Both run inside
+    one try, so a failure lands in that point's error column.  RPE is
+    refused: it has no linear cost form, and its bound is rpe_fim_bounds.
+    """
+    if any(p.kind == ProtocolKind.RPE for p in config.protocols):
+        raise ValueError("RPE has no linear cost form; bound it with rpe_fim_bounds")
+    rows = []
+    for idx, (alpha, pspec, T) in enumerate(_grid(config)):
+        row = BenchResult(
+            config.spectrum, config.L, alpha, pspec.kind.value,
+            float(T), pspec.N_t, pspec.N_s, config.trials,
+        )
+        try:
+            s = make_spectrum(config.spectrum, config.L, alpha)
+            row.c0 = s.overlap(config.target)
+            row.g0, row.gamma, row.bound, row.t_total, fim = _accounting(
+                s, pspec, T, config.target
+            )
+            if extra is not None:
+                extra(row, s, fim, idx, pspec, T)
+        except _ROW_ERRORS as exc:
+            row.error = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
 
 
 def _one_trial(spectrum, pspec, T, base_seed, point_idx, trial):
     ss = np.random.SeedSequence((base_seed, point_idx, trial))
     s_sched, s_data = ss.spawn(2)
     kind = pspec.kind
-    if kind == ProtocolKind.QMEGS:
+    if kind in (ProtocolKind.QMEGS, ProtocolKind.CSQPE):
         sched = realize(kind, T, pspec.N_t, seed=s_sched)
         data = sample_ht(spectrum, sched, pspec.N_s, seed=s_data)
-        return estimate_qmegs(data, T).theta_hat
-    if kind == ProtocolKind.CSQPE:
-        sched = realize(kind, T, pspec.N_t, seed=s_sched)
-        data = sample_ht(spectrum, sched, pspec.N_s, seed=s_data)
+        if kind == ProtocolKind.QMEGS:
+            return estimate_qmegs(data, T).theta_hat
         return estimate_csqpe(data, pspec.sparsity).theta_hat
     if kind == ProtocolKind.QCELS:
-        seeds = s_data.spawn(len(qcels_levels(T, pspec.N_t)))
+        levels = qcels_levels(T, pspec.N_t)
         datasets = [
             sample_ht(spectrum, realize(kind, h, pspec.N_t), pspec.N_s, seed=sd)
-            for h, sd in zip(qcels_levels(T, pspec.N_t), seeds)
+            for h, sd in zip(levels, s_data.spawn(len(levels)))
         ]
         return estimate_qcels_ml(datasets).theta_hat
     if kind == ProtocolKind.QFT_QPE:
@@ -183,70 +244,26 @@ def _one_trial(spectrum, pspec, T, base_seed, point_idx, trial):
     raise ValueError(f"{kind.value} has no estimator")
 
 
-def _bench_point(config, alpha, pspec, T, point_idx, pool=None):
-    row = BenchResult(
-        config.spectrum, config.L, alpha, pspec.kind.value,
-        float(T), pspec.N_t, pspec.N_s, config.trials,
-    )
-    try:
-        s = make_spectrum(config.spectrum, config.L, alpha)
-        row.c0 = s.overlap(config.target)
-        row.f0_max = f_i_max(s, config.target)
-        g0, gam, bound, ttl, fim = _accounting(s, pspec, T, config.target)
-        row.g0, row.gamma, row.bound, row.t_total = g0, gam, bound, ttl
-        row.diag_ratio = _diag_ratio(fim, config.target)
-        th0 = s.phase(config.target)
+def _bench_point(config, pool, row, spectrum, fim, point_idx, pspec, T):
+    """Add f0_max, diag_ratio and the scored trials to an accounted row."""
+    row.f0_max = f_i_max(spectrum, config.target)
+    row.diag_ratio = _diag_ratio(fim, config.target)
 
-        def run(trial):
-            return _one_trial(s, pspec, T, config.seed, point_idx, trial)
+    def run(trial):
+        return _one_trial(spectrum, pspec, T, config.seed, point_idx, trial)
 
-        if pool is not None:
-            hats = list(pool.map(run, range(config.trials)))
-        else:
-            hats = [run(k) for k in range(config.trials)]
-        errs = _wrap(np.array(hats) - th0)
-        sq = errs**2
-        row.mse = float(sq.mean())
-        row.mse_se = float(sq.std(ddof=1) / np.sqrt(config.trials))
-        row.ratio_r = float(T * ttl * row.mse / bound)
-    except _ROW_ERRORS as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
+    hats = list((map if pool is None else pool.map)(run, range(config.trials)))
+    sq = _wrap(np.array(hats) - spectrum.phase(config.target)) ** 2
+    row.mse = float(sq.mean())
+    row.mse_se = float(sq.std(ddof=1) / np.sqrt(config.trials))
+    row.ratio_r = float(T * row.t_total * row.mse / row.bound)
 
 
 def run_campaign(config, threads=1):
     """Sample, estimate and score every grid point of the campaign."""
-    for pspec in config.protocols:
-        if pspec.kind == ProtocolKind.RPE:
-            raise ValueError("RPE has no estimator; it cannot be benchmarked")
-    points = [
-        (alpha, pspec, T)
-        for alpha in config.alphas
-        for pspec in config.protocols
-        for T in pspec.T
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [
-                _bench_point(config, a, p, T, i, pool)
-                for i, (a, p, T) in enumerate(points)
-            ]
-    return [_bench_point(config, a, p, T, i) for i, (a, p, T) in enumerate(points)]
-
-
-@dataclass
-class BoundRow:
-    spectrum: str
-    L: int
-    alpha: float
-    c0: float
-    protocol: str
-    T: float
-    N_t: int
-    g0: float = np.nan
-    gamma: float = np.nan
-    bound: float = np.nan
-    error: str = ""
+    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    with executor as pool:
+        return _pass(config, partial(_bench_point, config, pool))
 
 
 def sweep_bounds(config):
@@ -256,37 +273,22 @@ def sweep_bounds(config):
     crossover is linearly interpolated in log-bound vs c0 and is None
     when either family is absent or no sign change occurs.
     """
-    for pspec in config.protocols:
-        if pspec.kind == ProtocolKind.RPE:
-            raise ValueError("RPE has no linear cost form; drop it from bound sweeps")
-    rows = []
-    per_alpha = {}
-    for alpha in config.alphas:
-        s = make_spectrum(config.spectrum, config.L, alpha)
-        c0 = s.overlap(config.target)
-        best_ht, qft_bound = np.inf, None
-        for pspec in config.protocols:
-            T = max(pspec.T)
-            row = BoundRow(
-                config.spectrum, config.L, alpha, c0,
-                pspec.kind.value, float(T), pspec.N_t,
-            )
-            try:
-                g0, gam, bound, _, _ = _accounting(s, pspec, T, config.target)
-                row.g0, row.gamma, row.bound = g0, gam, bound
-                if pspec.kind == ProtocolKind.QFT_QPE:
-                    qft_bound = bound
-                else:
-                    best_ht = min(best_ht, bound)
-            except _ROW_ERRORS as exc:
-                row.error = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-        if qft_bound is not None and np.isfinite(best_ht):
-            per_alpha[c0] = (qft_bound, best_ht)
+    largest = replace(
+        config, protocols=[replace(p, T=[max(p.T)]) for p in config.protocols]
+    )
+    rows = _pass(largest)
+    qft, best_ht = {}, {}
+    for row in rows:
+        if row.error:
+            continue
+        if row.protocol == ProtocolKind.QFT_QPE.value:
+            qft[row.c0] = row.bound
+        else:
+            best_ht[row.c0] = min(best_ht.get(row.c0, np.inf), row.bound)
+    c0s = np.array(sorted(qft.keys() & best_ht.keys()))
     crossover = None
-    if len(per_alpha) >= 2:
-        c0s = np.array(sorted(per_alpha))
-        diff = np.array([np.log(per_alpha[c][0] / per_alpha[c][1]) for c in c0s])
+    if len(c0s) >= 2:
+        diff = np.array([np.log(qft[c] / best_ht[c]) for c in c0s])
         for a, b, da, db in zip(c0s, c0s[1:], diff, diff[1:]):
             if da == 0.0:
                 crossover = float(a)
@@ -297,78 +299,18 @@ def sweep_bounds(config):
     return rows, crossover
 
 
-@dataclass
-class DiagRow:
-    spectrum: str
-    L: int
-    alpha: float
-    protocol: str
-    T: float
-    N_t: int
-    diag_ratio: float = np.nan
-    error: str = ""
-
-
 def check_diag(config):
     """diag_ratio of the campaign Fisher matrix at every grid point."""
-    rows = []
-    for alpha in config.alphas:
-        s = make_spectrum(config.spectrum, config.L, alpha)
-        for pspec in config.protocols:
-            for T in pspec.T:
-                row = DiagRow(
-                    config.spectrum, config.L, alpha,
-                    pspec.kind.value, float(T), pspec.N_t,
-                )
-                try:
-                    _, _, _, _, fim = _accounting(s, pspec, T, config.target)
-                    row.diag_ratio = _diag_ratio(fim, config.target)
-                except _ROW_ERRORS as exc:
-                    row.error = f"{type(exc).__name__}: {exc}"
-                rows.append(row)
-    return rows
 
+    def add_ratio(row, spectrum, fim, *point):
+        row.diag_ratio = _diag_ratio(fim, config.target)
 
-@dataclass
-class GiRow:
-    spectrum: str
-    L: int
-    alpha: float
-    c0: float
-    protocol: str
-    T: float
-    N_t: int
-    g0: float = np.nan
-    error: str = ""
+    return _pass(config, add_ratio)
 
 
 def gi_sweep(config):
     """Normalized information g0 across the alpha and T grids."""
-    rows = []
-    for alpha in config.alphas:
-        s = make_spectrum(config.spectrum, config.L, alpha)
-        c0 = s.overlap(config.target)
-        for pspec in config.protocols:
-            for T in pspec.T:
-                row = GiRow(
-                    config.spectrum, config.L, alpha, c0,
-                    pspec.kind.value, float(T), pspec.N_t,
-                )
-                try:
-                    if pspec.kind == ProtocolKind.QCELS:
-                        g0, _, _, _, _ = _accounting(s, pspec, T, config.target)
-                    else:
-                        fim = total_fim(s, pspec.kind, T, pspec.N_t, pspec.N_s)
-                        pos = fim.index_of(config.target)
-                        g0 = float(
-                            fim.theta_theta[pos, pos]
-                            / (pspec.N_t * pspec.N_s * float(T) ** 2)
-                        )
-                    row.g0 = g0
-                except _ROW_ERRORS as exc:
-                    row.error = f"{type(exc).__name__}: {exc}"
-                rows.append(row)
-    return rows
+    return _pass(config)
 
 
 def _format(value):
@@ -380,11 +322,15 @@ def _format(value):
     return str(value)
 
 
-def write_rows_csv(rows, path, seed):
-    """Dataclass rows to CSV under the versioned header comment."""
+def write_rows_csv(rows, path, seed, columns=None):
+    """Dataclass rows to CSV under the versioned header comment.
+
+    ``columns`` picks and orders the fields written (see COLUMNS); by
+    default every field of the row dataclass is written.
+    """
     if not rows:
         raise ValueError("nothing to write")
-    names = [f.name for f in fields(rows[0])]
+    names = columns or [f.name for f in fields(rows[0])]
     lines = [f"# qpe-bounds v{__version__} seed={seed}"]
     lines.append(",".join(names))
     for row in rows:
@@ -393,20 +339,13 @@ def write_rows_csv(rows, path, seed):
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_samples(config, out_path, threads=1):
+def emit_samples(config, out_path):
     """Write raw sample CSVs, one file per grid point; returns the paths."""
-    import os
-
     stem, ext = os.path.splitext(out_path)
     ext = ext or ".csv"
     header = f"# qpe-bounds v{__version__} seed={config.seed}"
     written = []
-    points = [
-        (alpha, pspec, T)
-        for alpha in config.alphas
-        for pspec in config.protocols
-        for T in pspec.T
-    ]
+    points = _grid(config)
     for idx, (alpha, pspec, T) in enumerate(points):
         s = make_spectrum(config.spectrum, config.L, alpha)
         path = (
@@ -427,8 +366,7 @@ def emit_samples(config, out_path, threads=1):
         else:
             samples = []
             for k in range(config.trials):
-                ss = np.random.SeedSequence((config.seed, idx, k))
-                s_sched, s_data = ss.spawn(2)
+                s_sched, s_data = np.random.SeedSequence((config.seed, idx, k)).spawn(2)
                 sched = realize(pspec.kind, T, pspec.N_t, seed=s_sched)
                 samples.append(sample_ht(s, sched, pspec.N_s, seed=s_data))
             write_ht_csv(samples, path, header)

@@ -16,7 +16,7 @@ from .schedules import ProtocolKind, _require_power_of_two, gamma
 _COND_CAP = 1e12
 
 
-def _inverse_entry(full, pos, L):
+def _inverse_entry(full, pos):
     """(full^-1)[pos, pos], robust to the breakdown regime.
 
     The matrix is first scaled symmetrically to unit diagonal so that the
@@ -76,7 +76,7 @@ def _inverse_entry(full, pos, L):
 def crlb_full(fim, label=0):
     """Variance lower bound (I^-1)_{ii} from the full block matrix."""
     pos = fim.index_of(label)
-    return _inverse_entry(fim.full(), pos, fim.L)
+    return _inverse_entry(fim.full(), pos)
 
 
 def crlb_diag(fim, label=0):
@@ -98,7 +98,9 @@ def cost_product_bound(spectrum, kind, T, N_t, N_s, label=0):
     """Lower bound on T * t_total for unit MSE: gamma / g_i.
 
     Divide by a target MSE to get the cost floor at that accuracy.
-    QFT-QPE enters with gamma = 1 (its cost is exactly N_s T).
+    QFT-QPE enters with gamma = 1 (its cost is exactly N_s T).  For QCELS
+    this is one arithmetic level at T; the CSV rows use the doubling
+    ladder instead (see ``bench._accounting``).
     """
     kind = ProtocolKind(kind)
     if kind == ProtocolKind.QFT_QPE:

@@ -32,7 +32,8 @@ def _build_parser():
         p.add_argument("--config", required=True, help="path to a JSON campaign config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
+        p.add_argument("--threads", type=int, default=1,
+                       help="trial-level parallelism (bench only)")
     return parser
 
 
@@ -66,7 +67,7 @@ def main(argv=None):
         elif args.command == "gi":
             rows = bench.gi_sweep(config)
         elif args.command == "sample":
-            for path in bench.emit_samples(config, out, threads=args.threads):
+            for path in bench.emit_samples(config, out):
                 print(path)
             return 0
         else:  # pragma: no cover - argparse enforces the choices
@@ -75,7 +76,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    bench.write_rows_csv(rows, out, config.seed)
+    bench.write_rows_csv(rows, out, config.seed, bench.COLUMNS.get(args.command))
     print(out)
     return 2 if any(row.error for row in rows) else 0
 

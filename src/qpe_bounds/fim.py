@@ -282,7 +282,11 @@ def total_fim(spectrum, kind, T, N_t, N_s):
 
 
 def g_i(spectrum, kind, T, N_t, N_s, label=0):
-    """Normalized per-cost information (I_total)_ii / (N T^2), N = N_s N_t."""
+    """Normalized per-cost information (I_total)_ii / (N T^2), N = N_s N_t.
+
+    For QCELS this is one arithmetic level at T; the CSV rows use the
+    doubling ladder instead (see ``bench._accounting``).
+    """
     fim = total_fim(spectrum, kind, T, N_t, N_s)
     pos = fim.index_of(label)
     return float(fim.theta_theta[pos, pos] / (N_s * N_t * float(T) ** 2))

@@ -10,6 +10,8 @@ from qpe_bounds import (
     CampaignConfig,
     ProtocolSpec,
     check_diag,
+    cost_product_bound,
+    g_i,
     gi_sweep,
     run_campaign,
     sweep_bounds,
@@ -61,12 +63,32 @@ def test_campaign_config_validation():
         _config_dict(protocols=[]),
         _config_dict(trials=1),
         _config_dict(target=3),
+        # integer fields are never truncated
+        _config_dict(protocols=[{"kind": "qmegs", "T": [10.7], "N_t": 50}]),
+        _config_dict(protocols=[{"kind": "qmegs", "T": [20], "N_t": 8.9}]),
+        _config_dict(protocols=[{"kind": "qmegs", "T": [20], "N_s": 2.5}]),
+        _config_dict(protocols=[{"kind": "csqpe", "T": [20], "sparsity": 1.5}]),
+        _config_dict(protocols=[{"kind": "qmegs", "T": [20], "N_t": "50"}]),
+        _config_dict(protocols=[{"kind": "qmegs", "T": [True], "N_t": 50}]),
+        _config_dict(trials=2.5),
+        _config_dict(seed=1.5),
+        _config_dict(L=3.5),
+        _config_dict(target=0.5),
+        _config_dict(trials=float("inf")),
     ]
     for bad in cases:
         with pytest.raises(ValueError):
             CampaignConfig.from_dict(bad)
     cfg = CampaignConfig.from_json(json.dumps(_config_dict()))
     assert cfg.L == 3
+    # integral floats are accepted as the integers they spell
+    whole = CampaignConfig.from_dict(_config_dict(
+        L=3.0, trials=4.0, protocols=[{"kind": "qmegs", "T": [20.0], "N_t": 50.0}],
+    ))
+    assert (whole.L, whole.trials, whole.protocols[0].T, whole.protocols[0].N_t) == (
+        3, 4, [20], 50
+    )
+    assert all(type(v) is int for v in (whole.L, whole.trials, whole.protocols[0].T[0]))
 
 
 def test_qcels_levels_ladder():
@@ -169,6 +191,45 @@ def test_check_diag_and_gi_sweep_rows():
     assert gi[0].g0 == pytest.approx(want, rel=1e-12)
 
 
+def test_table_rows_match_the_bound_functions():
+    # gi and bounds rows agree with g_i / cost_product_bound wherever both
+    # describe the same campaign; for QCELS the rows account the doubling
+    # ladder the estimator samples, not one arithmetic level
+    protocols = [
+        {"kind": "qmegs", "T": [60], "N_t": 20, "N_s": 3},
+        {"kind": "csqpe", "T": [60], "N_t": 20, "N_s": 3},
+        {"kind": "qft", "T": [63], "N_s": 3},
+        {"kind": "qcels", "T": [64], "N_t": 10, "N_s": 3},
+    ]
+    cfg = CampaignConfig.from_dict(_config_dict(L=5, protocols=protocols))
+    gi = gi_sweep(cfg)
+    bounds, _ = sweep_bounds(cfg)
+    s = make_spectrum("uniform", 5, 0.4)
+    for spec, gi_row, bound_row in zip(cfg.protocols, gi, bounds):
+        assert gi_row.error == "" and bound_row.error == ""
+        kind, T, N_t, N_s = spec.kind, spec.T[0], spec.N_t, spec.N_s
+        if kind.value == "qcels":
+            levels = qcels_levels(T, N_t)
+            assert len(levels) > 1
+            want = np.mean([g_i(s, kind, h, N_t, N_s) * (h / T) ** 2 for h in levels])
+            assert gi_row.g0 == pytest.approx(want, rel=1e-12)
+            assert bound_row.g0 == gi_row.g0
+            continue
+        assert gi_row.g0 == pytest.approx(g_i(s, kind, T, N_t, N_s), rel=1e-12)
+        assert bound_row.bound == pytest.approx(
+            cost_product_bound(s, kind, T, N_t, N_s), rel=1e-12
+        )
+
+
+def test_failed_accounting_lands_in_the_row():
+    # a label no mode carries fails every point of every table, row by row
+    cfg = CampaignConfig.from_dict(_config_dict(alphas=[0.3, 0.6]))
+    cfg.target = 0.5
+    for rows in (gi_sweep(cfg), sweep_bounds(cfg)[0], check_diag(cfg), run_campaign(cfg)):
+        assert len(rows) == 2
+        assert all("KeyError" in row.error and np.isnan(row.g0) for row in rows)
+
+
 def test_write_rows_csv_format(tmp_path):
     cfg = CampaignConfig.from_dict(_config_dict())
     rows, _ = sweep_bounds(cfg)
@@ -241,6 +302,42 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["bounds", "--config", bad_T]) == 1
     err = capsys.readouterr().err
     assert err.count("config error:") == 4
+
+
+def test_cli_rpe_policy_across_subcommands(tmp_path, capsys):
+    # RPE has no linear cost form: every table refuses it up front, while
+    # raw samples of its geometric ladder can still be written
+    cfg = _write_config(tmp_path, _config_dict(
+        protocols=[{"kind": "rpe", "T": [8], "N_s": 2}],
+    ))
+    for sub in ("bounds", "diag", "gi", "bench"):
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+    assert capsys.readouterr().err.count("rpe_fim_bounds") == 4
+    out = tmp_path / "raw.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_cli_table_headers(tmp_path):
+    cfg = _write_config(tmp_path, _config_dict(
+        protocols=[{"kind": "csqpe", "T": [10], "N_t": 8}], trials=2,
+    ))
+    headers = {
+        "bounds": "spectrum,L,alpha,c0,protocol,T,N_t,g0,gamma,bound,error",
+        "diag": "spectrum,L,alpha,protocol,T,N_t,diag_ratio,error",
+        "gi": "spectrum,L,alpha,c0,protocol,T,N_t,g0,error",
+        "bench": "spectrum,L,alpha,protocol,T,N_t,N_s,trials,c0,g0,gamma,bound,"
+                 "t_total,f0_max,diag_ratio,mse,mse_se,ratio_r,error",
+    }
+    for sub, header in headers.items():
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# qpe-bounds v{__version__} seed=11"
+        assert lines[1] == header
+        assert len(lines) == 3 and lines[2].count(",") == header.count(",")
 
 
 def test_cli_bench_partial_failure_exits_two(tmp_path):
