@@ -28,6 +28,7 @@ from .dirichlet import (
     dirichlet,
     dirichlet_derivative,
     squared_derivative_sum,
+    squared_kernel_grid,
     squared_kernel_sum,
 )
 from .errors import (

@@ -105,6 +105,8 @@ class CampaignConfig:
             raise ValueError("at least one protocol is required")
         if cfg.trials < 2:
             raise ValueError("trials must be at least 2")
+        if cfg.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0 <= cfg.target < cfg.L:
             raise ValueError("target mode label out of range")
         return cfg

@@ -36,7 +36,18 @@ def _inverse_entry(full, pos):
     capped at condition 1e12.  SingularFim is reserved for matrices that
     are not valid information matrices at all (nonpositive diagonal,
     nonfinite entries, indefiniteness beyond roundoff).
+
+    A parameter other than pos whose whole row is zero carries no
+    information and no coupling (a phase exactly on the transform-readout
+    grid, where every outcome probability is stationary).  It is dropped:
+    adding any eps > 0 to its diagonal leaves (full^-1)[pos, pos] at the
+    entry of the reduced matrix.
     """
+    idle = np.all(full == 0.0, axis=1)
+    idle[pos] = False
+    if idle.any():
+        full = full[np.ix_(~idle, ~idle)]
+        pos -= int(np.count_nonzero(idle[:pos]))
     d = np.diag(full).copy()
     if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
         raise SingularFim("Fisher matrix diagonal is not positive")

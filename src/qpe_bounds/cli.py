@@ -41,6 +41,8 @@ def _load_config(args):
     with open(args.config) as fh:
         config = bench.CampaignConfig.from_dict(json.load(fh))
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError("seed must be nonnegative")
         config.seed = args.seed
     return config
 

@@ -5,11 +5,25 @@ interval sin(delta/2) stays away from zero except at delta = 0, so the ratio
 form M sinc(M delta / 2 pi) / sinc(delta / 2 pi) is stable everywhere and
 takes the limit +-M at the shared zeros automatically.  The sign picked up
 by the reduction is (-1)^((M-1) k).
+
+On the M-point grid x = theta - 2 pi y / M the numerator is +-sin(M theta/2)
+for every bin, so the squared kernel needs one scalar sine per theta and a
+table of half-angle sines (``squared_kernel_grid``).
 """
+
+import functools
+import math
 
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
+# pi in two parts for the reduction theta/2 = pi j / M + d: _PI_HI keeps 26
+# bits, so j * _PI_HI is exact for |j| < 2^27, and _PI_LO carries the rest of
+# pi, including the rounding of math.pi itself
+_PI_HI = math.ldexp(round(math.ldexp(math.pi, 24)), -24)
+_PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
+# the cached half-angle table holds 2M bins; larger grids build their slice
+_TABLE_BINS = 1 << 20
 
 
 def _reduce(x):
@@ -68,3 +82,83 @@ def squared_kernel_sum(m, theta):
 def squared_derivative_sum(m, theta):
     """sum_y D_M'(theta - 2 pi y / M)^2 over the M-point grid."""
     return float(np.sum(dirichlet_derivative(m, _grid(m, theta)) ** 2))
+
+
+def _reduced_sincos(m, i):
+    """sin and cos of pi i / M, each angle first moved into [-pi/2, pi/2).
+
+    Moving by a multiple of pi flips the sine and the cosine together, a
+    sign that the squared kernel and its derivative do not see; the reduced
+    angles keep full relative precision next to every multiple of pi.
+    """
+    r = (i + m // 2) % m - m // 2
+    a = np.pi * r / m
+    return np.sin(a), np.cos(a)
+
+
+@functools.lru_cache(maxsize=1)
+def _half_angle_table(m):
+    sin, cos = _reduced_sincos(m, np.arange(2 * m))
+    sin.setflags(write=False)
+    cos.setflags(write=False)
+    return sin, cos
+
+
+def _half_angles(m, start, stop):
+    if 2 * m <= _TABLE_BINS:
+        sin, cos = _half_angle_table(m)
+        return sin[start:stop], cos[start:stop]
+    return _reduced_sincos(m, np.arange(start, stop))
+
+
+def _kernel_row(m, theta, lo, hi, derivative):
+    # theta/2 = pi j / M + d with |d| <= pi / 2M; bin y then sits at half
+    # angle d - pi (y - j) / M, and only bin j can be near-aligned
+    j = round(theta * m / _TWO_PI)
+    d = (0.5 * theta - j * _PI_HI / m) - j * _PI_LO / m
+    j %= m
+    sd, cd = math.sin(d), math.cos(d)
+    st, ct = _half_angles(m, m - j + lo, m - j + hi)
+    s = sd * ct - cd * st
+    at = j - lo
+    aligned = 0 <= at < hi - lo
+    if aligned:
+        s[at] = 1.0  # placeholder, the bin is filled from the scalar form below
+        dn = math.sin(m * d) / (m * math.sin(d)) if d else 1.0  # D_M(2d) / M
+    sh2 = math.sin(0.5 * m * theta) ** 2
+    s2 = s * s
+    K = (sh2 / (m * m)) / s2
+    if aligned:
+        K[at] = dn * dn
+    if not derivative:
+        return K
+    c = cd * ct + sd * st
+    dK = (0.5 * m * math.sin(m * theta) * s - sh2 * c) / (m * m * s2 * s)
+    if aligned:
+        dK[at] = 2.0 * dn * dirichlet_derivative(m, 2.0 * d) / m
+    return K, dK
+
+
+def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
+    """K(theta, y) = D_M(theta - 2 pi y / M)^2 / M^2 on the bins y = lo..hi-1.
+
+    With s, c = sin, cos(theta/2 - pi y / M) the closed forms are
+    K = sin^2(M theta/2) / (M^2 s^2) and
+    dK/dtheta = [(M/2) sin(M theta) s - sin^2(M theta/2) c] / (M^2 s^3);
+    s and c come from a cached half-angle table by angle subtraction, so no
+    vector transcendental is evaluated per theta (grids above 2^19 bins
+    build their slice of the table per call).  The one bin nearest
+    theta, where s can vanish, takes the scalar ratio (limit 1) and the
+    series of ``dirichlet_derivative``.  ``hi`` defaults to M.  The result
+    has shape theta.shape + (hi - lo,); with ``derivative`` it is the pair
+    (K, dK/dtheta).
+    """
+    hi = m if hi is None else hi
+    if np.ndim(theta) == 0:
+        return _kernel_row(m, float(theta), lo, hi, derivative)
+    theta = np.asarray(theta, dtype=float)
+    rows = [_kernel_row(m, t, lo, hi, derivative) for t in theta.ravel().tolist()]
+    shape = theta.shape + (hi - lo,)
+    if not derivative:
+        return np.array(rows).reshape(shape)
+    return tuple(np.array(part).reshape(shape) for part in zip(*rows))

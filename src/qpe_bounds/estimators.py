@@ -12,10 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .dirichlet import dirichlet, dirichlet_derivative
+# dirichlet and dirichlet_derivative are no longer called here; the
+# per-layer trace in perfbench/tracing.py wraps them by name in this module
+from .dirichlet import (  # noqa: F401
+    _TWO_PI,
+    dirichlet,
+    dirichlet_derivative,
+    squared_kernel_grid,
+)
 from .errors import EmptyData, NoPeaksDetected, ScheduleMismatch
 
-_TWO_PI = 2.0 * np.pi
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -255,29 +261,19 @@ def estimate_csqpe(data, sparsity):
     )
 
 
-def _kernel_columns(M, thetas):
-    """Columns D_M(theta_m - 2 pi y/M)^2 / M^2 of the histogram model."""
-    y = np.arange(M, dtype=float)
-    phi = thetas[None, :] - _TWO_PI * y[:, None] / M
-    return dirichlet(M, phi) ** 2 / M**2, phi
-
-
 def _kernel_fit(p_hat, M, thetas, max_iter=60):
     """Damped coordinate Gauss-Newton on the squared-kernel mixture."""
     thetas = np.array(thetas, dtype=float)
     Kp = thetas.size
-    B, _ = _kernel_columns(M, thetas)
+    B = squared_kernel_grid(M, thetas).T  # columns D_M(theta_m - 2 pi y/M)^2 / M^2
     amps = nnls(B, p_hat)[0]
-    y = np.arange(M, dtype=float)
     for _ in range(max_iter):
         r = B @ amps - p_hat
         moved = 0.0
         for m in range(Kp):
             if amps[m] == 0.0:
                 continue
-            phi = thetas[m] - _TWO_PI * y / M
-            D = dirichlet(M, phi)
-            J = amps[m] * 2.0 * D * dirichlet_derivative(M, phi) / M**2
+            J = amps[m] * squared_kernel_grid(M, thetas[m], derivative=True)[1]
             denom = J @ J
             if denom < 1e-300:
                 continue
@@ -286,7 +282,7 @@ def _kernel_fit(p_hat, M, thetas, max_iter=60):
             lam = 1.0
             for _ in range(25):
                 cand = thetas[m] + lam * delta
-                col = dirichlet(M, cand - _TWO_PI * y / M) ** 2 / M**2
+                col = squared_kernel_grid(M, cand)
                 r_new = r + amps[m] * (col - B[:, m])
                 if r_new @ r_new < base:
                     thetas[m] = cand

@@ -10,12 +10,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .dirichlet import dirichlet, dirichlet_derivative
+# dirichlet and dirichlet_derivative are no longer called here; the
+# per-layer trace in perfbench/tracing.py wraps them by name in this module
+from .dirichlet import (  # noqa: F401
+    _TWO_PI,
+    dirichlet,
+    dirichlet_derivative,
+    squared_kernel_grid,
+)
 from .errors import DegenerateDistribution, ZeroSecondMoment
 from .schedules import ProtocolKind, _require_power_of_two
 
 _SINGULAR_TOL = 1e-12
-_TWO_PI = 2.0 * np.pi
 _TRUNC_NORM = float(erf(1.0 / np.sqrt(2.0))) * np.sqrt(_TWO_PI)
 
 
@@ -185,19 +191,15 @@ def qft_fim(spectrum, n):
     if n < 1:
         raise ValueError("n must be at least 1")
     M = 2**int(n)
-    th = spectrum.phases
     c = spectrum.overlaps
-    phi = th[:, None] - _TWO_PI * np.arange(M)[None, :] / M
-    D = dirichlet(M, phi)
-    Dp = dirichlet_derivative(M, phi)
+    v, dK = squared_kernel_grid(M, spectrum.phases, derivative=True)  # v = d p(y) / d c_l
 
-    denom = (c[:, None] * D**2).sum(axis=0)  # = M^2 p(y)
-    if np.min(denom) < 1e-300 * M**2:
+    p = c @ v
+    if np.min(p) < 1e-300:
         raise DegenerateDistribution("an outcome probability underflowed")
 
-    u = 2.0 * c[:, None] * D * Dp  # d/dtheta_l of M^2 p(y)
-    v = D**2                       # d/dc_l of M^2 p(y)
-    w = 1.0 / (denom * M**2)
+    u = c[:, None] * dK  # d p(y) / d theta_l
+    w = 1.0 / p
     tt = (u * w) @ u.T
     tc = (u * w) @ v.T
     cc = (v * w) @ v.T

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import dirichlet
+# dirichlet is no longer called here; the per-layer trace in
+# perfbench/tracing.py wraps it by name in this module
+from .dirichlet import dirichlet, squared_kernel_grid  # noqa: F401
 from .errors import NormalizationFailure
 
-_TWO_PI = 2.0 * np.pi
 _MAX_N = 26
 _CHUNK = 1 << 20
 
@@ -48,11 +49,7 @@ class HtSample:
 
 
 def _chunk_probs(spectrum, n, lo, hi):
-    M = 2**n
-    y = np.arange(lo, hi, dtype=float)
-    phi = spectrum.phases[:, None] - _TWO_PI * y[None, :] / M
-    D = dirichlet(M, phi)
-    return (spectrum.overlaps[:, None] * D**2).sum(axis=0) / M**2
+    return spectrum.overlaps @ squared_kernel_grid(2**n, spectrum.phases, lo, hi)
 
 
 def qft_probabilities(spectrum, n):

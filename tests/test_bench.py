@@ -320,6 +320,19 @@ def test_cli_rpe_policy_across_subcommands(tmp_path, capsys):
     assert out.exists()
 
 
+def test_cli_refuses_negative_seed(tmp_path, capsys):
+    # SeedSequence takes no negative entropy: refuse the config up front
+    # instead of writing an error row for every point
+    good = _write_config(tmp_path, _config_dict(), "good.json")
+    bad = _write_config(tmp_path, _config_dict(seed=-1), "bad.json")
+    for sub in ("bench", "sample", "bounds"):
+        for argv in (["--config", bad], ["--config", good, "--seed", "-3"]):
+            out = tmp_path / f"{sub}.csv"
+            assert main([sub, *argv, "--out", str(out)]) == 1
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+    assert capsys.readouterr().err.count("config error: seed must be nonnegative") == 6
+
+
 def test_cli_table_headers(tmp_path):
     cfg = _write_config(tmp_path, _config_dict(
         protocols=[{"kind": "csqpe", "T": [10], "N_t": 8}], trials=2,

@@ -14,6 +14,7 @@ from qpe_bounds import (
     gamma,
     g_i,
     make_spectrum,
+    qft_fim,
     rpe_fim_bounds,
     total_fim,
     t_total,
@@ -83,6 +84,25 @@ def test_singular_fim_on_bad_matrices():
         crlb_full(_toy(np.nan, 0.0, 1.0))
     with pytest.raises(SingularFim):
         crlb_diag(_toy(-1.0, 0.0, 1.0))
+
+
+def test_phase_on_the_readout_grid_is_dropped_from_the_bound():
+    # the odd-L uniform family has a phase at 0, a point of every readout
+    # grid: each outcome probability is stationary there, so that phase's
+    # row is exactly zero and the bound is the reduced matrix's entry
+    s = make_spectrum("uniform", 3, 0.4)
+    idle = int(np.nonzero(s.phases == 0.0)[0][0])
+    F = qft_fim(s, 4)
+    full = F.full()
+    assert not np.any(full[idle]) and not np.any(full[:, idle])
+    keep = [k for k in range(full.shape[0]) if k != idle]
+    pos = s.index_of(0)
+    want = np.linalg.inv(full[np.ix_(keep, keep)])[keep.index(pos), keep.index(pos)]
+    assert crlb_full(F, 0) == pytest.approx(want, rel=1e-9)
+    assert diag_ratio(F, 0) >= 1.0
+    # the target itself on the grid has no bound at all
+    with pytest.raises(SingularFim):
+        crlb_full(qft_fim(Spectrum([0.0, 0.5], [0.7, 0.3]), 4), 0)
 
 
 def test_cost_product_is_gamma_over_g():

@@ -1,14 +1,22 @@
 """Kernel evaluation: limits, identities, and the derivative oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpe_bounds.dirichlet import (
     dirichlet,
     dirichlet_derivative,
     squared_derivative_sum,
+    squared_kernel_grid,
     squared_kernel_sum,
 )
+
+# the package re-exports the function dirichlet under the module's name
+kernel = importlib.import_module("qpe_bounds.dirichlet")
 
 
 def test_limit_at_zero_equals_m():
@@ -113,3 +121,83 @@ def test_squared_derivative_sum_identity():
 
 def test_squared_derivative_sum_m1_is_zero():
     assert squared_derivative_sum(1, 0.37) == pytest.approx(0.0, abs=1e-12)
+
+
+# The oracle's argument theta - 2 pi y / M rounded in double is off by up to
+# ~1e-15, which the kernel's slope (~M/4) turns into ~1e-11 of K at n = 16;
+# reducing it into [-pi, pi] in extended precision first leaves the oracle
+# with its own rounding only.
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def _grid_oracle(M, theta):
+    y = np.arange(M, dtype=np.longdouble)
+    x = np.longdouble(theta) - 2 * _PI_LD * y / M
+    x = (x - 2 * _PI_LD * np.rint(x / (2 * _PI_LD))).astype(float)
+    D = dirichlet(M, x)
+    return D**2 / M**2, 2.0 * D * dirichlet_derivative(M, x) / M**2
+
+
+@st.composite
+def _grid_case(draw):
+    n = draw(st.integers(1, 16))
+    M = 2**n
+    kind = draw(st.sampled_from(["random", "bin", "pi"]))
+    if kind == "random":
+        theta = draw(st.floats(-np.pi, np.pi))
+    elif kind == "bin":
+        b = draw(st.integers(-M // 2, M // 2))
+        theta = 2.0 * np.pi * b / M + draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-9, -1e-9]))
+    else:
+        theta = draw(st.sampled_from([np.pi, -np.pi]))
+    return M, theta
+
+
+@pytest.mark.skipif(not _EXTENDED, reason="the oracle needs extended-precision arguments")
+@settings(max_examples=300, deadline=None)
+@given(_grid_case())
+def test_squared_kernel_grid_matches_oracle(case):
+    M, theta = case
+    K, dK = squared_kernel_grid(M, theta, derivative=True)
+    want_K, want_dK = _grid_oracle(M, theta)
+    assert np.max(np.abs(K - want_K)) <= 1e-12
+    assert np.max(np.abs(dK - want_dK)) <= 1e-12 * M
+    assert abs(K.sum() - 1.0) <= 1e-12
+    assert np.array_equal(squared_kernel_grid(M, theta), K)
+
+
+def test_squared_kernel_grid_rows_and_slices():
+    M = 1024
+    thetas = np.array([[-0.95, 0.0], [2.0 * np.pi * 17 / M, 3.1]])
+    K, dK = squared_kernel_grid(M, thetas, derivative=True)
+    assert K.shape == dK.shape == (2, 2, M)
+    for idx in np.ndindex(thetas.shape):
+        row = squared_kernel_grid(M, thetas[idx], derivative=True)
+        assert np.array_equal(K[idx], row[0]) and np.array_equal(dK[idx], row[1])
+    part = squared_kernel_grid(M, thetas, lo=100, hi=612)
+    assert np.array_equal(part, K[..., 100:612])
+
+
+def test_squared_kernel_grid_without_the_table(monkeypatch):
+    # grids whose doubled table would pass the cap build only their slice,
+    # with the same arithmetic, and never enter the cache
+    M = 256
+    cached = squared_kernel_grid(M, [0.3, -2.2], lo=7, hi=200, derivative=True)
+    kernel._half_angle_table.cache_clear()
+    monkeypatch.setattr(kernel, "_TABLE_BINS", 2 * M - 1)
+    sliced = squared_kernel_grid(M, [0.3, -2.2], lo=7, hi=200, derivative=True)
+    assert kernel._half_angle_table.cache_info().currsize == 0
+    assert all(np.array_equal(a, b) for a, b in zip(cached, sliced))
+
+
+def test_squared_kernel_grid_cache_is_bounded():
+    info = kernel._half_angle_table.cache_info()
+    assert info.maxsize == 1 and kernel._TABLE_BINS == 1 << 20
+    kernel._half_angle_table.cache_clear()
+    M = 1 << 20
+    got = squared_kernel_grid(M, 0.3, lo=50062, hi=50070)
+    assert kernel._half_angle_table.cache_info().currsize == 0
+    y = np.arange(50062, 50070)
+    want = dirichlet(M, 0.3 - 2.0 * np.pi * y / M) ** 2 / M**2
+    assert np.allclose(got, want, rtol=1e-6, atol=1e-15)
