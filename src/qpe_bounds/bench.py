@@ -342,7 +342,12 @@ def write_rows_csv(rows, path, seed, columns=None):
 
 
 def emit_samples(config, out_path):
-    """Write raw sample CSVs, one file per grid point; returns the paths."""
+    """Write raw sample CSVs, one file per grid point; returns the paths.
+
+    Trials are seeded as in ``_one_trial``, so the files hold the draws
+    that ``run_campaign`` estimates, except that a QCELS file holds one
+    arithmetic level at T rather than the ``qcels_levels`` ladder.
+    """
     stem, ext = os.path.splitext(out_path)
     ext = ext or ".csv"
     header = f"# qpe-bounds v{__version__} seed={config.seed}"
@@ -355,22 +360,15 @@ def emit_samples(config, out_path):
             if len(points) == 1
             else f"{stem}_{pspec.kind.value}_a{alpha}_T{T}{ext}"
         )
-        if pspec.kind == ProtocolKind.QFT_QPE:
-            n = int(np.log2(T + 1))
-            samples = [
-                sample_qft(
-                    s, n, pspec.N_s,
-                    seed=np.random.SeedSequence((config.seed, idx, k)),
-                )
-                for k in range(config.trials)
-            ]
-            write_qft_csv(samples, path, header)
-        else:
-            samples = []
-            for k in range(config.trials):
-                s_sched, s_data = np.random.SeedSequence((config.seed, idx, k)).spawn(2)
+        qft = pspec.kind == ProtocolKind.QFT_QPE
+        samples = []
+        for k in range(config.trials):
+            s_sched, s_data = np.random.SeedSequence((config.seed, idx, k)).spawn(2)
+            if qft:
+                samples.append(sample_qft(s, int(np.log2(T + 1)), pspec.N_s, seed=s_data))
+            else:
                 sched = realize(pspec.kind, T, pspec.N_t, seed=s_sched)
                 samples.append(sample_ht(s, sched, pspec.N_s, seed=s_data))
-            write_ht_csv(samples, path, header)
+        (write_qft_csv if qft else write_ht_csv)(samples, path, header)
         written.append(path)
     return written

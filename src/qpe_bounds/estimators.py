@@ -152,18 +152,7 @@ def _alternate(z, times, theta, bracket, rounds=2, tol=1e-9):
 
 def estimate_qcels(data):
     """Single-level fit of z(t_k) ~ r exp(i theta t_k) on an arithmetic grid."""
-    times = data.times
-    z = data.z_hat
-    _check_arithmetic(times)
-    T_lvl = float(times.max())
-    xs, cell = _midpoint_grid(_TWO_PI / (4.0 * T_lvl))
-    x0 = float(xs[np.argmax(np.abs(_filtered(z, times, xs)))])
-    theta, r, resid = _alternate(z, times, x0, cell)
-    return Estimate(
-        float(_wrap(theta)),
-        amplitudes=np.array([r]),
-        diagnostics={"residual": resid, "levels": 1},
-    )
+    return estimate_qcels_ml([data])
 
 
 def estimate_qcels_ml(levels):

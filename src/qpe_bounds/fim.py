@@ -19,7 +19,7 @@ from .dirichlet import (  # noqa: F401
     squared_kernel_grid,
 )
 from .errors import DegenerateDistribution, ZeroSecondMoment
-from .schedules import ProtocolKind, _require_power_of_two
+from .schedules import ProtocolKind, realize
 
 _SINGULAR_TOL = 1e-12
 _TRUNC_NORM = float(erf(1.0 / np.sqrt(2.0))) * np.sqrt(_TWO_PI)
@@ -69,12 +69,24 @@ class BlockFim:
 
 
 def ht_expectations(spectrum, t):
-    """(C, S) = (sum_l c_l cos(t theta_l), sum_l c_l sin(t theta_l))."""
-    arg = t * spectrum.phases
-    return (
-        float(np.dot(spectrum.overlaps, np.cos(arg))),
-        float(np.dot(spectrum.overlaps, np.sin(arg))),
-    )
+    """(C, S) = (sum_l c_l cos(t theta_l), sum_l c_l sin(t theta_l)).
+
+    A scalar t gives two floats; an array of times gives two arrays.
+    """
+    arg = np.outer(t, spectrum.phases)
+    C = np.cos(arg) @ spectrum.overlaps
+    S = np.sin(arg) @ spectrum.overlaps
+    if np.ndim(t) == 0:
+        return float(C[0]), float(S[0])
+    return C, S
+
+
+def _second_moment(spectrum):
+    """sum_l c_l theta_l^2, the denominator of every aligned-time limit."""
+    sm = spectrum.second_moment()
+    if sm <= 0.0:
+        raise ZeroSecondMoment("aligned-time limit undefined: sum_l c_l theta_l^2 = 0")
+    return sm
 
 
 _BLOCK_CHUNK = 1 << 16
@@ -85,8 +97,9 @@ def _ht_blocks_weighted(spectrum, times, weights):
 
     The real and imaginary measurements are independent Bernoullis with
     success probabilities (1+C)/2 and (1+S)/2.  At times where |C| or |S|
-    reaches 1 the theta-theta block takes its finite limit
-    c_i c_j t^2 (1 + theta_i theta_j / sum_l c_l theta_l^2); the c-sector
+    reaches 1 that measurement's theta-theta term takes its finite limit
+    c_i c_j t^2 theta_i theta_j / sum_l c_l theta_l^2, and its partner
+    (then |S| or |C| = 0) is counted as at any other time; the c-sector
     information of the degenerate measurement diverges there and is
     omitted (such times carry zero weight in every schedule expectation).
     Long time lists are processed in chunks to bound memory.
@@ -128,11 +141,8 @@ def _ht_blocks_weighted(spectrum, times, weights):
             wt2 += np.sum(wj[badS] * tj[badS] ** 2)
 
     if wt2:
-        sm = float(np.sum(c * th**2))
-        if sm <= 0.0:
-            raise ZeroSecondMoment("singular time with vanishing second moment")
         v = c * th
-        tt = tt + wt2 * (np.outer(c, c) + np.outer(v, v) / sm)
+        tt = tt + wt2 * np.outer(v, v) / _second_moment(spectrum)
 
     tt = 0.5 * (tt + tt.T)
     cc = 0.5 * (cc + cc.T)
@@ -145,28 +155,24 @@ def ht_fim_single(spectrum, t):
 
 
 def f_i(spectrum, label, t):
-    """Information gain factor of mode i at time t.
+    """Information gain factor of mode i at time t: I_ii(t) / (c_i t)^2.
 
-    sin^2(t theta_i)/(1 - C^2) + cos^2(t theta_i)/(1 - S^2), with the
+    I_ii(t) is the theta-theta diagonal of ht_fim_single, so f_i is
+    sin^2(t theta_i)/(1 - C^2) + cos^2(t theta_i)/(1 - S^2) with the
     singular points filled by their limits.  The value is >= 1 for every
-    t and equals f_i_max exactly at the aligned times where |C| = 1 or
-    |S| = 1; at generic times it can also exceed f_i_max.
+    t, is f_i_max at t = 0 and at every aligned time where |C| = 1 or
+    |S| = 1, and at generic times can also exceed f_i_max.  The mode
+    needs c_i > 0.
     """
+    # below |t| = 1e-8 every spectrum is at its C = 1 limit and f_i is
+    # f_i_max to O(pi^2 t^2) < 1e-15, while (c_i t)^2 can underflow
+    if abs(t) < 1e-8:
+        return f_i_max(spectrum, label)
     pos = spectrum.index_of(label)
-    th_i = spectrum.phases[pos]
-    c = spectrum.overlaps
-    sh = np.sin(0.5 * t * spectrum.phases)
-    ch = np.cos(0.5 * t * spectrum.phases)
-    # cancellation-free (1 - C)(1 + C) and (1 - S)(1 + S)
-    dC = (c @ (2.0 * sh**2)) * (c @ (2.0 * ch**2))
-    dS = (c @ (sh - ch) ** 2) * (c @ (sh + ch) ** 2)
-    if dC < _SINGULAR_TOL or dS < _SINGULAR_TOL:
-        sm = spectrum.second_moment()
-        if sm <= 0.0:
-            raise ZeroSecondMoment("limit undefined: sum_l c_l theta_l^2 = 0")
-    term1 = th_i**2 / sm if dC < _SINGULAR_TOL else np.sin(t * th_i) ** 2 / dC
-    term2 = th_i**2 / sm if dS < _SINGULAR_TOL else np.cos(t * th_i) ** 2 / dS
-    return float(term1 + term2)
+    c_i = spectrum.overlaps[pos]
+    if c_i == 0.0:
+        raise ValueError("the gain factor of a mode with zero overlap is undefined")
+    return float(ht_fim_single(spectrum, t).theta_theta[pos, pos] / (c_i * t) ** 2)
 
 
 def f_i_max(spectrum, label):
@@ -176,10 +182,7 @@ def f_i_max(spectrum, label):
     |S| = 1) and the peak factor used in the cost sandwich.  It is not
     a pointwise bound on f_i for every spectrum.
     """
-    sm = spectrum.second_moment()
-    if sm <= 0.0:
-        raise ZeroSecondMoment("sum_l c_l theta_l^2 = 0")
-    return 1.0 + spectrum.phase(label) ** 2 / sm
+    return 1.0 + spectrum.phase(label) ** 2 / _second_moment(spectrum)
 
 
 def qft_fim(spectrum, n):
@@ -267,12 +270,8 @@ def total_fim(spectrum, kind, T, N_t, N_s):
         if M < 2 or (M & (M - 1)) != 0:
             raise ValueError("QFT-QPE needs T = 2^n - 1")
         return float(N_s) * qft_fim(spectrum, int(np.log2(M)))
-    if kind == ProtocolKind.QCELS:
-        times = np.arange(1, int(N_t) + 1, dtype=float) * T / N_t
-        return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times))
-    if kind == ProtocolKind.RPE:
-        Tp = _require_power_of_two(T)
-        times = 2.0 ** np.arange(int(np.log2(Tp)) + 1)
+    if kind in (ProtocolKind.QCELS, ProtocolKind.RPE):
+        times = realize(kind, T, N_t).times
         return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times))
     if kind == ProtocolKind.CSQPE:
         times = np.arange(1, int(T) + 1, dtype=float)

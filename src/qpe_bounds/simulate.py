@@ -14,6 +14,7 @@ import numpy as np
 # perfbench/tracing.py wraps it by name in this module
 from .dirichlet import dirichlet, squared_kernel_grid  # noqa: F401
 from .errors import NormalizationFailure
+from .fim import ht_expectations
 
 _MAX_N = 26
 _CHUNK = 1 << 20
@@ -111,9 +112,7 @@ def sample_ht(spectrum, schedule, N_s, seed=0):
     if N_s < 1:
         raise ValueError("N_s must be positive")
     t = schedule.times
-    arg = np.outer(t, spectrum.phases)
-    C = np.cos(arg) @ spectrum.overlaps
-    S = np.sin(arg) @ spectrum.overlaps
+    C, S = ht_expectations(spectrum, t)
     rng = np.random.default_rng(seed)
     n_re0 = rng.binomial(int(N_s), (1.0 + C) / 2.0).astype(float)
     n_im0 = rng.binomial(int(N_s), (1.0 + S) / 2.0).astype(float)
@@ -123,9 +122,7 @@ def sample_ht(spectrum, schedule, N_s, seed=0):
 def sample_ht_exact(spectrum, schedule, N_s=1):
     """Noise-free variant: counters set to their exact expectations."""
     t = schedule.times
-    arg = np.outer(t, spectrum.phases)
-    C = np.cos(arg) @ spectrum.overlaps
-    S = np.sin(arg) @ spectrum.overlaps
+    C, S = ht_expectations(spectrum, t)
     n_re0 = N_s * (1.0 + C) / 2.0
     n_im0 = N_s * (1.0 + S) / 2.0
     return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s), None)

@@ -11,15 +11,19 @@ from qpe_bounds import (
     ProtocolSpec,
     check_diag,
     cost_product_bound,
+    estimate_curvefit_qft,
+    estimate_qmegs,
     g_i,
     gi_sweep,
     run_campaign,
     sweep_bounds,
     total_fim,
     make_spectrum,
+    read_ht_csv,
+    read_qft_csv,
     __version__,
 )
-from qpe_bounds.bench import emit_samples, qcels_levels, write_rows_csv
+from qpe_bounds.bench import _one_trial, emit_samples, qcels_levels, write_rows_csv
 from qpe_bounds.cli import main
 
 
@@ -262,6 +266,29 @@ def test_emit_samples_file_naming(tmp_path):
     single = CampaignConfig.from_dict(_config_dict(trials=2))
     out = emit_samples(single, str(tmp_path / "only.csv"))
     assert out == [str(tmp_path / "only.csv")]
+
+
+def test_emit_samples_writes_the_draws_bench_estimates(tmp_path):
+    cfg = CampaignConfig.from_dict(
+        _config_dict(
+            trials=3,
+            protocols=[
+                {"kind": "qmegs", "T": [20], "N_t": 50, "N_s": 5},
+                {"kind": "qft", "T": [63], "N_s": 2000},
+            ],
+        )
+    )
+    ht_path, qft_path = emit_samples(cfg, str(tmp_path / "raw.csv"))
+    s = make_spectrum(cfg.spectrum, cfg.L, cfg.alphas[0])
+    estimates = [
+        [estimate_qmegs(d, 20).theta_hat for d in read_ht_csv(ht_path)],
+        [estimate_curvefit_qft(d).theta_hat for d in read_qft_csv(qft_path, 6)],
+    ]
+    for idx, (pspec, got) in enumerate(zip(cfg.protocols, estimates)):
+        want = [
+            _one_trial(s, pspec, pspec.T[0], cfg.seed, idx, k) for k in range(cfg.trials)
+        ]
+        assert got == want, pspec.kind
 
 
 def _write_config(tmp_path, data, name="cfg.json"):

@@ -8,15 +8,19 @@ from qpe_bounds import (
     BlockFim,
     Spectrum,
     chi,
+    cost_product_bound,
     f_i,
     f_i_max,
     g_i,
     ht_expectations,
     ht_fim_single,
     qft_fim,
+    realize,
+    rpe_fim_bounds,
     total_fim,
 )
 from qpe_bounds.errors import ZeroSecondMoment
+from qpe_bounds.fim import _ht_blocks_weighted
 
 
 def test_ht_expectations_single_mode():
@@ -27,10 +31,35 @@ def test_ht_expectations_single_mode():
 
 
 def test_ht_single_mode_theta_information_is_2t2():
+    # 4 pi and 8 pi are aligned times (C = 1), where the limit applies
     s = Spectrum([0.5], [1.0])
-    for t in (0.3, 3.0, 17.0):
+    for t in (0.3, 3.0, 17.0, 4.0 * np.pi, 8.0 * np.pi):
         F = ht_fim_single(s, t)
         assert F.theta_theta[0, 0] == pytest.approx(2.0 * t**2, rel=1e-9)
+
+
+def test_rpe_information_at_aligned_times_is_the_gain_sum():
+    # every ladder time 1, 2, 4, 8, 16 aligns this spectrum from t = 4 on
+    s = Spectrum([np.pi / 2, -np.pi / 4], [0.6, 0.4])
+    T = 16
+    pos = s.index_of(0)
+    got = total_fim(s, "rpe", T, 1, 1).theta_theta[pos, pos]
+    want = sum(s.overlap(0) ** 2 * t**2 * f_i(s, 0, t) for t in 2.0 ** np.arange(5))
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(287.6370186335404, rel=1e-12)
+    lo, hi = rpe_fim_bounds(s, T, 1, 0)
+    assert lo <= got <= hi
+
+
+def test_qcels_information_is_continuous_at_aligned_times():
+    # all eight times k T / N_t = 8 k align both phases (C = 1)
+    s = Spectrum([np.pi / 4, -np.pi / 2], [0.7, 0.3])
+    pos = s.index_of(0)
+    times = realize("qcels", 64, 8).times
+    aligned = total_fim(s, "qcels", 64, 8, 1).theta_theta[pos, pos]
+    nearby = _ht_blocks_weighted(s, times * (1.0 + 1e-5), np.ones(8))
+    assert aligned == pytest.approx(nearby.theta_theta[pos, pos], rel=1e-4)
+    assert cost_product_bound(s, "qcels", 64, 8, 1) == pytest.approx(3.7753, abs=1e-4)
 
 
 def test_ht_fim_matches_fd_oracle():
@@ -113,13 +142,21 @@ def test_f_i_can_exceed_aligned_value_at_generic_times():
 def test_f_i_at_singular_point_equals_max():
     rng = np.random.default_rng(25)
     s = random_spectrum(rng, L=3)
-    # t = 0 is the aligned point C = 1
-    assert f_i(s, 0, 0.0) == pytest.approx(f_i_max(s, 0), rel=1e-12)
+    # t = 0 is the aligned point C = 1; near it (c_0 t)^2 underflows
+    for t in (0.0, 1e-9, -1e-200):
+        assert f_i(s, 0, t) == pytest.approx(f_i_max(s, 0), rel=1e-12)
 
 
 def test_f_i_max_zero_second_moment():
     with pytest.raises(ZeroSecondMoment):
         f_i_max(Spectrum([0.0], [1.0]), 0)
+    with pytest.raises(ZeroSecondMoment):
+        f_i(Spectrum([0.0], [1.0]), 0, 2.0)
+
+
+def test_f_i_needs_a_nonzero_overlap():
+    with pytest.raises(ValueError):
+        f_i(Spectrum([0.5, -0.5], [1.0, 0.0]), 1, 2.0)
 
 
 def test_blockfim_add_and_scale():

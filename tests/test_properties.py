@@ -1,0 +1,122 @@
+"""Invariants of the Fisher blocks and bounds, as hypothesis properties.
+
+Spectra mix random phases with dyadic ones (2 pi k / 2^m), and times mix
+random values with multiples of 2^m, where every dyadic phase aligns
+(C = 1) and the blocks take their singular-time limits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qpe_bounds import (
+    Spectrum,
+    crlb_diag,
+    crlb_full,
+    f_i,
+    f_i_max,
+    ht_fim_single,
+    total_fim,
+)
+from qpe_bounds.fim import _ht_blocks_weighted
+
+_M = 3  # dyadic phases 2 pi k / 2^_M; every multiple of 2^_M is aligned
+
+
+@st.composite
+def _spectra(draw, dyadic=st.booleans()):
+    L = draw(st.integers(1, 4))
+    if draw(dyadic):
+        ks = draw(
+            st.lists(st.integers(-(2 ** (_M - 1)) + 1, 2 ** (_M - 1)), min_size=L,
+                     max_size=L, unique=True)
+        )
+        phases = 2.0 * np.pi * np.array(ks) / 2**_M
+    else:
+        phases = np.array(
+            draw(st.lists(st.floats(-3.0, 3.0), min_size=L, max_size=L, unique=True))
+        )
+        assume(L == 1 or np.min(np.diff(np.sort(phases))) > 1e-3)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=L, max_size=L)))
+    s = Spectrum(phases, weights / weights.sum())
+    assume(s.second_moment() > 1e-6)
+    return s
+
+
+_times = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.integers(-5, 5).map(lambda j: float(j * 2**_M)),
+)
+
+
+def _assert_psd(full):
+    lam = np.linalg.eigvalsh(full)
+    assert lam[0] >= -1e-9 * max(lam[-1], 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spectra(), _times)
+def test_ht_blocks_are_symmetric_psd_and_even_in_t(s, t):
+    F = ht_fim_single(s, t)
+    full = F.full()
+    assert np.array_equal(full, full.T)
+    _assert_psd(full)
+    G = ht_fim_single(s, -t)
+    assert np.allclose(G.full(), full, rtol=1e-12, atol=1e-12 * np.max(np.abs(full)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spectra(dyadic=st.just(True)), st.integers(1, 5), st.sampled_from([1.0, -1.0]))
+def test_ht_theta_block_is_continuous_across_aligned_times(s, j, sign):
+    t = sign * j * 2.0**_M
+    aligned = ht_fim_single(s, t).theta_theta
+    nearby = ht_fim_single(s, t * (1.0 + 1e-6)).theta_theta
+    assert np.allclose(aligned, nearby, rtol=0.0, atol=1e-4 * np.max(np.abs(aligned)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spectra(), st.lists(_times, min_size=1, max_size=4))
+def test_ht_blocks_are_additive_over_times(s, times):
+    got = _ht_blocks_weighted(s, times, np.ones(len(times))).full()
+    want = sum(ht_fim_single(s, t).full() for t in times)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * (np.max(np.abs(want)) + 1.0))
+
+
+# (kind, T, N_t); the qcels, rpe and csqpe times include multiples of 2^_M
+_CAMPAIGNS = [("qcels", 64, 8), ("qcels", 24, 6), ("rpe", 32, 1), ("csqpe", 20, 4),
+              ("qmegs", 12, 3), ("qft", 31, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spectra(), st.sampled_from(_CAMPAIGNS), st.integers(1, 5), st.integers(2, 7))
+def test_total_fim_is_linear_in_shots(s, campaign, N_s, k):
+    kind, T, N_t = campaign
+    one = total_fim(s, kind, T, N_t, N_s).full()
+    many = total_fim(s, kind, T, N_t, k * N_s).full()
+    assert np.allclose(many, k * one, rtol=1e-12, atol=1e-12 * k * np.max(np.abs(one)))
+
+
+# a dyadic target sits on the readout grid, where it has no bound
+@settings(max_examples=100, deadline=None)
+@given(_spectra(), st.sampled_from([c for c in _CAMPAIGNS if c[0] != "qft"]), st.data())
+def test_full_bound_is_never_below_the_diagonal_one(s, campaign, data):
+    kind, T, N_t = campaign
+    label = data.draw(st.sampled_from(list(s.labels)))
+    F = total_fim(s, kind, T, N_t, 1)
+    assert crlb_full(F, label) >= crlb_diag(F, label) * (1.0 - 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spectra(), _times, st.data())
+def test_gain_factor_is_at_least_one(s, t, data):
+    label = data.draw(st.sampled_from(list(s.labels)))
+    assert f_i(s, label, t) >= 1.0 - 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spectra(dyadic=st.just(True)), st.integers(-5, 5), st.data())
+def test_gain_factor_is_the_aligned_value_at_aligned_times(s, j, data):
+    label = data.draw(st.sampled_from(list(s.labels)))
+    t = float(j * 2**_M)
+    assert f_i(s, label, t) == pytest.approx(f_i_max(s, label), rel=1e-12)
