@@ -10,7 +10,7 @@ near each phase.
 
 import numpy as np
 
-from qpe_bounds import Spectrum, make_spectrum, qft_probabilities, spectral_gap
+from qpe_bounds import Spectrum, make_spectrum, qft_probabilities
 
 
 def show_family(kind, L=8, alpha=0.5):
@@ -18,7 +18,7 @@ def show_family(kind, L=8, alpha=0.5):
     print(f"{kind:10s} L={L} alpha={alpha}")
     print("  phases  ", np.round(s.phases, 4))
     print("  overlaps", np.round(s.overlaps, 4))
-    print(f"  dominant overlap c0 = {s.overlap(0):.4f}, gap = {spectral_gap(s):.4f}")
+    print(f"  dominant overlap c0 = {s.overlap(0):.4f}, gap = {s.gap:.4f}")
 
 
 def main():

@@ -13,17 +13,13 @@ from .bench import (
     CampaignConfig,
     ProtocolSpec,
     check_diag,
+    cost_product_bound,
+    g_i,
     gi_sweep,
     run_campaign,
     sweep_bounds,
 )
-from .bounds import (
-    cost_product_bound,
-    crlb_diag,
-    crlb_full,
-    diag_ratio,
-    rpe_fim_bounds,
-)
+from .bounds import crlb_diag, crlb_full, diag_ratio, rpe_fim_bounds
 from .dirichlet import (
     dirichlet,
     dirichlet_derivative,
@@ -56,7 +52,6 @@ from .fim import (
     BlockFim,
     f_i,
     f_i_max,
-    g_i,
     ht_expectations,
     ht_fim_single,
     qft_fim,
@@ -80,7 +75,6 @@ from .spectrum import (
     geometric_overlaps,
     head_dense_phases,
     make_spectrum,
-    spectral_gap,
     tail_dense_phases,
     uniform_phases,
 )

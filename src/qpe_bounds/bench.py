@@ -1,12 +1,13 @@
-"""Campaign driver: bound sweeps, diagnostic tables, MSE benchmarks, CSV.
+"""Cost accounting and the campaign runner: bound sweeps, tables, benchmarks, CSV.
 
-A campaign is a grid (alpha) x (protocol, T).  One pass turns every grid
-point into a BenchResult row with its accounting (c0, g0, gamma, bound,
-t_total); the bounds, diag, gi and bench tables are that pass plus their
-own columns.  Every benchmark row carries enough fields to recompute its
-efficiency ratio R = T * t_total * mse / bound; a failure at one grid
-point is recorded in that row's error column and never suppresses the
-others.
+``accounting`` turns the Fisher blocks over a list of horizons into g0,
+gamma and the bound; ``g_i`` and ``cost_product_bound`` are its
+one-horizon case.  A campaign is a grid (alpha) x (protocol, T).  One
+pass accounts every grid point, over the horizons its estimator samples,
+into a BenchResult row; the bounds, diag, gi and bench tables are that
+pass plus their own columns.  Every benchmark row carries enough fields
+to recompute R = T * t_total * mse / bound; a failure at one grid point
+is recorded in that row's error column and never suppresses the others.
 """
 
 import json
@@ -15,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .estimators import (
     estimate_qcels_ml,
     estimate_qmegs,
 )
+from .errors import NoLinearCostForm
 from .fim import f_i_max, total_fim
 from .schedules import ProtocolKind, gamma, realize, t_total
 from .simulate import sample_ht, sample_qft, write_ht_csv, write_qft_csv
@@ -99,8 +102,11 @@ class CampaignConfig:
             raise ValueError(f"unknown spectrum family {cfg.spectrum!r}")
         if cfg.L < 1:
             raise ValueError("L must be at least 1")
-        if not cfg.alphas or any(not 0.0 < a < 1.0 for a in cfg.alphas):
-            raise ValueError("alphas must be a nonempty list inside (0, 1)")
+        if not isinstance(cfg.alphas, list) or not cfg.alphas or any(
+            isinstance(a, bool) or not isinstance(a, Real) or not 0.0 < a < 1.0
+            for a in cfg.alphas
+        ):
+            raise ValueError("alphas must be a nonempty list of numbers inside (0, 1)")
         if not cfg.protocols:
             raise ValueError("at least one protocol is required")
         if cfg.trials < 2:
@@ -159,32 +165,47 @@ def qcels_levels(T, N_t):
     return [T / 2 ** (m - j) for j in range(1, m + 1)]
 
 
-def _accounting(spectrum, pspec, T, target):
-    """g0, gamma, bound, t_total and the accumulated Fisher blocks.
+def accounting(spectrum, kind, horizons, N_t, N_s, label=0):
+    """(g0, gamma, bound, t_total, fim) of N_t times x N_s shots per horizon.
 
-    QFT-QPE enters with gamma = 1.  QCELS is accounted over the
-    ``qcels_levels`` doubling ladder that its estimator samples, so g0 is
-    the mean over ladder levels h of g_i(h) (h/T)^2; ``fim.g_i`` and
-    ``bounds.cost_product_bound`` bound a single arithmetic level at T
-    instead.  The two definitions agree for every other protocol.
+    Blocks and costs add up over ``horizons``; with T = horizons[-1] and
+    N = len(horizons) N_t N_s, g0 = I_ii / (N T^2) and the bound gamma / g0
+    floors T * t_total * MSE.  RPE has no linear cost form.
     """
-    kind = pspec.kind
-    if kind == ProtocolKind.QCELS:
-        horizons = qcels_levels(T, pspec.N_t)
-        fim = total_fim(spectrum, kind, horizons[0], pspec.N_t, pspec.N_s)
-        for h in horizons[1:]:
-            fim = fim + total_fim(spectrum, kind, h, pspec.N_t, pspec.N_s)
-        N = len(horizons) * pspec.N_t * pspec.N_s
-        ttl = sum(t_total(kind, h, pspec.N_t, pspec.N_s) for h in horizons)
+    kind = ProtocolKind(kind)
+    if kind == ProtocolKind.RPE:
+        raise NoLinearCostForm("RPE has no linear cost form; use rpe_fim_bounds")
+    fims = [total_fim(spectrum, kind, h, N_t, N_s) for h in horizons]
+    fim = sum(fims[1:], fims[0])
+    ttl = sum(t_total(kind, h, N_t, N_s) for h in horizons)
+    T, N = float(horizons[-1]), len(horizons) * N_t * N_s
+    # a ladder's gamma is its cost per shot per T; on one horizon that
+    # quotient is schedules.gamma only to the last digit (5821 of 22344
+    # qmegs/csqpe points differ), so one horizon keeps the closed form
+    if len(horizons) > 1:
         gam = ttl / (N * T)
     else:
-        fim = total_fim(spectrum, kind, T, pspec.N_t, pspec.N_s)
-        N = pspec.N_t * pspec.N_s
-        ttl = t_total(kind, T, pspec.N_t, pspec.N_s)
-        gam = 1.0 if kind == ProtocolKind.QFT_QPE else gamma(kind, T, pspec.N_t)
-    pos = fim.index_of(target)
-    g0 = float(fim.theta_theta[pos, pos] / (N * float(T) ** 2))
+        gam = 1.0 if kind == ProtocolKind.QFT_QPE else gamma(kind, T, N_t)
+    pos = fim.index_of(label)
+    g0 = float(fim.theta_theta[pos, pos] / (N * T**2))
     return g0, gam, gam / g0, ttl, fim
+
+
+def g_i(spectrum, kind, T, N_t, N_s, label=0):
+    """Normalized information I_ii / (N_t N_s T^2) at one horizon T."""
+    return accounting(spectrum, kind, [T], N_t, N_s, label)[0]
+
+
+def cost_product_bound(spectrum, kind, T, N_t, N_s, label=0):
+    """Floor gamma / g_i on T * t_total * MSE at one horizon T (QFT: gamma 1)."""
+    return accounting(spectrum, kind, [T], N_t, N_s, label)[2]
+
+
+def _accounting(spectrum, pspec, T, target):
+    """Accounting over the horizons the point's estimator samples."""
+    kind = pspec.kind
+    horizons = qcels_levels(T, pspec.N_t) if kind == ProtocolKind.QCELS else [T]
+    return accounting(spectrum, kind, horizons, pspec.N_t, pspec.N_s, target)
 
 
 def _grid(config):

@@ -1,16 +1,17 @@
-"""Cramer-Rao evaluation: full-matrix and diagonal bounds, cost products.
+"""Cramer-Rao evaluation: full-matrix and diagonal bounds, the RPE envelope.
 
 The variance bound for mode i is (I^-1)_{ii} of the full 2L x 2L Fisher
 matrix; the cheap surrogate is 1/I_{ii}.  Their product I_{ii} (I^-1)_{ii}
 is the diagonal-approximation quality factor (1 when parameters decouple).
+The cost-product floor gamma / g_i is computed by ``bench.accounting``.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NoLinearCostForm, SingularFim
-from .fim import f_i_max, g_i
-from .schedules import ProtocolKind, _require_power_of_two, gamma
+from .errors import SingularFim
+from .fim import f_i_max
+from .schedules import _require_power_of_two
 
 
 _COND_CAP = 1e12
@@ -103,24 +104,6 @@ def diag_ratio(fim, label=0):
     """I_{ii} (I^-1)_{ii} >= 1; how much the diagonal shortcut understates."""
     pos = fim.index_of(label)
     return float(fim.theta_theta[pos, pos]) * crlb_full(fim, label)
-
-
-def cost_product_bound(spectrum, kind, T, N_t, N_s, label=0):
-    """Lower bound on T * t_total for unit MSE: gamma / g_i.
-
-    Divide by a target MSE to get the cost floor at that accuracy.
-    QFT-QPE enters with gamma = 1 (its cost is exactly N_s T).  For QCELS
-    this is one arithmetic level at T; the CSV rows use the doubling
-    ladder instead (see ``bench._accounting``).
-    """
-    kind = ProtocolKind(kind)
-    if kind == ProtocolKind.QFT_QPE:
-        gam = 1.0
-    elif kind == ProtocolKind.RPE:
-        raise NoLinearCostForm("RPE has no linear cost form; use rpe_fim_bounds")
-    else:
-        gam = gamma(kind, T, N_t)
-    return gam / g_i(spectrum, kind, T, N_t, N_s, label)
 
 
 def rpe_fim_bounds(spectrum, T, N_s, label=0):

@@ -3,6 +3,7 @@
 Parameters are the 2L reals (theta_1..theta_L, c_1..c_L) with the overlaps
 treated as free coordinates.  All builders return a BlockFim; information
 is additive, so repeated shots scale it and independent times sum it.
+``bench.accounting`` turns these blocks into g0 and the cost bound.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .dirichlet import (  # noqa: F401
     squared_kernel_grid,
 )
 from .errors import DegenerateDistribution, ZeroSecondMoment
-from .schedules import ProtocolKind, realize
+from .schedules import ProtocolKind, _whole, realize
 
 _SINGULAR_TOL = 1e-12
 _TRUNC_NORM = float(erf(1.0 / np.sqrt(2.0))) * np.sqrt(_TWO_PI)
@@ -266,7 +267,7 @@ def total_fim(spectrum, kind, T, N_t, N_s):
     if kind == ProtocolKind.QFT_QPE:
         if N_t != 1:
             raise ValueError("QFT-QPE uses a single readout per shot (N_t = 1)")
-        M = int(T) + 1
+        M = _whole(T) + 1
         if M < 2 or (M & (M - 1)) != 0:
             raise ValueError("QFT-QPE needs T = 2^n - 1")
         return float(N_s) * qft_fim(spectrum, int(np.log2(M)))
@@ -274,20 +275,9 @@ def total_fim(spectrum, kind, T, N_t, N_s):
         times = realize(kind, T, N_t).times
         return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times))
     if kind == ProtocolKind.CSQPE:
-        times = np.arange(1, int(T) + 1, dtype=float)
+        times = np.arange(1, _whole(T) + 1, dtype=float)
         w = np.full(times.size, 1.0 / times.size)
         return float(N_s * N_t) * _ht_blocks_weighted(spectrum, times, w)
     if kind == ProtocolKind.QMEGS:
         return float(N_s * N_t) * _qmegs_expected_blocks(spectrum, T)
     raise ValueError(f"unknown protocol {kind!r}")
-
-
-def g_i(spectrum, kind, T, N_t, N_s, label=0):
-    """Normalized per-cost information (I_total)_ii / (N T^2), N = N_s N_t.
-
-    For QCELS this is one arithmetic level at T; the CSV rows use the
-    doubling ladder instead (see ``bench._accounting``).
-    """
-    fim = total_fim(spectrum, kind, T, N_t, N_s)
-    pos = fim.index_of(label)
-    return float(fim.theta_theta[pos, pos] / (N_s * N_t * float(T) ** 2))

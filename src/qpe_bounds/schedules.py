@@ -36,8 +36,15 @@ class Schedule:
     seed: int | None = None
 
 
+def _whole(T, error=ValueError):
+    """T as an int; a fractional horizon is rejected, never truncated."""
+    if not float(T).is_integer():
+        raise error(f"T={T} is not a whole number")
+    return int(T)
+
+
 def _require_power_of_two(T):
-    T = int(T)
+    T = _whole(T, RpeRequiresPowerOfTwo)
     if T < 1 or (T & (T - 1)) != 0:
         raise RpeRequiresPowerOfTwo(f"T={T} is not a power of two")
     return T
@@ -47,7 +54,7 @@ def realize(kind, T, N_t, seed=0):
     """Draw (or lay out) the evolution times of one schedule.
 
     QMEGS times are i.i.d. from a normal of width T truncated to [-T, T],
-    sampled by inverse CDF; CSQPE times are uniform integers in [1, T];
+    sampled by inverse CDF; CSQPE times are uniform integers in [1, T], T whole;
     QCELS times are the arithmetic grid k T / N_t; RPE uses the geometric
     ladder 1, 2, 4, ..., T (N_t is then log2(T) + 1 regardless of input).
     """
@@ -61,7 +68,7 @@ def realize(kind, T, N_t, seed=0):
         return Schedule(kind, float(T), int(N_t), times, seed)
     if kind == ProtocolKind.CSQPE:
         rng = np.random.default_rng(seed)
-        times = rng.integers(1, int(T) + 1, size=int(N_t)).astype(float)
+        times = rng.integers(1, _whole(T) + 1, size=int(N_t)).astype(float)
         return Schedule(kind, float(T), int(N_t), times, seed)
     if kind == ProtocolKind.QCELS:
         if N_t < 1:
@@ -85,7 +92,7 @@ def gamma(kind, T=None, N_t=None):
     if kind == ProtocolKind.QMEGS:
         return 2.0 * np.sqrt(2.0 / np.pi) / _C * (1.0 - np.exp(-0.5))
     if kind == ProtocolKind.CSQPE:
-        T = int(T)
+        T = _whole(T)
         return (T + 1.0) / T
     if kind == ProtocolKind.QCELS:
         N_t = int(N_t)
@@ -99,7 +106,7 @@ def chi(kind, T=None, N_t=None):
     if kind == ProtocolKind.QMEGS:
         return 1.0 - np.sqrt(2.0 / (np.pi * np.e)) / _C
     if kind == ProtocolKind.CSQPE:
-        T = int(T)
+        T = _whole(T)
         return (T + 1.0) * (2.0 * T + 1.0) / (6.0 * T**2)
     if kind == ProtocolKind.QCELS:
         N_t = int(N_t)

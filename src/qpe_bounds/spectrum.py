@@ -146,7 +146,3 @@ def make_spectrum(kind, L, alpha):
     except KeyError:
         raise ValueError(f"unknown spectrum family {kind!r}") from None
     return Spectrum(phases, geometric_overlaps(L, alpha))
-
-
-def spectral_gap(spectrum):
-    return spectrum.gap

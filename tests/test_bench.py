@@ -14,17 +14,26 @@ from qpe_bounds import (
     estimate_curvefit_qft,
     estimate_qmegs,
     g_i,
+    gamma,
     gi_sweep,
     run_campaign,
     sweep_bounds,
+    t_total,
     total_fim,
     make_spectrum,
     read_ht_csv,
     read_qft_csv,
     __version__,
 )
-from qpe_bounds.bench import _one_trial, emit_samples, qcels_levels, write_rows_csv
+from qpe_bounds.bench import (
+    _one_trial,
+    accounting,
+    emit_samples,
+    qcels_levels,
+    write_rows_csv,
+)
 from qpe_bounds.cli import main
+from qpe_bounds.errors import NoLinearCostForm
 
 
 def _config_dict(**over):
@@ -79,6 +88,13 @@ def test_campaign_config_validation():
         _config_dict(L=3.5),
         _config_dict(target=0.5),
         _config_dict(trials=float("inf")),
+        # alphas must be a list of numbers
+        _config_dict(alphas=["0.5"]),
+        _config_dict(alphas=0.5),
+        _config_dict(alphas=[True]),
+        _config_dict(alphas=[[0.5]]),
+        _config_dict(alphas=[None]),
+        _config_dict(alphas=[float("nan")]),
     ]
     for bad in cases:
         with pytest.raises(ValueError):
@@ -196,9 +212,9 @@ def test_check_diag_and_gi_sweep_rows():
 
 
 def test_table_rows_match_the_bound_functions():
-    # gi and bounds rows agree with g_i / cost_product_bound wherever both
-    # describe the same campaign; for QCELS the rows account the doubling
-    # ladder the estimator samples, not one arithmetic level
+    # gi and bounds rows equal g_i / cost_product_bound wherever both
+    # describe the same campaign; for QCELS the rows pass the doubling
+    # ladder the estimator samples as horizons, not one arithmetic level
     protocols = [
         {"kind": "qmegs", "T": [60], "N_t": 20, "N_s": 3},
         {"kind": "csqpe", "T": [60], "N_t": 20, "N_s": 3},
@@ -218,11 +234,36 @@ def test_table_rows_match_the_bound_functions():
             want = np.mean([g_i(s, kind, h, N_t, N_s) * (h / T) ** 2 for h in levels])
             assert gi_row.g0 == pytest.approx(want, rel=1e-12)
             assert bound_row.g0 == gi_row.g0
+            assert bound_row.t_total == sum(t_total(kind, h, N_t, N_s) for h in levels)
             continue
-        assert gi_row.g0 == pytest.approx(g_i(s, kind, T, N_t, N_s), rel=1e-12)
-        assert bound_row.bound == pytest.approx(
-            cost_product_bound(s, kind, T, N_t, N_s), rel=1e-12
-        )
+        assert gi_row.g0 == bound_row.g0 == g_i(s, kind, T, N_t, N_s)
+        assert bound_row.bound == cost_product_bound(s, kind, T, N_t, N_s)
+        want_gamma = 1.0 if kind.value == "qft" else gamma(kind, T, N_t)
+        assert bound_row.gamma == want_gamma
+        assert bound_row.t_total == t_total(kind, T, N_t, N_s)
+
+
+def test_accounting_sums_blocks_and_costs_over_the_horizons():
+    s = make_spectrum("uniform", 4, 0.4)
+    levels = qcels_levels(50, 8)
+    assert levels == [6.25, 12.5, 25.0, 50.0]  # fractional QCELS horizons stay valid
+    g0, gam, bound, ttl, fim = accounting(s, "qcels", levels, 8, 2)
+    parts = [total_fim(s, "qcels", h, 8, 2) for h in levels]
+    assert np.array_equal(fim.full(), sum(parts[1:], parts[0]).full())
+    assert ttl == sum(t_total("qcels", h, 8, 2) for h in levels)
+    N = len(levels) * 8 * 2
+    assert gam == ttl / (N * 50.0)
+    assert g0 == fim.theta_theta[fim.index_of(0), fim.index_of(0)] / (N * 50.0**2)
+    assert bound == gam / g0
+    # one horizon is the library pair, with the closed-form gamma
+    one = accounting(s, "qcels", [50], 8, 2)
+    assert one[:3] == (
+        g_i(s, "qcels", 50, 8, 2),
+        gamma("qcels", 50, 8),
+        cost_product_bound(s, "qcels", 50, 8, 2),
+    )
+    with pytest.raises(NoLinearCostForm):
+        accounting(s, "rpe", [4, 8], 1, 1)
 
 
 def test_failed_accounting_lands_in_the_row():

@@ -137,6 +137,8 @@ def test_cost_product_rejects_rpe():
     s = make_spectrum("uniform", 10, 0.3)
     with pytest.raises(NoLinearCostForm):
         cost_product_bound(s, "rpe", 8, 4, 1)
+    with pytest.raises(NoLinearCostForm):
+        g_i(s, "rpe", 8, 4, 1)
 
 
 def test_rpe_bounds_single_mode_are_exact():

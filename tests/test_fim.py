@@ -19,7 +19,7 @@ from qpe_bounds import (
     rpe_fim_bounds,
     total_fim,
 )
-from qpe_bounds.errors import ZeroSecondMoment
+from qpe_bounds.errors import RpeRequiresPowerOfTwo, ZeroSecondMoment
 from qpe_bounds.fim import _ht_blocks_weighted
 
 
@@ -201,6 +201,12 @@ def test_total_fim_csqpe_is_mean_over_integers():
     want = (3 * 4 / float(T)) * want
     got = total_fim(s, "csqpe", T, 4, 3)
     assert np.allclose(got.full(), want.full(), rtol=1e-12)
+    # the 1..T grid needs a whole T; it is never cut back to int(T)
+    assert np.array_equal(total_fim(s, "csqpe", 9.0, 4, 3).full(), got.full())
+    with pytest.raises(ValueError):
+        total_fim(s, "csqpe", 9.5, 4, 3)
+    with pytest.raises(RpeRequiresPowerOfTwo):
+        total_fim(s, "rpe", 8.5, 1, 3)
 
 
 def test_total_fim_rpe_sums_powers():
@@ -224,6 +230,9 @@ def test_total_fim_qft_scales_with_shots():
     assert np.allclose(tot.full(), 50.0 * one.full(), rtol=1e-12)
     with pytest.raises(ValueError):
         total_fim(s, "qft", 6, 1, 1)  # T must be 2^n - 1
+    with pytest.raises(ValueError):
+        total_fim(s, "qft", 7.5, 1, 1)  # not cut back to T = 7
+    assert np.array_equal(total_fim(s, "qft", 7.0, 1, 50).full(), tot.full())
     with pytest.raises(ValueError):
         total_fim(s, "qft", 7, 2, 1)  # one-shot circuit family
 

@@ -100,3 +100,27 @@ def test_kind_accepts_enum_and_string():
     assert gamma(ProtocolKind.QMEGS) == gamma("qmegs")
     with pytest.raises(ValueError):
         realize("nope", 10, 10)
+
+
+def test_fractional_horizons_are_rejected_not_truncated():
+    # RPE and CSQPE live on integer times, so a fractional T is an error,
+    # never the whole horizon below it; integral floats stay valid
+    with pytest.raises(RpeRequiresPowerOfTwo):
+        realize("rpe", 16.9, 1)
+    with pytest.raises(RpeRequiresPowerOfTwo):
+        chi("rpe", 16.9)
+    with pytest.raises(RpeRequiresPowerOfTwo):
+        t_total("rpe", 16.9, 1, 1)
+    for fn in (realize, gamma, chi):
+        with pytest.raises(ValueError):
+            fn("csqpe", 10.5, 5)
+    with pytest.raises(ValueError):
+        t_total("csqpe", 10.5, 5, 1)
+    assert np.array_equal(realize("rpe", 16.0, 1).times, realize("rpe", 16, 1).times)
+    assert np.array_equal(realize("csqpe", 10.0, 5).times, realize("csqpe", 10, 5).times)
+    assert (chi("rpe", 16.0), t_total("rpe", 16.0, 1, 1)) == (
+        chi("rpe", 16), t_total("rpe", 16, 1, 1)
+    )
+    assert (gamma("csqpe", 10.0), chi("csqpe", 10.0), t_total("csqpe", 10.0, 5, 1)) == (
+        gamma("csqpe", 10), chi("csqpe", 10), t_total("csqpe", 10, 5, 1)
+    )

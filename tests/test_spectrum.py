@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qpe_bounds import Spectrum, make_spectrum, spectral_gap
+from qpe_bounds import Spectrum, make_spectrum
 from qpe_bounds.errors import DegenerateSpectrum
 from qpe_bounds.spectrum import (
     geometric_overlaps,
@@ -113,8 +113,3 @@ def test_tail_dense_target_mode_sits_in_sparse_region():
     s = make_spectrum("tail_dense", 20, 0.4)
     # the largest-overlap mode is at the positive end where spacing is widest
     assert s.phase(0) == pytest.approx(1.0)
-
-
-def test_spectral_gap_helper():
-    s = make_spectrum("head_dense", 20, 0.4)
-    assert spectral_gap(s) == pytest.approx(np.min(np.diff(s.phases)))
