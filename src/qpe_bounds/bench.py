@@ -1,13 +1,14 @@
 """Cost accounting and the campaign runner: bound sweeps, tables, benchmarks, CSV.
 
-``accounting`` turns the Fisher blocks over a list of horizons into g0,
-gamma and the bound; ``g_i`` and ``cost_product_bound`` are its
-one-horizon case.  A campaign is a grid (alpha) x (protocol, T).  One
-pass accounts every grid point, over the horizons its estimator samples,
-into a BenchResult row; the bounds, diag, gi and bench tables are that
-pass plus their own columns.  Every benchmark row carries enough fields
-to recompute R = T * t_total * mse / bound; a failure at one grid point
-is recorded in that row's error column and never suppresses the others.
+``accounting`` turns the Fisher blocks over a list of horizons into the
+floor T * t_total / I_ii on T * t_total * MSE, for every protocol;
+``g_i`` and ``cost_product_bound`` are its one-horizon case.  A campaign
+is a grid (alpha) x (protocol, T).  One pass accounts every grid point,
+over the horizons its estimator samples, into a BenchResult row; the
+bounds, diag, gi and bench tables are that pass plus their own columns.
+Every benchmark row carries enough fields to recompute R = T * t_total *
+mse / bound = mse * I_ii; a failure at one grid point is recorded in
+that row's error column and never suppresses the others.
 """
 
 import json
@@ -29,9 +30,8 @@ from .estimators import (
     estimate_qcels_ml,
     estimate_qmegs,
 )
-from .errors import NoLinearCostForm
 from .fim import f_i_max, total_fim
-from .schedules import ProtocolKind, gamma, realize, t_total
+from .schedules import ProtocolKind, realize, t_total
 from .simulate import sample_ht, sample_qft, write_ht_csv, write_qft_csv
 from .spectrum import _PHASE_FAMILIES, make_spectrum
 
@@ -75,8 +75,8 @@ class ProtocolSpec:
             for v in spec.T:
                 if ((v + 1) & v) != 0:
                     raise ValueError("transform-readout entries need T = 2^n - 1")
-            if spec.N_t != 1:
-                raise ValueError("transform readout uses N_t = 1")
+        if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and spec.N_t != 1:
+            raise ValueError(f"{kind.value} uses N_t = 1")
         return spec
 
 
@@ -168,36 +168,27 @@ def qcels_levels(T, N_t):
 def accounting(spectrum, kind, horizons, N_t, N_s, label=0):
     """(g0, gamma, bound, t_total, fim) of N_t times x N_s shots per horizon.
 
-    Blocks and costs add up over ``horizons``; with T = horizons[-1] and
-    N = len(horizons) N_t N_s, g0 = I_ii / (N T^2) and the bound gamma / g0
-    floors T * t_total * MSE.  RPE has no linear cost form.
+    Blocks and costs add up over ``horizons``; with T = horizons[-1], the
+    bound T * t_total / I_ii floors T * t_total * MSE for every protocol
+    (MSE >= 1 / I_ii).  With N = len(horizons) N_t N_s, the reported
+    gamma = t_total / (N T) and g0 = I_ii / (N T^2) give bound = gamma / g0.
     """
-    kind = ProtocolKind(kind)
-    if kind == ProtocolKind.RPE:
-        raise NoLinearCostForm("RPE has no linear cost form; use rpe_fim_bounds")
     fims = [total_fim(spectrum, kind, h, N_t, N_s) for h in horizons]
     fim = sum(fims[1:], fims[0])
     ttl = sum(t_total(kind, h, N_t, N_s) for h in horizons)
     T, N = float(horizons[-1]), len(horizons) * N_t * N_s
-    # a ladder's gamma is its cost per shot per T; on one horizon that
-    # quotient is schedules.gamma only to the last digit (5821 of 22344
-    # qmegs/csqpe points differ), so one horizon keeps the closed form
-    if len(horizons) > 1:
-        gam = ttl / (N * T)
-    else:
-        gam = 1.0 if kind == ProtocolKind.QFT_QPE else gamma(kind, T, N_t)
     pos = fim.index_of(label)
-    g0 = float(fim.theta_theta[pos, pos] / (N * T**2))
-    return g0, gam, gam / g0, ttl, fim
+    info = float(fim.theta_theta[pos, pos])
+    return info / (N * T**2), ttl / (N * T), T * ttl / info, ttl, fim
 
 
 def g_i(spectrum, kind, T, N_t, N_s, label=0):
-    """Normalized information I_ii / (N_t N_s T^2) at one horizon T."""
+    """Normalized information I_ii / (N_t N_s T^2) at one horizon T, any protocol."""
     return accounting(spectrum, kind, [T], N_t, N_s, label)[0]
 
 
 def cost_product_bound(spectrum, kind, T, N_t, N_s, label=0):
-    """Floor gamma / g_i on T * t_total * MSE at one horizon T (QFT: gamma 1)."""
+    """Floor T * t_total / I_ii on T * t_total * MSE at one horizon T, any protocol."""
     return accounting(spectrum, kind, [T], N_t, N_s, label)[2]
 
 
@@ -218,11 +209,8 @@ def _pass(config, extra=None):
 
     Each row gets c0, g0, gamma, bound and t_total; ``extra(row, spectrum,
     fim, point_idx, pspec, T)`` may fill more columns.  Both run inside
-    one try, so a failure lands in that point's error column.  RPE is
-    refused: it has no linear cost form, and its bound is rpe_fim_bounds.
+    one try, so a failure lands in that point's error column.
     """
-    if any(p.kind == ProtocolKind.RPE for p in config.protocols):
-        raise ValueError("RPE has no linear cost form; bound it with rpe_fim_bounds")
     rows = []
     for idx, (alpha, pspec, T) in enumerate(_grid(config)):
         row = BenchResult(
@@ -290,7 +278,7 @@ def run_campaign(config, threads=1):
 
 
 def sweep_bounds(config):
-    """Tabulate gamma/g0 over the alpha sweep; locate the QFT/HT crossover.
+    """Tabulate the bounds over the alpha sweep; locate the QFT/HT crossover.
 
     Uses each protocol's largest T.  Returns (rows, crossover_c0); the
     crossover is linearly interpolated in log-bound vs c0 and is None

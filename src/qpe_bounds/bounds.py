@@ -3,7 +3,7 @@
 The variance bound for mode i is (I^-1)_{ii} of the full 2L x 2L Fisher
 matrix; the cheap surrogate is 1/I_{ii}.  Their product I_{ii} (I^-1)_{ii}
 is the diagonal-approximation quality factor (1 when parameters decouple).
-The cost-product floor gamma / g_i is computed by ``bench.accounting``.
+``bench.accounting`` computes the cost-product floor T * t_total / I_ii.
 """
 
 import numpy as np

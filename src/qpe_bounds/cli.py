@@ -2,8 +2,8 @@
 
 Subcommands: bounds, diag, gi, bench, sample.  Each takes a JSON config
 mirroring CampaignConfig plus optional seed/output overrides.  Exit codes:
-0 on success, 1 on configuration errors, 2 when some grid points failed
-(their rows carry the error text).
+0 on success, 1 on usage and configuration errors, 2 when some grid
+points failed (their rows carry the error text).
 """
 
 import argparse
@@ -44,12 +44,18 @@ def _load_config(args):
         if args.seed < 0:
             raise ValueError("seed must be nonnegative")
         config.seed = args.seed
+    if args.threads < 1:
+        raise ValueError("threads must be at least 1")
     return config
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 1: 2 means failed grid points
+        if exc.code == 0:  # --help, --version
+            raise
+        return 1
     try:
         config = _load_config(args)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:

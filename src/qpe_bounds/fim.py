@@ -259,15 +259,15 @@ def total_fim(spectrum, kind, T, N_t, N_s):
 
     Deterministic schedules are summed exactly; CSQPE averages over the
     integer times 1..T in closed sum; QMEGS uses the converged quadrature
-    expectation.  QFT-QPE requires T = 2^n - 1 and N_t = 1.
+    expectation.  QFT-QPE needs T = 2^n - 1; it and RPE need N_t = 1.
     """
     kind = ProtocolKind(kind)
     if N_s < 1 or N_t < 1:
         raise ValueError("N_s and N_t must be positive")
+    if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and N_t != 1:
+        raise ValueError(f"{kind.value} uses N_t = 1")
     if kind == ProtocolKind.QFT_QPE:
-        if N_t != 1:
-            raise ValueError("QFT-QPE uses a single readout per shot (N_t = 1)")
-        M = _whole(T) + 1
+        M = _whole("T", T) + 1
         if M < 2 or (M & (M - 1)) != 0:
             raise ValueError("QFT-QPE needs T = 2^n - 1")
         return float(N_s) * qft_fim(spectrum, int(np.log2(M)))
@@ -275,7 +275,7 @@ def total_fim(spectrum, kind, T, N_t, N_s):
         times = realize(kind, T, N_t).times
         return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times))
     if kind == ProtocolKind.CSQPE:
-        times = np.arange(1, _whole(T) + 1, dtype=float)
+        times = np.arange(1, _whole("T", T) + 1, dtype=float)
         w = np.full(times.size, 1.0 / times.size)
         return float(N_s * N_t) * _ht_blocks_weighted(spectrum, times, w)
     if kind == ProtocolKind.QMEGS:

@@ -36,15 +36,15 @@ class Schedule:
     seed: int | None = None
 
 
-def _whole(T, error=ValueError):
-    """T as an int; a fractional horizon is rejected, never truncated."""
-    if not float(T).is_integer():
-        raise error(f"T={T} is not a whole number")
-    return int(T)
+def _whole(name, value, error=ValueError):
+    """A horizon or count as an int; a fraction is rejected, never truncated."""
+    if not float(value).is_integer():
+        raise error(f"{name}={value} is not a whole number")
+    return int(value)
 
 
 def _require_power_of_two(T):
-    T = _whole(T, RpeRequiresPowerOfTwo)
+    T = _whole("T", T, RpeRequiresPowerOfTwo)
     if T < 1 or (T & (T - 1)) != 0:
         raise RpeRequiresPowerOfTwo(f"T={T} is not a power of two")
     return T
@@ -61,20 +61,22 @@ def realize(kind, T, N_t, seed=0):
     kind = ProtocolKind(kind)
     if T <= 0:
         raise ValueError("T must be positive")
+    if kind != ProtocolKind.RPE:
+        N_t = _whole("N_t", N_t)
     if kind == ProtocolKind.QMEGS:
         rng = np.random.default_rng(seed)
-        u = rng.random(int(N_t))
+        u = rng.random(N_t)
         times = T * np.sqrt(2.0) * erfinv(_C * (2.0 * u - 1.0))
-        return Schedule(kind, float(T), int(N_t), times, seed)
+        return Schedule(kind, float(T), N_t, times, seed)
     if kind == ProtocolKind.CSQPE:
         rng = np.random.default_rng(seed)
-        times = rng.integers(1, _whole(T) + 1, size=int(N_t)).astype(float)
-        return Schedule(kind, float(T), int(N_t), times, seed)
+        times = rng.integers(1, _whole("T", T) + 1, size=N_t).astype(float)
+        return Schedule(kind, float(T), N_t, times, seed)
     if kind == ProtocolKind.QCELS:
         if N_t < 1:
             raise ValueError("N_t must be at least 1")
-        k = np.arange(1, int(N_t) + 1, dtype=float)
-        return Schedule(kind, float(T), int(N_t), k * T / N_t, None)
+        k = np.arange(1, N_t + 1, dtype=float)
+        return Schedule(kind, float(T), N_t, k * T / N_t, None)
     if kind == ProtocolKind.RPE:
         T = _require_power_of_two(T)
         m = int(np.log2(T)) + 1
@@ -92,10 +94,10 @@ def gamma(kind, T=None, N_t=None):
     if kind == ProtocolKind.QMEGS:
         return 2.0 * np.sqrt(2.0 / np.pi) / _C * (1.0 - np.exp(-0.5))
     if kind == ProtocolKind.CSQPE:
-        T = _whole(T)
+        T = _whole("T", T)
         return (T + 1.0) / T
     if kind == ProtocolKind.QCELS:
-        N_t = int(N_t)
+        N_t = _whole("N_t", N_t)
         return (N_t + 1.0) / N_t
     raise NoLinearCostForm(f"{kind.value} has no linear total-cost constant")
 
@@ -106,10 +108,10 @@ def chi(kind, T=None, N_t=None):
     if kind == ProtocolKind.QMEGS:
         return 1.0 - np.sqrt(2.0 / (np.pi * np.e)) / _C
     if kind == ProtocolKind.CSQPE:
-        T = _whole(T)
+        T = _whole("T", T)
         return (T + 1.0) * (2.0 * T + 1.0) / (6.0 * T**2)
     if kind == ProtocolKind.QCELS:
-        N_t = int(N_t)
+        N_t = _whole("N_t", N_t)
         return (N_t + 1.0) * (2.0 * N_t + 1.0) / (6.0 * N_t**2)
     if kind == ProtocolKind.RPE:
         T = _require_power_of_two(T)
@@ -126,4 +128,4 @@ def t_total(kind, T, N_t, N_s):
     if kind == ProtocolKind.RPE:
         T = _require_power_of_two(T)
         return float(2 * N_s * (2 * T - 1))
-    return float(gamma(kind, T, N_t) * N_s * N_t * T)
+    return float(gamma(kind, T, N_t) * N_s * _whole("N_t", N_t) * T)

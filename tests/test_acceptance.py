@@ -10,7 +10,6 @@ carrying deterministic counterexamples, so the suite goes red if anyone
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -381,13 +380,11 @@ def test_criterion_10_estimator_efficiency_ratios():
         ("qft", ProtocolSpec("qft", T=[4095], N_s=100000), 4095),
     ]
     med = {}
-    with ThreadPoolExecutor(4) as pool:
-        for idx, (name, ps, T) in enumerate(cfgs):
-            _, _, bound, ttl, _ = _accounting(s, ps, T, 0)
-            hats = list(pool.map(lambda k: _one_trial(s, ps, T, 42, idx, k),
-                                 range(300)))
-            sq = _wrap(np.array(hats) - th0) ** 2
-            med[name] = float(T * ttl * np.median(sq) / bound)
+    for idx, (name, ps, T) in enumerate(cfgs):
+        _, _, bound, ttl, _ = _accounting(s, ps, T, 0)
+        hats = list(map(lambda k: _one_trial(s, ps, T, 42, idx, k), range(300)))
+        sq = _wrap(np.array(hats) - th0) ** 2
+        med[name] = float(T * ttl * np.median(sq) / bound)
     elapsed = time.time() - tic
     print("criterion 10: median efficiency ratio over 300 trials: "
           + ", ".join(f"{k}={v:.3f}" for k, v in med.items())

@@ -33,7 +33,6 @@ from qpe_bounds.bench import (
     write_rows_csv,
 )
 from qpe_bounds.cli import main
-from qpe_bounds.errors import NoLinearCostForm
 
 
 def _config_dict(**over):
@@ -62,6 +61,8 @@ def test_protocol_spec_coercion_and_validation():
         ProtocolSpec.from_dict({"kind": "qft", "T": [6]})  # needs 2^n - 1
     with pytest.raises(ValueError):
         ProtocolSpec.from_dict({"kind": "qft", "T": [7], "N_t": 2})
+    with pytest.raises(ValueError):
+        ProtocolSpec.from_dict({"kind": "rpe", "T": [8], "N_t": 4})  # ladder ignores N_t
     with pytest.raises(ValueError):
         ProtocolSpec.from_dict({"kind": "nope", "T": [4]})
 
@@ -141,12 +142,18 @@ def test_run_campaign_threads_match_serial():
     assert [r.mse for r in serial] == [r.mse for r in parallel]
 
 
-def test_run_campaign_rejects_rpe():
+def test_run_campaign_accounts_rpe_without_an_estimator():
+    # an RPE row carries its floor T t_total / I_ii; no estimator scores it
     cfg = CampaignConfig.from_dict(
-        _config_dict(protocols=[{"kind": "rpe", "T": [8], "N_t": 4}])
+        _config_dict(protocols=[{"kind": "rpe", "T": [8], "N_s": 2}])
     )
-    with pytest.raises(ValueError):
-        run_campaign(cfg)
+    (row,) = run_campaign(cfg)
+    F = total_fim(make_spectrum("uniform", 3, 0.4), "rpe", 8, 1, 2)
+    assert row.t_total == t_total("rpe", 8, 1, 2)
+    assert row.bound == 8.0 * row.t_total / F.theta_theta[F.index_of(0), F.index_of(0)]
+    assert row.diag_ratio >= 1.0 and np.isfinite(row.f0_max)
+    assert row.error == "ValueError: rpe has no estimator"
+    assert np.isnan(row.mse) and np.isnan(row.ratio_r)
 
 
 def test_failed_grid_point_does_not_poison_others():
@@ -252,18 +259,23 @@ def test_accounting_sums_blocks_and_costs_over_the_horizons():
     assert np.array_equal(fim.full(), sum(parts[1:], parts[0]).full())
     assert ttl == sum(t_total("qcels", h, 8, 2) for h in levels)
     N = len(levels) * 8 * 2
+    info = fim.theta_theta[fim.index_of(0), fim.index_of(0)]
     assert gam == ttl / (N * 50.0)
-    assert g0 == fim.theta_theta[fim.index_of(0), fim.index_of(0)] / (N * 50.0**2)
-    assert bound == gam / g0
-    # one horizon is the library pair, with the closed-form gamma
+    assert g0 == info / (N * 50.0**2)
+    assert bound == 50.0 * ttl / info
+    assert bound == pytest.approx(gam / g0, rel=1e-15)
+    # one horizon is the library pair
     one = accounting(s, "qcels", [50], 8, 2)
-    assert one[:3] == (
-        g_i(s, "qcels", 50, 8, 2),
-        gamma("qcels", 50, 8),
-        cost_product_bound(s, "qcels", 50, 8, 2),
-    )
-    with pytest.raises(NoLinearCostForm):
-        accounting(s, "rpe", [4, 8], 1, 1)
+    assert one[0] == g_i(s, "qcels", 50, 8, 2)
+    assert one[1] == pytest.approx(gamma("qcels", 50, 8), rel=1e-15)
+    assert one[2] == cost_product_bound(s, "qcels", 50, 8, 2)
+    # the same floor holds for RPE, which has no linear cost form
+    g0, gam, bound, ttl, fim = accounting(s, "rpe", [8], 1, 2)
+    info = fim.theta_theta[fim.index_of(0), fim.index_of(0)]
+    assert ttl == t_total("rpe", 8, 1, 2)
+    assert (g0, gam, bound) == (info / (2 * 64.0), ttl / (2 * 8.0), 8.0 * ttl / info)
+    with pytest.raises(ValueError, match="N_t = 1"):
+        accounting(s, "rpe", [8], 4, 2)  # the ladder ignores N_t, N would not
 
 
 def test_failed_accounting_lands_in_the_row():
@@ -283,8 +295,7 @@ def test_write_rows_csv_format(tmp_path):
     text = path.read_text()
     assert text.startswith(f"# qpe-bounds v{__version__} seed=11\n")
     assert "np.float64" not in text
-    with open(path) as fh:
-        records = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+    records = _read_rows(path)
     assert float(records[0]["bound"]) == rows[0].bound  # repr round-trips
     with pytest.raises(ValueError):
         write_rows_csv([], path, 0)
@@ -332,6 +343,11 @@ def test_emit_samples_writes_the_draws_bench_estimates(tmp_path):
         assert got == want, pspec.kind
 
 
+def _read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 def _write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -368,24 +384,57 @@ def test_cli_config_errors(tmp_path, capsys):
         tmp_path, _config_dict(protocols=[{"kind": "qft", "T": [6]}])
     )
     assert main(["bounds", "--config", bad_T]) == 1
+    good = _write_config(tmp_path, _config_dict())
+    out = str(tmp_path / "out.csv")
+    for threads in ("0", "-5"):
+        assert main(["bench", "--config", good, "--threads", threads, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.count("config error:") == 4
+    assert err.count("config error:") == 6
+    assert err.count("threads must be at least 1") == 2
+    # usage errors are configuration errors too: 2 means failed grid points
+    for argv in (
+        ["bench", "--config", good, "--seed", "abc", "--out", out],
+        ["bench", "--out", out],
+        ["bench", "--config", good, "--threads", "x", "--out", out],
+        ["nope", "--config", good, "--out", out],
+        [],
+    ):
+        assert main(argv) == 1
+    assert capsys.readouterr().err.count("usage:") == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "cfg.json"]
 
 
 def test_cli_rpe_policy_across_subcommands(tmp_path, capsys):
-    # RPE has no linear cost form: every table refuses it up front, while
-    # raw samples of its geometric ladder can still be written
+    # every table bounds RPE; bench accounts it but has no estimator to
+    # score, and an N_t other than 1 is refused everywhere
     cfg = _write_config(tmp_path, _config_dict(
-        protocols=[{"kind": "rpe", "T": [8], "N_s": 2}],
+        protocols=[{"kind": "rpe", "T": [8, 16], "N_s": 2}],
     ))
-    for sub in ("bounds", "diag", "gi", "bench"):
+    # bounds keeps each protocol's largest T
+    columns = {"bounds": ("bound", 1), "diag": ("diag_ratio", 2), "gi": ("g0", 2)}
+    for sub, (column, count) in columns.items():
         out = tmp_path / f"{sub}.csv"
-        assert main([sub, "--config", cfg, "--out", str(out)]) == 1
-        assert not out.exists()
-    assert capsys.readouterr().err.count("rpe_fim_bounds") == 4
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 0
+        rows = _read_rows(out)
+        assert len(rows) == count
+        assert all(row["error"] == "" and np.isfinite(float(row[column])) for row in rows)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+    rows = _read_rows(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert row["error"] == "ValueError: rpe has no estimator"
+        assert all(np.isfinite(float(row[c])) for c in ("g0", "gamma", "bound", "t_total"))
     out = tmp_path / "raw.csv"
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
-    assert out.exists()
+    assert len(capsys.readouterr().out.split()) == 6  # four tables and two sample files
+    bad = _write_config(tmp_path, _config_dict(
+        protocols=[{"kind": "rpe", "T": [8], "N_t": 4}],
+    ), "bad.json")
+    for sub in ("bounds", "diag", "gi", "bench", "sample"):
+        assert main([sub, "--config", bad, "--out", str(tmp_path / "bad.csv")]) == 1
+    assert not (tmp_path / "bad.csv").exists()
+    assert capsys.readouterr().err.count("config error: rpe uses N_t = 1") == 5
 
 
 def test_cli_refuses_negative_seed(tmp_path, capsys):
@@ -458,3 +507,8 @@ def test_cli_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+    for argv in (["--help"], ["bench", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

@@ -133,12 +133,24 @@ def test_cost_product_shot_invariance():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_cost_product_rejects_rpe():
-    s = make_spectrum("uniform", 10, 0.3)
+def test_cost_product_of_rpe_is_the_cramer_rao_floor():
+    # RPE has no linear cost form; its floor T t_total / I_ii needs none,
+    # and on this spectrum it sits inside the rpe_fim_bounds envelope
+    s = make_spectrum("uniform", 20, 0.4)
+    for T in (16, 256, 4096):
+        F = total_fim(s, "rpe", T, 1, 3)
+        info = F.theta_theta[F.index_of(0), F.index_of(0)]
+        cost = T * t_total("rpe", T, 1, 3)
+        bound = cost_product_bound(s, "rpe", T, 1, 3)
+        assert bound == cost / info
+        assert g_i(s, "rpe", T, 1, 3) == info / (3 * T**2)
+        lo, hi = rpe_fim_bounds(s, T, 3)
+        assert cost / hi < bound < cost / lo
     with pytest.raises(NoLinearCostForm):
-        cost_product_bound(s, "rpe", 8, 4, 1)
-    with pytest.raises(NoLinearCostForm):
-        g_i(s, "rpe", 8, 4, 1)
+        gamma("rpe", 8, 1)
+    for fn in (cost_product_bound, g_i):
+        with pytest.raises(ValueError, match="N_t = 1"):
+            fn(s, "rpe", 8, 4, 1)  # the ladder ignores N_t, the normalization would not
 
 
 def test_rpe_bounds_single_mode_are_exact():

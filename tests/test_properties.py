@@ -11,14 +11,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpe_bounds import (
+    HtSample,
+    QftSample,
+    Schedule,
     Spectrum,
     crlb_diag,
     crlb_full,
     f_i,
     f_i_max,
     ht_fim_single,
+    read_ht_csv,
+    read_qft_csv,
+    rpe_fim_bounds,
+    sample_ht_exact,
     total_fim,
+    write_ht_csv,
+    write_qft_csv,
 )
+from qpe_bounds.bench import accounting
 from qpe_bounds.fim import _ht_blocks_weighted
 
 _M = 3  # dyadic phases 2 pi k / 2^_M; every multiple of 2^_M is aligned
@@ -120,3 +130,69 @@ def test_gain_factor_is_the_aligned_value_at_aligned_times(s, j, data):
     label = data.draw(st.sampled_from(list(s.labels)))
     t = float(j * 2**_M)
     assert f_i(s, label, t) == pytest.approx(f_i_max(s, label), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spectra(), st.integers(0, 9), st.integers(1, 5), st.data())
+def test_rpe_row_is_the_cramer_rao_floor(s, k, N_s, data):
+    # the envelope's lower value floors I_ii, so it caps the bound; its
+    # upper value floors the bound only at L = 1 (criterion 9's xfail pin)
+    label = data.draw(st.sampled_from(list(s.labels)))
+    T = 2**k
+    _, _, bound, ttl, fim = accounting(s, "rpe", [T], 1, N_s, label)
+    pos = fim.index_of(label)
+    assert bound == T * ttl / fim.theta_theta[pos, pos]
+    lo, hi = rpe_fim_bounds(s, T, N_s, label)
+    assert bound <= T * ttl / lo * (1.0 + 1e-12)
+    if len(s.labels) == 1:
+        assert bound == pytest.approx(T * ttl / hi, rel=1e-12)
+
+
+_trial_times = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6)
+
+
+@st.composite
+def _ht_trials(draw):
+    """Two to four trials of sampled counts or exact (fractional) expectations."""
+    trials = []
+    for _ in range(draw(st.integers(2, 4))):
+        times = np.array(draw(_trial_times))
+        N_s = draw(st.integers(1, 10**6))
+        if draw(st.booleans()):
+            sched = Schedule("qmegs", 1.0, times.size, times)
+            trials.append(sample_ht_exact(draw(_spectra()), sched, N_s))
+        else:
+            re0, im0 = (
+                np.array(draw(st.lists(st.integers(0, N_s), min_size=times.size,
+                                       max_size=times.size)), dtype=float)
+                for _ in range(2)
+            )
+            trials.append(HtSample(times, re0, N_s - re0, im0, N_s - im0, float(N_s)))
+    return trials
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ht_trials())
+def test_ht_csv_round_trips_any_multi_trial_sample(tmp_path_factory, trials):
+    path = tmp_path_factory.mktemp("ht") / "ht.csv"
+    write_ht_csv(trials, path, header_comment="# seed=0")
+    back = read_ht_csv(path)
+    assert len(back) == len(trials)
+    for orig, rec in zip(trials, back):
+        for name in ("times", "n_re0", "n_re1", "n_im0", "n_im1"):
+            assert np.array_equal(getattr(orig, name), getattr(rec, name))
+        assert rec.N_s == orig.N_s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_qft_csv_round_trips_any_multi_trial_sample(tmp_path_factory, n, data):
+    bins = st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=20)
+    trials = [QftSample(n, np.array(data.draw(bins), dtype=np.int64))
+              for _ in range(data.draw(st.integers(2, 4)))]
+    path = tmp_path_factory.mktemp("qft") / "qft.csv"
+    write_qft_csv(trials, path, header_comment="# seed=0")
+    back = read_qft_csv(path, n)
+    assert len(back) == len(trials)
+    for orig, rec in zip(trials, back):
+        assert rec.n == n and np.array_equal(orig.outcomes, rec.outcomes)

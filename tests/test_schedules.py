@@ -124,3 +124,17 @@ def test_fractional_horizons_are_rejected_not_truncated():
     assert (gamma("csqpe", 10.0), chi("csqpe", 10.0), t_total("csqpe", 10.0, 5, 1)) == (
         gamma("csqpe", 10), chi("csqpe", 10), t_total("csqpe", 10, 5, 1)
     )
+
+
+@pytest.mark.parametrize("kind", ["qmegs", "csqpe", "qcels"])
+def test_fractional_time_counts_are_rejected_not_truncated(kind):
+    # a schedule drawing int(N_t) times while t_total charges N_t would
+    # account for circuits that never run
+    calls = [lambda: realize(kind, 10, 2.5), lambda: t_total(kind, 10, 2.5, 1)]
+    if kind == "qcels":
+        calls += [lambda: gamma(kind, 10, 2.5), lambda: chi(kind, 10, 2.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match="N_t=2.5 is not a whole number"):
+            call()
+    assert realize(kind, 10, 2.0).N_t == realize(kind, 10, 2).times.size == 2
+    assert t_total(kind, 10, 2.0, 1) == t_total(kind, 10, 2, 1)
