@@ -27,7 +27,7 @@ def main():
         trials=20,
         seed=7,
     )
-    rows = run_campaign(cfg, threads=4)
+    rows = run_campaign(cfg)
 
     print("protocol   T      mse          ratio R   diag_ratio  error")
     for r in rows:

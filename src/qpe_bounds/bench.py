@@ -8,13 +8,13 @@ over the horizons its estimator samples, into a BenchResult row; the
 bounds, diag, gi and bench tables are that pass plus their own columns.
 Every benchmark row carries enough fields to recompute R = T * t_total *
 mse / bound = mse * I_ii; a failure at one grid point is recorded in
-that row's error column and never suppresses the others.
+that row's error column and never suppresses the others.  Trials run
+serially, each drawn by ``_draw`` from its own (seed, point, trial)
+seed; ``emit_samples`` writes the same draws.
 """
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from numbers import Real
@@ -231,50 +231,63 @@ def _pass(config, extra=None):
     return rows
 
 
-def _one_trial(spectrum, pspec, T, base_seed, point_idx, trial):
-    ss = np.random.SeedSequence((base_seed, point_idx, trial))
-    s_sched, s_data = ss.spawn(2)
+def _draw(spectrum, pspec, T, seed, point_idx, trial):
+    """The samples of one trial, seeded by (seed, point_idx, trial).
+
+    QCELS draws its ``qcels_levels`` ladder, one sample per level, the
+    last at T; every other protocol draws one sample.
+    """
+    s_sched, s_data = np.random.SeedSequence((seed, point_idx, trial)).spawn(2)
     kind = pspec.kind
-    if kind in (ProtocolKind.QMEGS, ProtocolKind.CSQPE):
-        sched = realize(kind, T, pspec.N_t, seed=s_sched)
-        data = sample_ht(spectrum, sched, pspec.N_s, seed=s_data)
-        if kind == ProtocolKind.QMEGS:
-            return estimate_qmegs(data, T).theta_hat
-        return estimate_csqpe(data, pspec.sparsity).theta_hat
+    if kind == ProtocolKind.QFT_QPE:
+        return [sample_qft(spectrum, int(np.log2(T + 1)), pspec.N_s, seed=s_data)]
     if kind == ProtocolKind.QCELS:
         levels = qcels_levels(T, pspec.N_t)
-        datasets = [
+        return [
             sample_ht(spectrum, realize(kind, h, pspec.N_t), pspec.N_s, seed=sd)
             for h, sd in zip(levels, s_data.spawn(len(levels)))
         ]
-        return estimate_qcels_ml(datasets).theta_hat
-    if kind == ProtocolKind.QFT_QPE:
-        n = int(np.log2(T + 1))
-        data = sample_qft(spectrum, n, pspec.N_s, seed=s_data)
-        return estimate_curvefit_qft(data).theta_hat
-    raise ValueError(f"{kind.value} has no estimator")
+    sched = realize(kind, T, pspec.N_t, seed=s_sched)
+    return [sample_ht(spectrum, sched, pspec.N_s, seed=s_data)]
 
 
-def _bench_point(config, pool, row, spectrum, fim, point_idx, pspec, T):
+def _one_trial(spectrum, pspec, T, base_seed, point_idx, trial):
+    """The estimate of the target phase from the trial's ``_draw``."""
+    kind = pspec.kind
+    if kind == ProtocolKind.RPE:
+        raise ValueError(f"{kind.value} has no estimator")
+    samples = _draw(spectrum, pspec, T, base_seed, point_idx, trial)
+    if kind == ProtocolKind.QMEGS:
+        return estimate_qmegs(samples[0], T).theta_hat
+    if kind == ProtocolKind.CSQPE:
+        return estimate_csqpe(samples[0], pspec.sparsity).theta_hat
+    if kind == ProtocolKind.QCELS:
+        return estimate_qcels_ml(samples).theta_hat
+    return estimate_curvefit_qft(samples[0]).theta_hat
+
+
+def _bench_point(config, row, spectrum, fim, point_idx, pspec, T):
     """Add f0_max, diag_ratio and the scored trials to an accounted row."""
     row.f0_max = f_i_max(spectrum, config.target)
     row.diag_ratio = _diag_ratio(fim, config.target)
-
-    def run(trial):
-        return _one_trial(spectrum, pspec, T, config.seed, point_idx, trial)
-
-    hats = list((map if pool is None else pool.map)(run, range(config.trials)))
+    hats = [
+        _one_trial(spectrum, pspec, T, config.seed, point_idx, k)
+        for k in range(config.trials)
+    ]
     sq = _wrap(np.array(hats) - spectrum.phase(config.target)) ** 2
     row.mse = float(sq.mean())
     row.mse_se = float(sq.std(ddof=1) / np.sqrt(config.trials))
     row.ratio_r = float(T * row.t_total * row.mse / row.bound)
 
 
-def run_campaign(config, threads=1):
-    """Sample, estimate and score every grid point of the campaign."""
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
-    with executor as pool:
-        return _pass(config, partial(_bench_point, config, pool))
+def run_campaign(config):
+    """Sample, estimate and score every grid point of the campaign, serially.
+
+    Trials run one after another: the estimators are many small numpy
+    calls that hold the interpreter lock, so a thread pool ran slower
+    than this loop.
+    """
+    return _pass(config, partial(_bench_point, config))
 
 
 def sweep_bounds(config):
@@ -353,9 +366,8 @@ def write_rows_csv(rows, path, seed, columns=None):
 def emit_samples(config, out_path):
     """Write raw sample CSVs, one file per grid point; returns the paths.
 
-    Trials are seeded as in ``_one_trial``, so the files hold the draws
-    that ``run_campaign`` estimates, except that a QCELS file holds one
-    arithmetic level at T rather than the ``qcels_levels`` ladder.
+    Each trial is the ``_draw`` that ``run_campaign`` estimates; a QCELS
+    file holds the last level of its ladder, the one at T.
     """
     stem, ext = os.path.splitext(out_path)
     ext = ext or ".csv"
@@ -369,15 +381,10 @@ def emit_samples(config, out_path):
             if len(points) == 1
             else f"{stem}_{pspec.kind.value}_a{alpha}_T{T}{ext}"
         )
+        samples = [
+            _draw(s, pspec, T, config.seed, idx, k)[-1] for k in range(config.trials)
+        ]
         qft = pspec.kind == ProtocolKind.QFT_QPE
-        samples = []
-        for k in range(config.trials):
-            s_sched, s_data = np.random.SeedSequence((config.seed, idx, k)).spawn(2)
-            if qft:
-                samples.append(sample_qft(s, int(np.log2(T + 1)), pspec.N_s, seed=s_data))
-            else:
-                sched = realize(pspec.kind, T, pspec.N_t, seed=s_sched)
-                samples.append(sample_ht(s, sched, pspec.N_s, seed=s_data))
         (write_qft_csv if qft else write_ht_csv)(samples, path, header)
         written.append(path)
     return written

@@ -3,7 +3,8 @@
 Subcommands: bounds, diag, gi, bench, sample.  Each takes a JSON config
 mirroring CampaignConfig plus optional seed/output overrides.  Exit codes:
 0 on success, 1 on usage and configuration errors, 2 when some grid
-points failed (their rows carry the error text).
+points failed (their rows carry the error text).  ``--threads`` is
+checked (at least 1) and otherwise ignored: trials always run serially.
 """
 
 import argparse
@@ -33,7 +34,8 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--threads", type=int, default=1,
-                       help="trial-level parallelism (bench only)")
+                       help="accepted for compatibility, at least 1; "
+                            "trials always run serially")
     return parser
 
 
@@ -65,7 +67,7 @@ def main(argv=None):
     out = args.out or f"{args.command}.csv"
     try:
         if args.command == "bench":
-            rows = bench.run_campaign(config, threads=args.threads)
+            rows = bench.run_campaign(config)
         elif args.command == "bounds":
             rows, crossover = bench.sweep_bounds(config)
             if crossover is not None:

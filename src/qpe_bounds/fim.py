@@ -21,6 +21,7 @@ from .dirichlet import (  # noqa: F401
 )
 from .errors import DegenerateDistribution, ZeroSecondMoment
 from .schedules import ProtocolKind, _whole, realize
+from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
 _TRUNC_NORM = float(erf(1.0 / np.sqrt(2.0))) * np.sqrt(_TWO_PI)
@@ -45,10 +46,7 @@ class BlockFim:
         return np.vstack([top, bot])
 
     def index_of(self, label):
-        pos = np.nonzero(self.labels == label)[0]
-        if pos.size == 0:
-            raise KeyError(f"no mode labeled {label}")
-        return int(pos[0])
+        return _index_of(self.labels, label)
 
     def __add__(self, other):
         if not np.array_equal(self.labels, other.labels):
@@ -262,6 +260,7 @@ def total_fim(spectrum, kind, T, N_t, N_s):
     expectation.  QFT-QPE needs T = 2^n - 1; it and RPE need N_t = 1.
     """
     kind = ProtocolKind(kind)
+    N_t, N_s = _whole("N_t", N_t), _whole("N_s", N_s)
     if N_s < 1 or N_t < 1:
         raise ValueError("N_s and N_t must be positive")
     if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and N_t != 1:

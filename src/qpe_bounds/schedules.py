@@ -123,6 +123,7 @@ def chi(kind, T=None, N_t=None):
 def t_total(kind, T, N_t, N_s):
     """Total evolution-time cost of a campaign with N_s shots per time."""
     kind = ProtocolKind(kind)
+    N_s = _whole("N_s", N_s)
     if kind == ProtocolKind.QFT_QPE:
         return float(N_s * T)
     if kind == ProtocolKind.RPE:

@@ -15,6 +15,7 @@ import numpy as np
 from .dirichlet import dirichlet, squared_kernel_grid  # noqa: F401
 from .errors import NormalizationFailure
 from .fim import ht_expectations
+from .schedules import _whole
 
 _MAX_N = 26
 _CHUNK = 1 << 20
@@ -75,11 +76,12 @@ def sample_qft(spectrum, n, N_s, seed=0):
     """
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be between 1 and {_MAX_N}")
+    N_s = _whole("N_s", N_s)
     if N_s < 1:
         raise ValueError("N_s must be positive")
     M = 2**n
     rng = np.random.default_rng(seed)
-    u = rng.random(int(N_s))
+    u = rng.random(N_s)
 
     if M <= _CHUNK:
         p = qft_probabilities(spectrum, n)
@@ -109,13 +111,14 @@ def sample_qft(spectrum, n, N_s, seed=0):
 
 def sample_ht(spectrum, schedule, N_s, seed=0):
     """Binomial counts of the Hadamard-test pair at every scheduled time."""
+    N_s = _whole("N_s", N_s)
     if N_s < 1:
         raise ValueError("N_s must be positive")
     t = schedule.times
     C, S = ht_expectations(spectrum, t)
     rng = np.random.default_rng(seed)
-    n_re0 = rng.binomial(int(N_s), (1.0 + C) / 2.0).astype(float)
-    n_im0 = rng.binomial(int(N_s), (1.0 + S) / 2.0).astype(float)
+    n_re0 = rng.binomial(N_s, (1.0 + C) / 2.0).astype(float)
+    n_im0 = rng.binomial(N_s, (1.0 + S) / 2.0).astype(float)
     return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s), seed)
 
 

@@ -15,6 +15,14 @@ from .errors import DegenerateSpectrum
 _SUM_TOL = 1e-12
 
 
+def _index_of(labels, label):
+    """Array position of the mode carrying the given label."""
+    pos = np.nonzero(labels == label)[0]
+    if pos.size == 0:
+        raise KeyError(f"no mode labeled {label}")
+    return int(pos[0])
+
+
 class Spectrum:
     """Sorted phases with co-permuted overlaps and stable mode labels."""
 
@@ -61,10 +69,7 @@ class Spectrum:
 
     def index_of(self, label):
         """Array position of the mode carrying the given label."""
-        pos = np.nonzero(self.labels == label)[0]
-        if pos.size == 0:
-            raise KeyError(f"no mode labeled {label}")
-        return int(pos[0])
+        return _index_of(self.labels, label)
 
     def phase(self, label):
         return float(self.phases[self.index_of(label)])

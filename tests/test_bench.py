@@ -1,7 +1,10 @@
 """Campaign driver, CSV output and the command-line front end."""
 
 import csv
+import importlib.util
 import json
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from qpe_bounds import (
     read_qft_csv,
     __version__,
 )
+from qpe_bounds import bench as bench_module
 from qpe_bounds.bench import (
     _one_trial,
     accounting,
@@ -32,7 +36,7 @@ from qpe_bounds.bench import (
     qcels_levels,
     write_rows_csv,
 )
-from qpe_bounds.cli import main
+from qpe_bounds.cli import _build_parser, _load_config, main
 
 
 def _config_dict(**over):
@@ -133,13 +137,6 @@ def test_run_campaign_scores_every_point():
         )
         assert row.diag_ratio >= 1.0
         assert row.trials == 3
-
-
-def test_run_campaign_threads_match_serial():
-    cfg = CampaignConfig.from_dict(_config_dict())
-    serial = run_campaign(cfg, threads=1)
-    parallel = run_campaign(cfg, threads=4)
-    assert [r.mse for r in serial] == [r.mse for r in parallel]
 
 
 def test_run_campaign_accounts_rpe_without_an_estimator():
@@ -320,17 +317,18 @@ def test_emit_samples_file_naming(tmp_path):
     assert out == [str(tmp_path / "only.csv")]
 
 
-def test_emit_samples_writes_the_draws_bench_estimates(tmp_path):
+def test_emit_samples_writes_the_draws_bench_estimates(tmp_path, monkeypatch):
     cfg = CampaignConfig.from_dict(
         _config_dict(
             trials=3,
             protocols=[
                 {"kind": "qmegs", "T": [20], "N_t": 50, "N_s": 5},
                 {"kind": "qft", "T": [63], "N_s": 2000},
+                {"kind": "qcels", "T": [32], "N_t": 4, "N_s": 5},
             ],
         )
     )
-    ht_path, qft_path = emit_samples(cfg, str(tmp_path / "raw.csv"))
+    ht_path, qft_path, qcels_path = emit_samples(cfg, str(tmp_path / "raw.csv"))
     s = make_spectrum(cfg.spectrum, cfg.L, cfg.alphas[0])
     estimates = [
         [estimate_qmegs(d, 20).theta_hat for d in read_ht_csv(ht_path)],
@@ -341,6 +339,24 @@ def test_emit_samples_writes_the_draws_bench_estimates(tmp_path):
             _one_trial(s, pspec, pspec.T[0], cfg.seed, idx, k) for k in range(cfg.trials)
         ]
         assert got == want, pspec.kind
+    # a QCELS trial estimates from its whole ladder; the file holds the
+    # level at T, the last dataset the estimator receives
+    seen = []
+
+    def capture(datasets):
+        seen.append(datasets)
+        return types.SimpleNamespace(theta_hat=0.0)
+
+    monkeypatch.setattr(bench_module, "estimate_qcels_ml", capture)
+    pspec = cfg.protocols[2]
+    for k in range(cfg.trials):
+        _one_trial(s, pspec, 32, cfg.seed, 2, k)
+    assert all(len(datasets) > 1 for datasets in seen)
+    for datasets, got in zip(seen, read_ht_csv(qcels_path), strict=True):
+        want = datasets[-1]
+        assert want.times[-1] == 32.0 and got.N_s == want.N_s
+        for name in ("times", "n_re0", "n_re1", "n_im0", "n_im1"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _read_rows(path):
@@ -493,6 +509,43 @@ def test_cli_bench_reproducibility_and_seed_override(tmp_path):
     assert bytes_a == (tmp_path / "b.csv").read_bytes()
     assert bytes_a != (tmp_path / "c.csv").read_bytes()
     assert b"seed=99" in (tmp_path / "c.csv").read_bytes()
+
+
+def test_cli_bench_threads_flag_leaves_the_csv_unchanged(tmp_path):
+    # trials always run serially; --threads is only validated
+    cfg = _write_config(tmp_path, _config_dict(
+        protocols=[
+            {"kind": "qmegs", "T": [20], "N_t": 50, "N_s": 5},
+            {"kind": "qcels", "T": [16], "N_t": 4, "N_s": 5},
+        ],
+    ))
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"t{threads}.csv")
+        assert main(["bench", "--config", cfg, "--out", out, "--threads", threads]) == 0
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_command_parses_and_loads(tmp_path):
+    # the benchmark hands these argument lists to cli.main; a change to
+    # the CLI or the config schema must not leave them behind
+    workloads = _benchmark_workloads()
+    commands = [c for w in workloads.WORKLOADS.values() for c in w["commands"]]
+    assert commands
+    for command in commands:
+        cfg = _write_config(tmp_path, command["config"], f"{command['name']}.json")
+        argv = workloads.argv(command, cfg, str(tmp_path / "out.csv"), 42)
+        args = _build_parser().parse_args(argv)
+        assert args.command == command["subcommand"]
+        config = _load_config(args)
+        assert config == CampaignConfig.from_dict({**command["config"], "seed": 42})
 
 
 def test_cli_sample_lists_written_files(tmp_path, capsys):

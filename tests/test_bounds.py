@@ -1,5 +1,7 @@
 """Variance bounds: inverse entries, diagonal ratio, cost products."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,21 @@ def test_breakdown_regime_returns_capped_entry():
     assert diag_ratio(F) > 1.2
     # the surrogate stays tiny, which is exactly the failure it flags
     assert crlb_diag(F) < 1e-3 * val
+
+
+def test_eigenvalue_floor_caps_the_entry_above_condition_1e12():
+    # unit-diagonal scaling leaves [[1, r], [r, 1]]: eigenvalues 1 +- r on
+    # the eigenvectors (1, +-1) / sqrt(2).  At r = 1 - 1e-14 the condition
+    # is about 2e14, so the small eigenvalue is floored at 1e-12 of the
+    # large one, and the entry understates the exact inverse entry
+    a, c, r = 4.0, 9.0, 1.0 - 1e-14
+    b = r * np.sqrt(a * c)
+    got = crlb_full(_toy(a, b, c))
+    hi = 1.0 + r
+    assert hi / (1.0 - r) > 1e12
+    assert got == pytest.approx((0.5 / hi + 0.5 / (hi * 1e-12)) / a, rel=1e-12)
+    exact = Fraction(c) / (Fraction(a) * Fraction(c) - Fraction(b) ** 2)
+    assert got <= exact
 
 
 def test_singular_fim_on_bad_matrices():

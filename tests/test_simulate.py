@@ -6,6 +6,8 @@ import pytest
 from helpers import qft_outcome_probs, random_spectrum
 from qpe_bounds import (
     Spectrum,
+    t_total,
+    total_fim,
     ht_expectations,
     qft_probabilities,
     read_ht_csv,
@@ -145,3 +147,20 @@ def test_csv_readers_skip_comment_lines(tmp_path):
     back = read_qft_csv(path, 3)
     assert np.array_equal(back[0].outcomes, [3, 5])
     assert np.array_equal(back[1].outcomes, [2])
+
+
+def test_fractional_shot_counts_are_rejected_not_truncated():
+    # a binomial or shot count cannot be 2.5; drawing 2 and charging 2.5
+    # would put fractional counts into n_re1 and scale the cost wrongly
+    s = Spectrum([0.3, -0.5], [0.6, 0.4])
+    sched = realize("qcels", 10, 4)
+    calls = {
+        "sample_ht": lambda N_s: sample_ht(s, sched, N_s, seed=1).n_re1,
+        "sample_qft": lambda N_s: sample_qft(s, 4, N_s, seed=1).outcomes,
+        "t_total": lambda N_s: t_total("qcels", 10, 4, N_s),
+        "total_fim": lambda N_s: total_fim(s, "qcels", 10, 4, N_s).full(),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="N_s=2.5 is not a whole number"):
+            call(2.5)
+        assert np.array_equal(call(4.0), call(4)), name
