@@ -5,11 +5,17 @@ single- and multi-level complex-exponential least squares on arithmetic
 grids, orthogonal matching pursuit over a frequency dictionary, and
 nonlinear curve fitting of the readout histogram against the squared
 kernel model.  All return an Estimate; estimators never see the truth.
+
+The three Hadamard-test estimators share two steps on the statistic
+G(x) = mean_k z_k exp(-i x t_k): ``_scan`` evaluates it on a uniform
+grid of (-pi, pi] with one type-1 NUFFT, at any time layout, and
+``_polish`` refines a grid peak by safeguarded Newton ascent on |G|^2.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.optimize import nnls
 
 # dirichlet and dirichlet_derivative are no longer called here; the
@@ -22,7 +28,12 @@ from .dirichlet import (  # noqa: F401
 )
 from .errors import EmptyData, NoPeaksDetected, ScheduleMismatch
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# half-width, in fine-grid cells, of the Gaussian that _scan spreads each
+# record over; at oversampling >= 2 its edge value is <= exp(-9 pi) ~ 5e-13
+_SPREAD = 12
+# _polish stops once a step is this short, or after this many accepted steps
+_STEP_TOL = 1e-12
+_MAX_STEPS = 100
 
 
 @dataclass
@@ -36,58 +47,79 @@ def _wrap(x):
     return (x + np.pi) % _TWO_PI - np.pi
 
 
-def _filtered(z, times, xs, chunk=512):
-    """G(x) = mean_k z_k exp(-i x t_k) on a grid, chunked for memory.
+def _filtered(z, times, xs):
+    """G(x) = mean_k z_k exp(-i x t_k) by direct sum, for short grids."""
+    return np.exp(-1j * np.outer(xs, times)) @ z / times.size
 
-    Large uniform grids avoid re-exponentiating every (x, t) pair: with
-    s = exp(-i dx t) the grid factors as G(x0 + (a + C m) dx) =
-    sum_t s^a (p0 s^C^m)_t, one cumulative product per axis feeding a
-    single complex matrix product.  The phasor drift over K cumulative
-    multiplies is ~sqrt(K) ulp, far below grid-cell resolution.
+
+def _scan(z, times, K):
+    """G on the K-cell midpoint grid x_j = -pi + (j + 1/2) 2 pi / K.
+
+    One type-1 NUFFT with Gaussian gridding (Dutt & Rokhlin 1993; Greengard
+    & Lee, SIAM Rev. 46, 2004).  With h = 2 pi / K and x_c the cell nearest
+    0, G(x_c + m h) = sum_k c_k exp(-i m h t_k) for c_k = z_k exp(-i x_c t_k)
+    / N and |m| <= K / 2.  On a fine grid of M cells of [0, 2 pi), M the
+    first FFT-friendly length from 2K (oversampling R = M / K >= 2), the
+    record h t_k sits at cell t_k M / K.  Each c_k is spread there by the
+    Gaussian exp(-s^2 / 4 tau), one FFT gives the Fourier coefficients of
+    the sum, and dividing by the Gaussian's own, sqrt(tau / pi)
+    exp(-m^2 tau), recovers G at every m, to ~1e-12 of mean |z_k|.
     """
-    if xs.size >= 1024:
-        dx = np.diff(xs)
-        if dx.size and np.allclose(dx, dx[0], rtol=1e-12, atol=1e-15):
-            N = times.size
-            C = 256
-            nchunk = -(-xs.size // C)
-            s = np.exp(-1j * dx[0] * times)
-            base = np.exp(-1j * xs[0] * times) * (z / N)
-            pow_in = np.ones((C, N), dtype=complex)
-            pow_in[1:] = np.broadcast_to(s, (C - 1, N))
-            powers = np.cumprod(pow_in, axis=0)  # s^0 .. s^(C-1)
-            starts = np.ones((nchunk, N), dtype=complex)
-            starts[0] = base
-            starts[1:] = np.broadcast_to(powers[-1] * s, (nchunk - 1, N))
-            starts = np.cumprod(starts, axis=0)  # base * s^(C m)
-            table = powers @ starts.T  # [a, m] = G at x0 + (a + C m) dx
-            return table.T.ravel()[: xs.size]
-    out = np.empty(xs.size, dtype=complex)
-    for lo in range(0, xs.size, chunk):
-        block = xs[lo:lo + chunk]
-        out[lo:lo + chunk] = np.exp(-1j * np.outer(block, times)) @ z / times.size
-    return out
+    M = next_fast_len(2 * K)
+    R = M / K
+    centre = K // 2
+    tau = np.pi * _SPREAD / (K * K * R * (R - 0.5))
+    c = z * np.exp(-1j * (-np.pi + (centre + 0.5) * (_TWO_PI / K)) * times) / times.size
+    u = times * R
+    base = np.floor(u)
+    offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
+    # exp(-s^2 / 4 tau) at s = 2 pi d / M, d the fine-cell distance u - node
+    gauss = np.exp(-(np.pi * (R - 0.5) / (R * _SPREAD)) * ((u - base)[:, None] - offsets) ** 2)
+    cells = (((base.astype(np.intp) % M)[:, None] + offsets) % M).ravel()
+    fine = np.bincount(cells, (c.real[:, None] * gauss).ravel(), M) + 1j * np.bincount(
+        cells, (c.imag[:, None] * gauss).ravel(), M
+    )
+    m = np.arange(K) - centre
+    return np.fft.fft(fine)[m % M] * (np.sqrt(np.pi / tau) / M) * np.exp(tau * m * m)
 
 
-def _g_scalar(z, times, x):
-    return np.exp(-1j * x * times) @ z / times.size
+def _polish(z, times, x, lo, hi):
+    """Safeguarded Newton ascent on f = |G|^2 from x, inside [lo, hi].
 
+    Each evaluation is one exp(-i x t) and three dot products, for G,
+    G' = G[-i t z] and G'' = G[-t^2 z]; then f' = 2 Re(conj(G) G') and
+    f'' = 2 (|G'|^2 + Re(conj(G) G'')).  Where f is concave the step is
+    Newton's, elsewhere it runs to the bracket end uphill; either is clipped
+    to [lo, hi] and halved until f does not fall.  On steps below
+    1e-3 / max|t|, where f is flat to rounding, whether it falls is judged
+    by the trapezoid of f' instead.  It stops once a step is no longer than
+    _STEP_TOL.  Returns (x, G(x), number of evaluations).
+    """
+    w = np.stack([z, -1j * times * z, -times * times * z]) / times.size
+    reach = np.max(np.abs(times))
 
-def _golden_max(fn, lo, hi, tol):
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+    def evaluate(x):
+        g, g1, g2 = w @ np.exp(-1j * x * times)
+        gc = g.conjugate()
+        return g, abs(g) ** 2, 2.0 * (gc * g1).real, 2.0 * (abs(g1) ** 2 + (gc * g2).real)
+
+    g, f, d1, d2 = evaluate(x)
+    evals = 1
+    for _ in range(_MAX_STEPS):
+        step = -d1 / d2 if d2 < 0.0 else np.copysign(hi - lo, d1)
+        step = min(max(x + step, lo), hi) - x
+        while abs(step) > _STEP_TOL:
+            y = min(max(x + step, lo), hi)
+            trial = evaluate(y)
+            evals += 1
+            if trial[1] >= f or (abs(step) * reach < 1e-3 and step * (d1 + trial[2]) >= 0.0):
+                break
+            step *= 0.5
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+            break
+        x = y
+        g, f, d1, d2 = trial
+    return float(x), g, evals
 
 
 def _midpoint_grid(step):
@@ -100,7 +132,8 @@ def estimate_qmegs(data, T, grid_step=None, refine=True):
     """Peak of the Gaussian-filtered statistic |G(x)| over (-pi, pi].
 
     Grid spacing is capped at 0.5/T so the main lobe is always resolved;
-    the winning cell is polished by golden section to 5e-5/T.
+    the winning cell's centre is polished by Newton ascent on |G|^2 within
+    one cell either side.
     """
     times = data.times
     z = data.z_hat
@@ -108,15 +141,16 @@ def estimate_qmegs(data, T, grid_step=None, refine=True):
         raise EmptyData("no measurement records")
     step = 0.5 / T if grid_step is None else min(grid_step, 0.5 / T)
     xs, cell = _midpoint_grid(step)
-    mag = np.abs(_filtered(z, times, xs))
-    x0 = float(xs[np.argmax(mag)])
+    x0 = float(xs[np.argmax(np.abs(_scan(z, times, xs.size)))])
+    evals = 0
     if refine:
-        x0 = _golden_max(
-            lambda x: abs(_g_scalar(z, times, x)), x0 - cell, x0 + cell, 5e-5 / T
-        )
+        x0, _, evals = _polish(z, times, x0, x0 - cell, x0 + cell)
     return Estimate(
         float(_wrap(x0)),
-        diagnostics={"grid_step": cell, "grid_points": xs.size, "refined": refine},
+        diagnostics={
+            "grid_step": cell, "grid_points": xs.size, "refined": refine,
+            "polish_evals": evals,
+        },
     )
 
 
@@ -131,23 +165,20 @@ def _check_arithmetic(times):
     return float(dt[0])
 
 
-def _alternate(z, times, theta, bracket, rounds=2, tol=1e-9):
+def _alternate(z, times, theta, bracket):
     """Alternate the closed-form amplitude with 1-D refinement of theta.
 
     For fixed theta the least-squares amplitude is r = G(theta), and
     substituting it back leaves sum|z|^2 - N |G(theta)|^2, so the theta
-    step maximizes |G| directly; the second round re-centers the bracket
-    in case the optimum sat on its edge.
+    step maximizes |G| directly; a second polish in a quarter of the
+    bracket re-centers it in case the optimum sat on its edge.
     """
-    for _ in range(rounds):
-        theta = _golden_max(
-            lambda x: abs(_g_scalar(z, times, x)),
-            theta - bracket, theta + bracket, tol,
-        )
-        bracket = max(0.25 * bracket, 10.0 * tol)
-    r = _g_scalar(z, times, theta)
+    evals = 0
+    for b in (bracket, 0.25 * bracket):
+        theta, r, n = _polish(z, times, theta, theta - b, theta + b)
+        evals += n
     resid = float(np.sum(np.abs(z - r * np.exp(1j * theta * times)) ** 2))
-    return theta, r, resid
+    return theta, r, resid, evals
 
 
 def estimate_qcels(data):
@@ -173,8 +204,8 @@ def estimate_qcels_ml(levels):
     z = levels[0].z_hat
     times = levels[0].times
     xs, cell = _midpoint_grid(_TWO_PI / (4.0 * horizons[0]))
-    theta = float(xs[np.argmax(np.abs(_filtered(z, times, xs)))])
-    theta, r, resid = _alternate(z, times, theta, cell)
+    theta = float(xs[np.argmax(np.abs(_scan(z, times, xs.size)))])
+    theta, r, resid, evals = _alternate(z, times, theta, cell)
 
     for j in range(1, len(levels)):
         z = levels[j].z_hat
@@ -182,11 +213,12 @@ def estimate_qcels_ml(levels):
         b = np.pi / (2.0 * horizons[j - 1])
         grid = theta + np.linspace(-b, b, 33)
         theta = float(grid[np.argmax(np.abs(_filtered(z, times, grid)))])
-        theta, r, resid = _alternate(z, times, theta, b / 16.0, rounds=2)
+        theta, r, resid, n = _alternate(z, times, theta, b / 16.0)
+        evals += n
     return Estimate(
         float(_wrap(theta)),
         amplitudes=np.array([r]),
-        diagnostics={"residual": resid, "levels": len(levels)},
+        diagnostics={"residual": resid, "levels": len(levels), "polish_evals": evals},
     )
 
 
@@ -207,17 +239,17 @@ def estimate_csqpe(data, sparsity):
     xs, cell = _midpoint_grid(np.pi / (2.0 * T))
 
     selected = []
+    evals = 0
     residual = z.copy()
     B = np.empty((times.size, 0), dtype=complex)
     amps = np.zeros(0, dtype=complex)
     for _ in range(K):
-        corr = np.abs(_filtered(residual, times, xs))
+        corr = np.abs(_scan(residual, times, xs.size))
         for s in selected:
             corr[np.abs(_wrap(xs - s)) < 2.0 * cell] = -1.0
         x0 = float(xs[np.argmax(corr)])
-        x0 = _golden_max(
-            lambda x: abs(_g_scalar(residual, times, x)), x0 - cell, x0 + cell, 1e-9
-        )
+        x0, _, n = _polish(residual, times, x0, x0 - cell, x0 + cell)
+        evals += n
         selected.append(x0)
         B = np.exp(1j * np.outer(times, np.array(selected)))
         amps = np.linalg.lstsq(B, z, rcond=None)[0]
@@ -228,12 +260,12 @@ def estimate_csqpe(data, sparsity):
             # profile the amplitude out: against the deflated data the
             # optimal single-atom fit is G itself, so move theta to its peak
             others = z - B @ amps + amps[m] * B[:, m]
-            selected[m] = _golden_max(
-                lambda x: abs(_g_scalar(others, times, x)),
-                selected[m] - 0.5 * cell, selected[m] + 0.5 * cell, 1e-10,
+            selected[m], amps[m], n = _polish(
+                others, times, selected[m],
+                selected[m] - 0.5 * cell, selected[m] + 0.5 * cell,
             )
+            evals += n
             B[:, m] = np.exp(1j * selected[m] * times)
-            amps[m] = _g_scalar(others, times, selected[m])
         amps = np.linalg.lstsq(B, z, rcond=None)[0]
     residual = z - B @ amps
 
@@ -246,6 +278,7 @@ def estimate_csqpe(data, sparsity):
             "thetas": _wrap(np.array(selected)[order]),
             "residual": float(np.sum(np.abs(residual) ** 2)),
             "grid_step": cell,
+            "polish_evals": evals,
         },
     )
 

@@ -1,5 +1,7 @@
 """Estimator behavior on exact and sampled data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from qpe_bounds import (
 )
 from qpe_bounds.bench import qcels_levels
 from qpe_bounds.errors import EmptyData, NoPeaksDetected, ScheduleMismatch
-from qpe_bounds.estimators import _filtered
+from qpe_bounds.estimators import _filtered, _scan
 from qpe_bounds.simulate import HtSample
 
 
@@ -163,20 +165,60 @@ def test_mirrored_spectrum_negates_estimates():
     assert a == pytest.approx(-b, abs=1e-6)
 
 
-def test_filtered_fast_path_matches_direct():
+def test_direct_sum_on_a_short_grid():
     rng = np.random.default_rng(8)
     times = rng.uniform(0.0, 40.0, 300)
     z = np.exp(1j * 0.7 * times) + 0.1 * (rng.normal(size=300) + 1j * rng.normal(size=300))
-    xs = np.linspace(-np.pi, np.pi, 2048, endpoint=False)  # uniform: fast path
-    got = _filtered(z, times, xs)
-    want = np.array([np.mean(z * np.exp(-1j * x * times)) for x in xs])
-    assert np.max(np.abs(got - want)) < 1e-9
-    # non-uniform grid takes the generic path and must agree with itself
-    shuffled = xs.copy()
-    shuffled[7] += 1e-5
-    got2 = _filtered(z, times, shuffled)
-    want2 = np.array([np.mean(z * np.exp(-1j * x * times)) for x in shuffled])
-    assert np.max(np.abs(got2 - want2)) < 1e-12
+    grid = 0.7 + np.linspace(-0.05, 0.05, 33)
+    grid[7] += 1e-5
+    want = np.array([np.mean(z * np.exp(-1j * x * times)) for x in grid])
+    assert np.max(np.abs(_filtered(z, times, grid) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("layout", ["random", "integer", "arithmetic"])
+@pytest.mark.parametrize("T", [3, 40, 1000])
+def test_scan_matches_direct_sum(layout, T):
+    # the three Hadamard-test layouts: truncated-normal-like real times with
+    # |t| <= T (QMEGS), integers 1..T (CSQPE), k h / N_t (QCELS)
+    rng = np.random.default_rng(T)
+    N = 300
+    times = {
+        "random": rng.uniform(-T, T, N),
+        "integer": rng.integers(1, T + 1, N).astype(float),
+        "arithmetic": np.arange(1, N + 1) * T / N,
+    }[layout]
+    z = np.exp(1j * 0.7 * times) + 0.3 * (rng.normal(size=N) + 1j * rng.normal(size=N))
+    for K in (4 * T, 4 * T + 1, int(np.ceil(4.0 * np.pi * T))):  # even, odd, QMEGS
+        xs = -np.pi + (np.arange(K) + 0.5) * (2.0 * np.pi / K)
+        assert np.max(np.abs(_scan(z, times, K) - _filtered(z, times, xs))) <= 1e-11
+
+
+def test_polish_evaluations_are_reported():
+    s = _three_mode()
+    data = sample_ht_exact(s, realize("qmegs", 50, 300, seed=1))
+    assert estimate_qmegs(data, 50).diagnostics["polish_evals"] >= 1
+    assert estimate_qmegs(data, 50, refine=False).diagnostics["polish_evals"] == 0
+    est = estimate_csqpe(sample_ht_exact(s, realize("csqpe", 40, 150, seed=4)), sparsity=3)
+    # one polish per greedy pick and per atom in each of four sweeps
+    assert est.diagnostics["polish_evals"] >= 3 + 4 * 3
+    levels = [sample_ht_exact(s, realize("qcels", h, 64)) for h in qcels_levels(256, 64)]
+    # two polishes per level
+    assert estimate_qcels_ml(levels).diagnostics["polish_evals"] >= 2 * len(levels)
+
+
+def test_qmegs_memory_stays_flat_at_deep_horizons():
+    # T = 1e5, N_t = 5000: the scan's 1.26M cells must not cost memory in
+    # proportion to N_t x cells
+    T, N_t = 100_000, 5000
+    data = sample_ht(_three_mode(), realize("qmegs", T, N_t, seed=2), 2, seed=3)
+    tracemalloc.start()
+    try:
+        est = estimate_qmegs(data, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e9
+    assert est.diagnostics["grid_points"] > 1_000_000
 
 
 def test_curvefit_trajectory_is_pinned():

@@ -1,4 +1,4 @@
-"""Invariants of the Fisher blocks and bounds, as hypothesis properties.
+"""Invariants of the Fisher blocks, bounds and estimators, as hypothesis properties.
 
 Spectra mix random phases with dyadic ones (2 pi k / 2^m), and times mix
 random values with multiples of 2^m, where every dyadic phase aligns
@@ -17,18 +17,26 @@ from qpe_bounds import (
     Spectrum,
     crlb_diag,
     crlb_full,
+    estimate_csqpe,
+    estimate_qcels_ml,
+    estimate_qmegs,
     f_i,
     f_i_max,
+    fit_qft_histogram,
     ht_fim_single,
+    qft_probabilities,
     read_ht_csv,
     read_qft_csv,
+    realize,
     rpe_fim_bounds,
+    sample_ht,
     sample_ht_exact,
     total_fim,
     write_ht_csv,
     write_qft_csv,
 )
-from qpe_bounds.bench import accounting
+from qpe_bounds.bench import accounting, qcels_levels
+from qpe_bounds.estimators import _filtered, _polish, _wrap
 from qpe_bounds.fim import _ht_blocks_weighted
 
 _M = 3  # dyadic phases 2 pi k / 2^_M; every multiple of 2^_M is aligned
@@ -196,3 +204,91 @@ def test_qft_csv_round_trips_any_multi_trial_sample(tmp_path_factory, n, data):
     assert len(back) == len(trials)
     for orig, rec in zip(trials, back):
         assert rec.n == n and np.array_equal(orig.outcomes, rec.outcomes)
+
+
+# Newton polish and estimator symmetry on the three Hadamard-test layouts:
+# real times with |t| <= T (QMEGS), integers 1..T (CSQPE), k T / N (QCELS)
+def _layout(kind, T, N, rng):
+    if kind == "random":
+        return rng.uniform(-T, T, N)
+    if kind == "integer":
+        return rng.integers(1, int(T) + 1, N).astype(float)
+    return np.arange(1, N + 1) * T / N
+
+
+_layouts = st.sampled_from(["random", "integer", "arithmetic"])
+_seeds = st.integers(0, 2**32 - 1)
+
+
+def _power(z, times, x):
+    return abs(_filtered(z, times, np.array([x]))[0]) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_layouts, st.floats(2.0, 1e4), st.integers(2, 200), _seeds,
+       st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_polish_stays_in_its_bracket_and_never_lowers_the_power(
+    layout, T, N, seed, x, left, right
+):
+    rng = np.random.default_rng(seed)
+    times = _layout(layout, T, N, rng)
+    z = rng.normal(size=N) + 1j * rng.normal(size=N)
+    lo, hi = x - left * 4.0 / T, x + right * 4.0 / T
+    got, g, _ = _polish(z, times, x, lo, hi)
+    assert lo <= got <= hi
+    assert abs(g) ** 2 == pytest.approx(_power(z, times, got), rel=1e-9, abs=1e-15)
+    assert _power(z, times, got) >= _power(z, times, x) - 1e-12 * np.mean(np.abs(z)) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_layouts, st.floats(2.0, 1e4), st.integers(2, 200), _seeds,
+       st.floats(-3.0, 3.0), st.floats(-0.5, 0.5), st.floats(0.0, 1.0),
+       st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0))
+def test_polish_recovers_a_noiseless_tone(layout, T, N, seed, theta, start, width, r):
+    # the bracket stays within 1.5 / T of theta, where |G|^2 falls
+    # monotonically away from it for every one of these layouts
+    times = _layout(layout, T, N, np.random.default_rng(seed))
+    assume(np.ptp(times) > 0.0)
+    x = theta + start / T
+    half = abs(start) / T + width * (1.0 - abs(start)) / T
+    got, _, _ = _polish(r * np.exp(1j * theta * times), times, x, x - half, x + half)
+    assert abs(got - theta) <= 1e-10
+
+
+@st.composite
+def _dominated_spectra(draw):
+    """One to four modes at least 0.3 apart on the circle, the first holding most weight."""
+    L = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=L - 1, max_size=L - 1))
+    phases = _wrap(draw(st.floats(-3.0, 3.0)) + np.cumsum([0.0] + gaps))
+    rest = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=L - 1, max_size=L - 1)))
+    w0 = draw(st.floats(0.55, 0.95))
+    weights = np.concatenate([[w0], (1.0 - w0) * rest / rest.sum()]) if L > 1 else [1.0]
+    return Spectrum(phases, weights)
+
+
+def _mirror_ht(sample):
+    return HtSample(sample.times, sample.n_re0, sample.n_re1, sample.n_im1, sample.n_im0,
+                    sample.N_s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dominated_spectra(), st.sampled_from(["qmegs", "csqpe", "qcels", "qft"]), _seeds)
+def test_mirrored_data_negate_every_estimate(s, kind, seed):
+    if kind == "qft":
+        p = qft_probabilities(s, 8)
+        a = fit_qft_histogram(p, 8).theta_hat
+        b = fit_qft_histogram(p[(-np.arange(p.size)) % p.size], 8).theta_hat
+    elif kind == "qcels":
+        levels = [sample_ht(s, realize("qcels", h, 64), 20, seed=seed + j)
+                  for j, h in enumerate(qcels_levels(256, 64))]
+        a = estimate_qcels_ml(levels).theta_hat
+        b = estimate_qcels_ml([_mirror_ht(x) for x in levels]).theta_hat
+    else:
+        data = sample_ht(s, realize(kind, 100, 400, seed=seed), 20, seed=seed)
+        if kind == "qmegs":
+            a, b = (estimate_qmegs(d, 100).theta_hat for d in (data, _mirror_ht(data)))
+        else:
+            a, b = (estimate_csqpe(d, len(s.labels)).theta_hat
+                    for d in (data, _mirror_ht(data)))
+    assert abs(_wrap(a + b)) <= (1e-8 if kind == "qft" else 1e-9)
