@@ -34,6 +34,12 @@ _SPREAD = 12
 # _polish stops once a step is this short, or after this many accepted steps
 _STEP_TOL = 1e-12
 _MAX_STEPS = 100
+# _kernel_fit's damping starts at _LAM_START and moves by _LAM_FACTOR a step;
+# the fit stops past _LAM_MAX or at a step shorter than _FIT_STEP_TOL bin
+_LAM_START = 1e-3
+_LAM_FACTOR = 10.0
+_LAM_MAX = 1e12
+_FIT_STEP_TOL = 1e-9
 
 
 @dataclass
@@ -48,7 +54,7 @@ def _wrap(x):
 
 
 def _filtered(z, times, xs):
-    """G(x) = mean_k z_k exp(-i x t_k) by direct sum, for short grids."""
+    """G(x) = mean_k z_k exp(-i x t_k) by direct sum: the tests' reference for ``_scan``."""
     return np.exp(-1j * np.outer(xs, times)) @ z / times.size
 
 
@@ -190,8 +196,8 @@ def estimate_qcels_ml(levels):
     """Multi-level variant: levels of doubling horizon warm-start theta.
 
     Each entry is a dataset on its own arithmetic grid; the first level
-    is searched globally, later levels only inside a bracket one alias
-    cell wide around the running estimate.
+    is scanned globally, each later level polished by ``_alternate`` inside
+    a bracket one alias cell wide around the running estimate.
     """
     if not levels:
         raise EmptyData("no levels")
@@ -207,13 +213,8 @@ def estimate_qcels_ml(levels):
     theta = float(xs[np.argmax(np.abs(_scan(z, times, xs.size)))])
     theta, r, resid, evals = _alternate(z, times, theta, cell)
 
-    for j in range(1, len(levels)):
-        z = levels[j].z_hat
-        times = levels[j].times
-        b = np.pi / (2.0 * horizons[j - 1])
-        grid = theta + np.linspace(-b, b, 33)
-        theta = float(grid[np.argmax(np.abs(_filtered(z, times, grid)))])
-        theta, r, resid, n = _alternate(z, times, theta, b / 16.0)
+    for lvl, prev in zip(levels[1:], horizons):
+        theta, r, resid, n = _alternate(lvl.z_hat, lvl.times, theta, np.pi / (2.0 * prev))
         evals += n
     return Estimate(
         float(_wrap(theta)),
@@ -283,50 +284,52 @@ def estimate_csqpe(data, sparsity):
     )
 
 
-def _kernel_fit(p_hat, M, thetas, max_iter=60):
-    """Damped coordinate Gauss-Newton on the squared-kernel mixture."""
-    thetas = np.array(thetas, dtype=float)
-    Kp = thetas.size
-    B = squared_kernel_grid(M, thetas).T  # columns D_M(theta_m - 2 pi y/M)^2 / M^2
-    amps = nnls(B, p_hat)[0]
-    for _ in range(max_iter):
-        r = B @ amps - p_hat
-        moved = 0.0
-        for m in range(Kp):
-            if amps[m] == 0.0:
-                continue
-            J = amps[m] * squared_kernel_grid(M, thetas[m], derivative=True)[1]
-            denom = J @ J
-            if denom < 1e-300:
-                continue
-            delta = -(J @ r) / denom
-            base = r @ r
-            lam = 1.0
-            for _ in range(25):
-                cand = thetas[m] + lam * delta
-                col = squared_kernel_grid(M, cand)
-                r_new = r + amps[m] * (col - B[:, m])
-                if r_new @ r_new < base:
-                    thetas[m] = cand
-                    B[:, m] = col
-                    r = r_new
-                    moved = max(moved, abs(lam * delta))
-                    break
-                lam *= 0.5
-        amps = nnls(B, p_hat)[0]
-        if moved < 1e-11:
+def _kernel_fit(p_hat, M, thetas):
+    """Levenberg-Marquardt on all centers at once, NNLS amplitudes projected out.
+
+    Variable projection (Golub & Pereyra 1973/2003) with Kaufman's Jacobian:
+    amps x dK of the active columns, projected off their span by one thin
+    QR.  The damping is lam diag(J^T J), and a step counts only when the
+    residual falls.  Returns (thetas, amps, residual, model evaluations).
+    """
+
+    def model(thetas):
+        K, dK = squared_kernel_grid(M, thetas, derivative=True)
+        amps = nnls(K.T, p_hat)[0]
+        r = K.T @ amps - p_hat
+        return K, dK, amps, r, r @ r
+
+    K, dK, amps, r, f = model(thetas)
+    evals, lam = 1, _LAM_START
+    while lam <= _LAM_MAX:
+        act = amps > 0.0
+        Q = np.linalg.qr(K[act].T)[0]
+        J = amps[act] * dK[act].T
+        J -= Q @ (Q.T @ J)
+        A = J.T @ J
+        step = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), -(J.T @ r), rcond=None)[0]
+        trial = thetas.copy()
+        trial[act] += step
+        new = model(trial)
+        evals += 1
+        if new[4] < f:
+            thetas, (K, dK, amps, r, f), lam = trial, new, lam / _LAM_FACTOR
+        else:
+            lam *= _LAM_FACTOR
+        # a larger lam only shortens the step, so a short one ends the fit, taken or not
+        if np.max(np.abs(step)) < _FIT_STEP_TOL * _TWO_PI / M:
             break
-    resid = float(np.sum((B @ amps - p_hat) ** 2))
-    return thetas, amps, resid
+    return thetas, amps, float(f), evals
 
 
 def fit_qft_histogram(p_hat, n, n_shots=None):
     """Fit the readout histogram with a small sum of squared kernels.
 
     Peaks are circular local maxima above max(3/n_shots, 1% of the top
-    bin), thinned to a >= 2 bin separation, at most ten kept.  The fit is
-    restarted from each half-bin shift of the detected centers and the
-    best residual wins; theta_hat is the center of the largest amplitude.
+    bin), thinned to a >= 2 bin separation, at most ten kept.  Each starts
+    half a bin toward its larger neighbour (a center exactly on a bin is
+    stationary: every dK vanishes there), and ``_kernel_fit`` moves all
+    centers jointly; theta_hat is the center of the largest amplitude.
     """
     p_hat = np.asarray(p_hat, dtype=float)
     M = 2**int(n)
@@ -348,14 +351,9 @@ def fit_qft_histogram(p_hat, n, n_shots=None):
         kept.append(int(b))
         if len(kept) == 10:
             break
-    centers = _wrap(_TWO_PI * np.array(kept, dtype=float) / M)
-
-    best = None
-    for shift in (0.0, -np.pi / M, np.pi / M):
-        thetas, amps, resid = _kernel_fit(p_hat, M, centers + shift)
-        if best is None or resid < best[2]:
-            best = (thetas, amps, resid)
-    thetas, amps, resid = best
+    kept = np.array(kept)
+    toward = np.where(p_hat[(kept + 1) % M] >= p_hat[kept - 1], 0.5, -0.5)
+    thetas, amps, resid, evals = _kernel_fit(p_hat, M, _wrap(_TWO_PI * (kept + toward) / M))
     order = np.argsort(-amps, kind="stable")
     return Estimate(
         float(_wrap(thetas[order[0]])),
@@ -364,6 +362,7 @@ def fit_qft_histogram(p_hat, n, n_shots=None):
             "thetas": _wrap(thetas[order]),
             "residual": resid,
             "peaks": len(kept),
+            "fit_evals": evals,
         },
     )
 

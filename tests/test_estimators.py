@@ -140,6 +140,23 @@ def test_histogram_fit_exact_probabilities():
     assert est.diagnostics["peaks"] >= 2
 
 
+def test_histogram_fit_recovers_exact_three_mode_mixtures():
+    # exact probabilities of a three-mode mixture lie in the model, so the
+    # fit must reach them.  Both dominant phases sit >= 0.11 bin off the
+    # grid at every n: near the grid a phase is poorly identified even from
+    # exact data, because its probabilities are nearly stationary in it
+    for phases, overlaps in (
+        ((-0.449, 0.721, 2.971), (0.41, 0.24, 0.35)),
+        ((-1.403, 1.811, 2.541), (0.3, 0.26, 0.44)),
+    ):
+        s = Spectrum(phases, overlaps)
+        dominant = s.phases[np.argmax(s.overlaps)]
+        for n in (6, 8, 10):
+            est = fit_qft_histogram(qft_probabilities(s, n), n)
+            assert abs(est.theta_hat - dominant) <= 1e-9, (phases, n)
+            assert est.diagnostics["residual"] <= 1e-20, (phases, n)
+
+
 def test_histogram_fit_validation():
     with pytest.raises(ValueError):
         fit_qft_histogram(np.ones(10) / 10.0, 4)  # length is not 2^n
@@ -233,3 +250,12 @@ def test_curvefit_trajectory_is_pinned():
         est = fit_qft_histogram(p_hat, 12, n_shots=sample.N_s)
         assert abs(est.theta_hat - theta_hat) <= 1e-9
         assert est.diagnostics["peaks"] == 5
+
+
+def test_curvefit_reports_its_model_evaluations():
+    # the pinned register fits above converge in about ten joint steps
+    spectrum = make_spectrum("uniform", 20, 0.4)
+    for seed in (1, 2, 3):
+        sample = sample_qft(spectrum, 12, 100_000, seed=seed)
+        evals = estimate_curvefit_qft(sample).diagnostics["fit_evals"]
+        assert 1 <= evals <= 60

@@ -14,13 +14,14 @@ from qpe_bounds import (
     g_i,
     ht_expectations,
     ht_fim_single,
+    make_spectrum,
     qft_fim,
     realize,
     rpe_fim_bounds,
     total_fim,
 )
 from qpe_bounds.errors import RpeRequiresPowerOfTwo, ZeroSecondMoment
-from qpe_bounds.fim import _ht_blocks_weighted
+from qpe_bounds.fim import _ht_blocks_weighted, _qmegs_expected_blocks
 
 
 def test_ht_expectations_single_mode():
@@ -221,6 +222,16 @@ def test_total_fim_qmegs_single_mode_quadrature():
     T = 100
     got = total_fim(s, "qmegs", T, 1, 1).theta_theta[0, 0]
     assert got == pytest.approx(2.0 * chi("qmegs") * T**2, rel=1e-6)
+
+
+def test_qmegs_quadrature_panel_cap_edge():
+    # on uniform L=20, alpha 0.4 at T = 2000 the doubling converges at 4096
+    # panels; one level fewer must raise instead of returning a coarse average
+    s = make_spectrum("uniform", 20, 0.4)
+    blocks = _qmegs_expected_blocks(s, 2000, max_panels=4096)
+    assert np.all(np.isfinite(blocks.theta_theta))
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _qmegs_expected_blocks(s, 2000, max_panels=2048)
 
 
 def test_total_fim_qft_scales_with_shots():
