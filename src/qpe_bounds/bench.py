@@ -31,20 +31,11 @@ from .estimators import (
     estimate_qmegs,
 )
 from .fim import f_i_max, total_fim
-from .schedules import ProtocolKind, realize, t_total
+from .schedules import ProtocolKind, _whole, realize, t_total
 from .simulate import sample_ht, sample_qft, write_ht_csv, write_qft_csv
 from .spectrum import _PHASE_FAMILIES, make_spectrum
 
 _ROW_ERRORS = (ArithmeticError, ValueError, RuntimeError, KeyError)
-
-
-def _integer(name, value):
-    """A config count as an int; a fraction is rejected, never truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -65,10 +56,10 @@ class ProtocolSpec:
         T = d.pop("T")
         if not isinstance(T, (list, tuple)):
             T = [T]
-        T = [_integer("T", v) for v in T]
+        T = [_whole("T", v) for v in T]
         if not T or any(v <= 0 for v in T):
             raise ValueError("every protocol needs a positive T list")
-        spec = cls(kind, T, **{k: _integer(k, v) for k, v in d.items()})
+        spec = cls(kind, T, **{k: _whole(k, v) for k, v in d.items()})
         if spec.N_t < 1 or spec.N_s < 1 or spec.sparsity < 1:
             raise ValueError("N_t, N_s and sparsity must be positive")
         if kind == ProtocolKind.QFT_QPE:
@@ -96,7 +87,7 @@ class CampaignConfig:
         protocols = [ProtocolSpec.from_dict(p) for p in d.pop("protocols", [])]
         for name in ("L", "trials", "seed", "target"):
             if name in d:
-                d[name] = _integer(name, d[name])
+                d[name] = _whole(name, d[name])
         cfg = cls(protocols=protocols, **d)
         if cfg.spectrum not in _PHASE_FAMILIES:
             raise ValueError(f"unknown spectrum family {cfg.spectrum!r}")

@@ -134,10 +134,10 @@ def _midpoint_grid(step):
     return -np.pi + (np.arange(K) + 0.5) * (_TWO_PI / K), _TWO_PI / K
 
 
-def estimate_qmegs(data, T, grid_step=None, refine=True):
+def estimate_qmegs(data, T, refine=True):
     """Peak of the Gaussian-filtered statistic |G(x)| over (-pi, pi].
 
-    Grid spacing is capped at 0.5/T so the main lobe is always resolved;
+    Grid spacing is at most 0.5/T so the main lobe is always resolved;
     the winning cell's centre is polished by Newton ascent on |G|^2 within
     one cell either side.
     """
@@ -145,8 +145,7 @@ def estimate_qmegs(data, T, grid_step=None, refine=True):
     z = data.z_hat
     if times.size == 0:
         raise EmptyData("no measurement records")
-    step = 0.5 / T if grid_step is None else min(grid_step, 0.5 / T)
-    xs, cell = _midpoint_grid(step)
+    xs, cell = _midpoint_grid(0.5 / T)
     x0 = float(xs[np.argmax(np.abs(_scan(z, times, xs.size)))])
     evals = 0
     if refine:
@@ -290,7 +289,8 @@ def _kernel_fit(p_hat, M, thetas):
     Variable projection (Golub & Pereyra 1973/2003) with Kaufman's Jacobian:
     amps x dK of the active columns, projected off their span by one thin
     QR.  The damping is lam diag(J^T J), and a step counts only when the
-    residual falls.  Returns (thetas, amps, residual, model evaluations).
+    residual falls; the model is linearized again only after such a step.
+    Returns (thetas, amps, residual, model evaluations).
     """
 
     def model(thetas):
@@ -300,19 +300,21 @@ def _kernel_fit(p_hat, M, thetas):
         return K, dK, amps, r, r @ r
 
     K, dK, amps, r, f = model(thetas)
-    evals, lam = 1, _LAM_START
+    evals, lam, moved = 1, _LAM_START, True
     while lam <= _LAM_MAX:
-        act = amps > 0.0
-        Q = np.linalg.qr(K[act].T)[0]
-        J = amps[act] * dK[act].T
-        J -= Q @ (Q.T @ J)
-        A = J.T @ J
-        step = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), -(J.T @ r), rcond=None)[0]
+        if moved:
+            act = amps > 0.0
+            Q = np.linalg.qr(K[act].T)[0]
+            J = amps[act] * dK[act].T
+            J -= Q @ (Q.T @ J)
+            A, g = J.T @ J, -(J.T @ r)
+        step = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), g, rcond=None)[0]
         trial = thetas.copy()
         trial[act] += step
         new = model(trial)
         evals += 1
-        if new[4] < f:
+        moved = new[4] < f
+        if moved:
             thetas, (K, dK, amps, r, f), lam = trial, new, lam / _LAM_FACTOR
         else:
             lam *= _LAM_FACTOR

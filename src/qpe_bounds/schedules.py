@@ -8,6 +8,7 @@ and chi, the normalized second moment E[t^2]/T^2.
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 from scipy.special import erf, erfinv
@@ -37,9 +38,14 @@ class Schedule:
 
 
 def _whole(name, value, error=ValueError):
-    """A horizon or count as an int; a fraction is rejected, never truncated."""
-    if not float(value).is_integer():
-        raise error(f"{name}={value} is not a whole number")
+    """A horizon or count as an int; a fraction is rejected, never truncated.
+
+    Booleans and non-numbers (such as the string "4") are rejected too,
+    never coerced.
+    """
+    number = isinstance(value, Real) and not isinstance(value, bool)
+    if not (number and float(value).is_integer()):
+        raise error(f"{name}={value if number else repr(value)} is not a whole number")
     return int(value)
 
 

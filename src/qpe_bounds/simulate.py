@@ -70,9 +70,12 @@ def qft_probabilities(spectrum, n):
 def sample_qft(spectrum, n, N_s, seed=0):
     """Draw N_s transform-readout outcomes by inverse CDF.
 
-    Bins are tabulated in 2^20-bin chunks so memory stays flat for the
-    largest allowed registers (n <= 26): a first pass accumulates chunk
-    totals, a second pass resolves draws inside their chunk.
+    The CDF is walked once in 2^20-bin chunks, so memory stays flat for the
+    largest allowed registers (n <= 26).  Each chunk's first probability
+    carries the running total, so the chunk CDFs are exactly the global
+    cumulative sum, and a draw's bin is the number of its entries at or
+    below the draw, counted chunk by chunk.  Draws at or above the final
+    total, which rounding may leave just below 1, fall in the last bin.
     """
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be between 1 and {_MAX_N}")
@@ -80,32 +83,18 @@ def sample_qft(spectrum, n, N_s, seed=0):
     if N_s < 1:
         raise ValueError("N_s must be positive")
     M = 2**n
-    rng = np.random.default_rng(seed)
-    u = rng.random(N_s)
-
-    if M <= _CHUNK:
-        p = qft_probabilities(spectrum, n)
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        outcomes = np.searchsorted(cdf, u, side="right")
-        return QftSample(n, np.minimum(outcomes, M - 1).astype(np.int64), seed)
-
-    starts = list(range(0, M, _CHUNK))
-    totals = np.array([_chunk_probs(spectrum, n, lo, min(lo + _CHUNK, M)).sum() for lo in starts])
-    if abs(totals.sum() - 1.0) > 1e-9:
-        raise NormalizationFailure(f"probabilities sum to {totals.sum()!r}")
-    top = np.cumsum(totals)
-    top[-1] = 1.0
-    which = np.minimum(np.searchsorted(top, u, side="right"), len(starts) - 1)
-    outcomes = np.empty(u.size, dtype=np.int64)
-    for ci in np.unique(which):
-        lo = starts[ci]
-        base = top[ci - 1] if ci > 0 else 0.0
+    u = np.random.default_rng(seed).random(N_s)
+    outcomes = np.zeros(N_s, dtype=np.int64)
+    total = 0.0
+    for lo in range(0, M, _CHUNK):
         p = _chunk_probs(spectrum, n, lo, min(lo + _CHUNK, M))
+        p[0] += total
         cdf = np.cumsum(p)
-        sel = which == ci
-        idx = np.searchsorted(cdf, u[sel] - base, side="right")
-        outcomes[sel] = lo + np.minimum(idx, p.size - 1)
+        outcomes += np.searchsorted(cdf, u, side="right")
+        total = float(cdf[-1])
+    if abs(total - 1.0) > 1e-9:
+        raise NormalizationFailure(f"probabilities sum to {total!r}")
+    np.minimum(outcomes, M - 1, out=outcomes)
     return QftSample(n, outcomes, seed)
 
 

@@ -25,12 +25,7 @@ from qpe_bounds.errors import NoLinearCostForm, RpeRequiresPowerOfTwo, SingularF
 
 
 def _toy(tt, tc, cc):
-    return BlockFim(
-        np.atleast_2d(np.array(tt, dtype=float)),
-        np.atleast_2d(np.array(tc, dtype=float)),
-        np.atleast_2d(np.array(cc, dtype=float)),
-        np.array([0]),
-    )
+    return BlockFim(np.array([[tt, tc], [tc, cc]], dtype=float), np.array([0]))
 
 
 def test_crlb_on_decoupled_matrix():

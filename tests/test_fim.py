@@ -1,4 +1,4 @@
-"""Fisher blocks: oracles, singular limits, schedule totals."""
+"""Fisher matrices: oracles, singular limits, schedule totals."""
 
 import numpy as np
 import pytest
@@ -102,9 +102,9 @@ def test_qft_eigenstate_identity():
 def test_qft_eigenstate_cross_block_vanishes():
     # sum_y D^2 = M^2 makes d/dc of the log-likelihood integrate to zero
     s = Spectrum([0.37], [1.0])
-    F = qft_fim(s, 2)
-    assert F.theta_c[0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert F.cc[0, 0] == pytest.approx(1.0, rel=1e-9)
+    F = qft_fim(s, 2).full()
+    assert F[0, 1] == pytest.approx(0.0, abs=1e-9)
+    assert F[1, 1] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_f_i_single_mode_is_two():
@@ -165,8 +165,10 @@ def test_blockfim_add_and_scale():
     F1 = ht_fim_single(s, 1.0)
     F2 = ht_fim_single(s, 2.0)
     both = F1 + F2
-    assert np.allclose(both.theta_theta, F1.theta_theta + F2.theta_theta)
-    assert np.allclose((2.0 * F1).cc, 2.0 * F1.cc)
+    assert np.array_equal(both.full(), F1.full() + F2.full())
+    assert np.array_equal(both.theta_theta, both.full()[:2, :2])
+    assert np.array_equal((2.0 * F1).full()[2:, 2:], 2.0 * F1.full()[2:, 2:])
+    assert np.array_equal((F1 * 2.0).full(), (2.0 * F1).full())
     other = ht_fim_single(Spectrum([0.1, 0.2, 0.3], [0.2, 0.3, 0.5]), 1.0)
     with pytest.raises(ValueError):
         F1 + other
@@ -174,14 +176,22 @@ def test_blockfim_add_and_scale():
 
 def test_full_matrix_layout():
     s = Spectrum([0.4, -0.4], [0.5, 0.5])
-    F = ht_fim_single(s, 1.7)
-    full = F.full()
-    L = s.L
-    assert full.shape == (2 * L, 2 * L)
-    assert np.allclose(full[:L, :L], F.theta_theta)
-    assert np.allclose(full[:L, L:], F.theta_c)
-    assert np.allclose(full[L:, L:], F.cc)
-    assert np.allclose(full, full.T)
+    # dyadic phases align every cosine at t = 2 pi / 0.25: the aligned-time
+    # limit is added to the theta-theta block there
+    dyadic = Spectrum([0.25, -0.5, 0.75], [0.5, 0.3, 0.2])
+    t_aligned = 2.0 * np.pi / 0.25
+    assert abs(ht_expectations(dyadic, t_aligned)[0]) == pytest.approx(1.0)
+    for spectrum, F in (
+        (s, ht_fim_single(s, 1.7)),
+        (s, qft_fim(s, 5)),
+        (dyadic, ht_fim_single(dyadic, t_aligned)),
+        (s, total_fim(s, "qmegs", 30, 4, 2)),
+    ):
+        full = F.full()
+        L = spectrum.L
+        assert full.shape == (2 * L, 2 * L)
+        assert np.array_equal(full, full.T)
+        assert np.array_equal(F.theta_theta, full[:L, :L])
 
 
 def test_total_fim_qcels_exact_sum():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from qpe_bounds import ProtocolKind, chi, gamma, realize, t_total
+from qpe_bounds import ProtocolKind, Spectrum, chi, gamma, realize, t_total, total_fim
 from qpe_bounds.errors import NoLinearCostForm, RpeRequiresPowerOfTwo
 
 _C = float(erf(1.0 / np.sqrt(2.0)))
@@ -138,3 +138,16 @@ def test_fractional_time_counts_are_rejected_not_truncated(kind):
             call()
     assert realize(kind, 10, 2.0).N_t == realize(kind, 10, 2).times.size == 2
     assert t_total(kind, 10, 2.0, 1) == t_total(kind, 10, 2, 1)
+
+
+def test_booleans_and_strings_are_not_whole_numbers():
+    # True == 1 and "4" parses as 4, but neither is a count: both raise
+    # instead of being coerced, in the library as in configs
+    s = Spectrum([0.3], [1.0])
+    with pytest.raises(ValueError, match="N_t=True is not a whole number"):
+        total_fim(s, "qcels", 10, True, 1)
+    with pytest.raises(ValueError, match="N_t='4' is not a whole number"):
+        realize("qcels", 10, "4")
+    with pytest.raises(RpeRequiresPowerOfTwo):
+        realize("rpe", True, 1)
+    assert realize("qcels", 10, np.int64(4)).N_t == 4

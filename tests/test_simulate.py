@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import qft_outcome_probs, random_spectrum
+from qpe_bounds import simulate
 from qpe_bounds import (
     Spectrum,
+    make_spectrum,
     t_total,
     total_fim,
     ht_expectations,
@@ -71,8 +73,18 @@ def test_sample_qft_frequencies_track_distribution():
     assert np.all(np.abs(counts - N_s * p) <= 5.0 * sd + 3.0)
 
 
+def test_sample_qft_chunked_walk_matches_one_chunk(monkeypatch):
+    # the chunk CDFs carry the running total, so they are the global
+    # cumulative sum and a chunked draw equals the one-chunk draw exactly
+    s = make_spectrum("uniform", 20, 0.4)
+    n, N_s = 12, 100_000
+    whole = sample_qft(s, n, N_s, seed=7).outcomes
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    assert np.array_equal(sample_qft(s, n, N_s, seed=7).outcomes, whole)
+
+
 def test_sample_qft_chunked_path_matches_eigenstate():
-    # 2^21 bins exceeds the tabulation chunk, exercising the two-pass route
+    # 2^21 bins exceeds the tabulation chunk
     n, y0 = 21, 1234
     s = Spectrum([2.0 * np.pi * y0 / 2**n], [1.0])
     out = sample_qft(s, n, 64, seed=3).outcomes
