@@ -30,7 +30,7 @@ from .estimators import (
     estimate_qcels_ml,
     estimate_qmegs,
 )
-from .fim import f_i_max, total_fim
+from .fim import f_i_max, register_width, total_fim
 from .schedules import ProtocolKind, _whole, realize, t_total
 from .simulate import sample_ht, sample_qft, write_ht_csv, write_qft_csv
 from .spectrum import _PHASE_FAMILIES, make_spectrum
@@ -64,8 +64,7 @@ class ProtocolSpec:
             raise ValueError("N_t, N_s and sparsity must be positive")
         if kind == ProtocolKind.QFT_QPE:
             for v in spec.T:
-                if ((v + 1) & v) != 0:
-                    raise ValueError("transform-readout entries need T = 2^n - 1")
+                register_width(v)
         if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and spec.N_t != 1:
             raise ValueError(f"{kind.value} uses N_t = 1")
         return spec
@@ -231,7 +230,7 @@ def _draw(spectrum, pspec, T, seed, point_idx, trial):
     s_sched, s_data = np.random.SeedSequence((seed, point_idx, trial)).spawn(2)
     kind = pspec.kind
     if kind == ProtocolKind.QFT_QPE:
-        return [sample_qft(spectrum, int(np.log2(T + 1)), pspec.N_s, seed=s_data)]
+        return [sample_qft(spectrum, register_width(T), pspec.N_s, seed=s_data)]
     if kind == ProtocolKind.QCELS:
         levels = qcels_levels(T, pspec.N_t)
         return [

@@ -6,15 +6,17 @@ form M sinc(M delta / 2 pi) / sinc(delta / 2 pi) is stable everywhere and
 takes the limit +-M at the shared zeros automatically.  The sign picked up
 by the reduction is (-1)^((M-1) k).
 
-On the M-point grid x = theta - 2 pi y / M the numerator is +-sin(M theta/2)
-for every bin, so the squared kernel needs one scalar sine per theta and a
-table of half-angle sines (``squared_kernel_grid``).
+On the M-point grid x = theta - 2 pi y / M every numerator is +-sin(M theta/2),
+so one scalar sine per theta and a half-angle table give the squared kernel
+(``squared_kernel_grid``); every register reader walks it by ``register_chunks``.
 """
 
 import functools
 import math
 
 import numpy as np
+
+from .schedules import _whole
 
 _TWO_PI = 2.0 * np.pi
 # pi in two parts for the reduction theta/2 = pi j / M + d: _PI_HI keeps 26
@@ -24,6 +26,9 @@ _PI_HI = math.ldexp(round(math.ldexp(math.pi, 24)), -24)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 # the cached half-angle table holds 2M bins; larger grids build their slice
 _TABLE_BINS = 1 << 20
+# the widest register; bins (in fim, Hadamard-test times) per (2L, chunk) stack
+_MAX_N = 26
+_CHUNK = 1 << 15
 
 
 def _reduce(x):
@@ -162,3 +167,15 @@ def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
     if not derivative:
         return np.array(rows).reshape(shape)
     return tuple(np.array(part).reshape(shape) for part in zip(*rows))
+
+
+def register_chunks(n, theta, derivative=False):
+    """``squared_kernel_grid`` on the 2^n bins, _CHUNK at a time; n is checked at the call."""
+    n = _whole("n", n)
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must be between 1 and {_MAX_N}")
+    M = 2**n
+    return (
+        squared_kernel_grid(M, theta, lo, min(lo + _CHUNK, M), derivative)
+        for lo in range(0, M, _CHUNK)
+    )

@@ -27,6 +27,7 @@ from .dirichlet import (  # noqa: F401
     squared_kernel_grid,
 )
 from .errors import EmptyData, NoPeaksDetected, ScheduleMismatch
+from .schedules import _whole
 
 # half-width, in fine-grid cells, of the Gaussian that _scan spreads each
 # record over; at oversampling >= 2 its edge value is <= exp(-9 pi) ~ 5e-13
@@ -334,7 +335,7 @@ def fit_qft_histogram(p_hat, n, n_shots=None):
     centers jointly; theta_hat is the center of the largest amplitude.
     """
     p_hat = np.asarray(p_hat, dtype=float)
-    M = 2**int(n)
+    M = 2 ** _whole("n", n)
     if p_hat.size != M:
         raise ValueError("histogram length must be 2^n")
     thr = 0.01 * float(p_hat.max())

@@ -11,22 +11,23 @@ g0 and the cost bound.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 # dirichlet and dirichlet_derivative are no longer called here; the
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
+    _CHUNK,
+    _MAX_N,
     _TWO_PI,
     dirichlet,
     dirichlet_derivative,
-    squared_kernel_grid,
+    register_chunks,
 )
 from .errors import DegenerateDistribution, ZeroSecondMoment
-from .schedules import ProtocolKind, _whole, realize
+from .schedules import _C, ProtocolKind, _whole, realize
 from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
-_TRUNC_NORM = float(erf(1.0 / np.sqrt(2.0))) * np.sqrt(_TWO_PI)
+_TRUNC_NORM = _C * np.sqrt(_TWO_PI)
 
 
 @dataclass
@@ -83,11 +84,6 @@ def _second_moment(spectrum):
     return sm
 
 
-# a chunk's gradient stacks hold 2L rows per time; 2^15 times keep the
-# peak memory of the accounting sweep below that of L-row blocks at 2^16
-_BLOCK_CHUNK = 1 << 15
-
-
 def _ht_blocks_weighted(spectrum, times, weights):
     """Weighted sum over times of the per-time Hadamard-test Fisher matrix.
 
@@ -110,9 +106,9 @@ def _ht_blocks_weighted(spectrum, times, weights):
 
     F = np.zeros((2 * L, 2 * L))
     wt2 = 0.0
-    for start in range(0, t.size, _BLOCK_CHUNK):
-        tj = t[start : start + _BLOCK_CHUNK]
-        wj = w[start : start + _BLOCK_CHUNK]
+    for start in range(0, t.size, _CHUNK):
+        tj = t[start : start + _CHUNK]
+        wj = w[start : start + _CHUNK]
         # half-angle forms keep 1 -|C| and 1 -|S| as sums of nonnegative
         # terms; the naive 1 - C^2 cancels catastrophically near the
         # alignment times and poisons quadrature at large T
@@ -182,25 +178,29 @@ def f_i_max(spectrum, label):
     return 1.0 + spectrum.phase(label) ** 2 / _second_moment(spectrum)
 
 
+def register_width(T):
+    """n of the register of depth T = 2^n - 1, from 1 to _MAX_N; T must be whole."""
+    M = _whole("T", T) + 1
+    if not 2 <= M <= 2**_MAX_N or M & (M - 1):
+        raise ValueError(f"QFT-QPE needs T = 2^n - 1 with 1 <= n <= {_MAX_N}")
+    return M.bit_length() - 1
+
+
 def qft_fim(spectrum, n):
     """Fisher matrix of one n-ancilla transform-readout circuit.
 
     Outcome y has probability sum_l c_l D_M(theta_l - 2 pi y / M)^2 / M^2
-    with M = 2^n; derivatives of the kernel are analytic, and the matrix
-    is sum_y grad p(y) grad p(y)^T / p(y) over the 2^n bins.
+    with M = 2^n; derivatives of the kernel are analytic, and the matrix,
+    sum_y grad p(y) grad p(y)^T / p(y), is summed along ``register_chunks``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    M = 2**int(n)
     c = spectrum.overlaps
-    v, dK = squared_kernel_grid(M, spectrum.phases, derivative=True)  # v = d p(y) / d c_l
-
-    p = c @ v
-    if np.min(p) < 1e-300:
-        raise DegenerateDistribution("an outcome probability underflowed")
-
-    D = np.vstack([c[:, None] * dK, v])  # d p(y) / d(theta, c)
-    F = (D / p) @ D.T
+    F = np.zeros((2 * c.size, 2 * c.size))
+    for v, dK in register_chunks(n, spectrum.phases, derivative=True):  # v = d p(y) / d c_l
+        p = c @ v
+        if np.min(p) < 1e-300:
+            raise DegenerateDistribution("an outcome probability underflowed")
+        D = np.vstack([c[:, None] * dK, v])  # d p(y) / d(theta, c)
+        F += (D / p) @ D.T
     return BlockFim(0.5 * (F + F.T), spectrum.labels)
 
 
@@ -263,10 +263,7 @@ def total_fim(spectrum, kind, T, N_t, N_s):
     if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and N_t != 1:
         raise ValueError(f"{kind.value} uses N_t = 1")
     if kind == ProtocolKind.QFT_QPE:
-        M = _whole("T", T) + 1
-        if M < 2 or (M & (M - 1)) != 0:
-            raise ValueError("QFT-QPE needs T = 2^n - 1")
-        return float(N_s) * qft_fim(spectrum, int(np.log2(M)))
+        return float(N_s) * qft_fim(spectrum, register_width(T))
     if kind in (ProtocolKind.QCELS, ProtocolKind.RPE):
         times = realize(kind, T, N_t).times
         return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times))

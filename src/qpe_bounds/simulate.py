@@ -12,13 +12,10 @@ import numpy as np
 
 # dirichlet is no longer called here; the per-layer trace in
 # perfbench/tracing.py wraps it by name in this module
-from .dirichlet import dirichlet, squared_kernel_grid  # noqa: F401
+from .dirichlet import dirichlet, register_chunks  # noqa: F401
 from .errors import NormalizationFailure
 from .fim import ht_expectations
 from .schedules import _whole
-
-_MAX_N = 26
-_CHUNK = 1 << 20
 
 
 @dataclass
@@ -50,18 +47,9 @@ class HtSample:
         return re + 1j * im
 
 
-def _chunk_probs(spectrum, n, lo, hi):
-    return spectrum.overlaps @ squared_kernel_grid(2**n, spectrum.phases, lo, hi)
-
-
 def qft_probabilities(spectrum, n):
     """Outcome distribution over the 2^n bins, checked to sum to one."""
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must be between 1 and {_MAX_N}")
-    M = 2**n
-    p = np.concatenate(
-        [_chunk_probs(spectrum, n, lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
-    )
+    p = np.concatenate([spectrum.overlaps @ K for K in register_chunks(n, spectrum.phases)])
     if abs(p.sum() - 1.0) > 1e-9:
         raise NormalizationFailure(f"probabilities sum to {p.sum()!r}")
     return p
@@ -70,32 +58,30 @@ def qft_probabilities(spectrum, n):
 def sample_qft(spectrum, n, N_s, seed=0):
     """Draw N_s transform-readout outcomes by inverse CDF.
 
-    The CDF is walked once in 2^20-bin chunks, so memory stays flat for the
-    largest allowed registers (n <= 26).  Each chunk's first probability
-    carries the running total, so the chunk CDFs are exactly the global
-    cumulative sum, and a draw's bin is the number of its entries at or
-    below the draw, counted chunk by chunk.  Draws at or above the final
-    total, which rounding may leave just below 1, fall in the last bin.
+    The CDF is walked once along ``register_chunks``, so memory stays flat
+    up to the widest register.  Each chunk's first probability carries the
+    running total, so the chunk CDFs are exactly the global cumulative sum,
+    and a draw's bin is the number of its entries at or below the draw,
+    counted chunk by chunk.  Draws at or above the final total, which
+    rounding may leave just below 1, fall in the last bin.
     """
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must be between 1 and {_MAX_N}")
+    chunks = register_chunks(n, spectrum.phases)
     N_s = _whole("N_s", N_s)
     if N_s < 1:
         raise ValueError("N_s must be positive")
-    M = 2**n
     u = np.random.default_rng(seed).random(N_s)
     outcomes = np.zeros(N_s, dtype=np.int64)
     total = 0.0
-    for lo in range(0, M, _CHUNK):
-        p = _chunk_probs(spectrum, n, lo, min(lo + _CHUNK, M))
+    for K in chunks:
+        p = spectrum.overlaps @ K
         p[0] += total
         cdf = np.cumsum(p)
         outcomes += np.searchsorted(cdf, u, side="right")
         total = float(cdf[-1])
     if abs(total - 1.0) > 1e-9:
         raise NormalizationFailure(f"probabilities sum to {total!r}")
-    np.minimum(outcomes, M - 1, out=outcomes)
-    return QftSample(n, outcomes, seed)
+    np.minimum(outcomes, 2 ** int(n) - 1, out=outcomes)
+    return QftSample(int(n), outcomes, seed)
 
 
 def sample_ht(spectrum, schedule, N_s, seed=0):

@@ -400,12 +400,17 @@ def test_cli_config_errors(tmp_path, capsys):
         tmp_path, _config_dict(protocols=[{"kind": "qft", "T": [6]}])
     )
     assert main(["bounds", "--config", bad_T]) == 1
+    # a register too wide to walk is refused before anything is allocated
+    too_wide = _write_config(
+        tmp_path, _config_dict(protocols=[{"kind": "qft", "T": [2**27 - 1]}])
+    )
+    assert main(["bounds", "--config", too_wide]) == 1
     good = _write_config(tmp_path, _config_dict())
     out = str(tmp_path / "out.csv")
     for threads in ("0", "-5"):
         assert main(["bench", "--config", good, "--threads", threads, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.count("config error:") == 6
+    assert err.count("config error:") == 7
     assert err.count("threads must be at least 1") == 2
     # usage errors are configuration errors too: 2 means failed grid points
     for argv in (

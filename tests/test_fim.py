@@ -1,5 +1,7 @@
 """Fisher matrices: oracles, singular limits, schedule totals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,19 @@ def test_total_fim_qft_scales_with_shots():
     assert np.array_equal(total_fim(s, "qft", 7.0, 1, 50).full(), tot.full())
     with pytest.raises(ValueError):
         total_fim(s, "qft", 7, 2, 1)  # one-shot circuit family
+
+
+def test_qft_fim_memory_stays_flat_in_the_register_width():
+    # the walk holds one (2L, chunk) gradient stack at a time; the whole
+    # n = 20 grid would take about 1 GB
+    s = make_spectrum("uniform", 20, 0.4)
+    tracemalloc.start()
+    try:
+        qft_fim(s, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_g_i_definition_consistency():

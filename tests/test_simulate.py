@@ -1,13 +1,15 @@
 """Outcome sampling and dataset round-trips."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from helpers import qft_outcome_probs, random_spectrum
-from qpe_bounds import simulate
 from qpe_bounds import (
     Spectrum,
     make_spectrum,
+    qft_fim,
     t_total,
     total_fim,
     ht_expectations,
@@ -44,11 +46,17 @@ def test_qft_probabilities_eigenstate_on_grid_is_deterministic():
 
 
 def test_qft_probabilities_register_width_validation():
+    # every register entry point refuses the width before any bin is built
     s = Spectrum([0.3], [1.0])
-    with pytest.raises(ValueError):
-        qft_probabilities(s, 0)
-    with pytest.raises(ValueError):
-        qft_probabilities(s, 27)
+    for n in (0, 27, 12.5, True):
+        with pytest.raises(ValueError):
+            qft_probabilities(s, n)
+        with pytest.raises(ValueError):
+            sample_qft(s, n, 10)
+        with pytest.raises(ValueError):
+            qft_fim(s, n)
+        with pytest.raises(ValueError):
+            total_fim(s, "qft", n if n is True else 2**n - 1, 1, 1)
 
 
 def test_sample_qft_range_determinism_and_seed_sensitivity():
@@ -75,12 +83,22 @@ def test_sample_qft_frequencies_track_distribution():
 
 def test_sample_qft_chunked_walk_matches_one_chunk(monkeypatch):
     # the chunk CDFs carry the running total, so they are the global
-    # cumulative sum and a chunked draw equals the one-chunk draw exactly
-    s = make_spectrum("uniform", 20, 0.4)
+    # cumulative sum and a chunked draw equals the one-chunk draw exactly;
+    # the distribution is the same bins concatenated, and the Fisher
+    # matrix the same sum in another order
     n, N_s = 12, 100_000
-    whole = sample_qft(s, n, N_s, seed=7).outcomes
-    monkeypatch.setattr(simulate, "_CHUNK", 64)
-    assert np.array_equal(sample_qft(s, n, N_s, seed=7).outcomes, whole)
+    spectra = [make_spectrum("uniform", 20, alpha) for alpha in (0.2, 0.4, 0.8)]
+    whole = [
+        (sample_qft(s, n, N_s, seed=7).outcomes, qft_probabilities(s, n), qft_fim(s, n).full())
+        for s in spectra
+    ]
+    # the module, not the kernel function the package exports under its name
+    monkeypatch.setattr(importlib.import_module("qpe_bounds.dirichlet"), "_CHUNK", 64)
+    for s, (draw, p, F) in zip(spectra, whole):
+        assert np.array_equal(sample_qft(s, n, N_s, seed=7).outcomes, draw)
+        assert np.array_equal(qft_probabilities(s, n), p)
+        chunked = qft_fim(s, n).full()
+        assert np.max(np.abs(chunked - F)) <= 1e-14 * np.max(np.abs(F))
 
 
 def test_sample_qft_chunked_path_matches_eigenstate():
