@@ -6,10 +6,12 @@ grids, orthogonal matching pursuit over a frequency dictionary, and
 nonlinear curve fitting of the readout histogram against the squared
 kernel model.  All return an Estimate; estimators never see the truth.
 
-The three Hadamard-test estimators share two steps on the statistic
-G(x) = mean_k z_k exp(-i x t_k): ``_scan`` evaluates it on a uniform
-grid of (-pi, pi] with one type-1 NUFFT, at any time layout, and
-``_polish`` refines a grid peak by safeguarded Newton ascent on |G|^2.
+The three Hadamard-test estimators share one peak step, ``_peak``, on the
+statistic G(x) = mean_k z_k exp(-i x t_k): ``_scan`` evaluates G on a
+midpoint grid of (-pi, pi] with one type-1 NUFFT, at any time layout,
+and ``_polish`` refines the winning cell by safeguarded Newton ascent on
+|G|^2.  QMEGS is one ``_peak``; QCELS is one ``_peak`` and one
+``_polish`` per later level; CSQPE is one ``_peak`` per greedy pick.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +43,9 @@ _LAM_START = 1e-3
 _LAM_FACTOR = 10.0
 _LAM_MAX = 1e12
 _FIT_STEP_TOL = 1e-9
+# the widest register the histogram fit takes: its K and dK over all 2^n bins
+# cost about 67 B per (peak, bin), 2.6 GiB at ten peaks and n = 22
+_FIT_MAX_N = 22
 
 
 @dataclass
@@ -129,34 +134,32 @@ def _polish(z, times, x, lo, hi):
     return float(x), g, evals
 
 
-def _midpoint_grid(step):
-    """Symmetric grid of midpoints covering (-pi, pi] with spacing <= step."""
-    K = int(np.ceil(_TWO_PI / step))
-    return -np.pi + (np.arange(K) + 0.5) * (_TWO_PI / K), _TWO_PI / K
+def _peak(z, times, step, taken=()):
+    """Polished maximum of |G| over (-pi, pi], away from the ``taken`` centers.
 
-
-def estimate_qmegs(data, T, refine=True):
-    """Peak of the Gaussian-filtered statistic |G(x)| over (-pi, pi].
-
-    Grid spacing is at most 0.5/T so the main lobe is always resolved;
-    the winning cell's centre is polished by Newton ascent on |G|^2 within
-    one cell either side.
+    ``_scan`` runs once on the midpoint grid with spacing <= step; the cells
+    within two cells of each taken center are masked, and the winning cell
+    is polished within one cell either side.  Returns (x, G(x), polish
+    evaluations, grid points).
     """
-    times = data.times
-    z = data.z_hat
-    if times.size == 0:
+    K = int(np.ceil(_TWO_PI / step))
+    cell = _TWO_PI / K
+    xs = -np.pi + (np.arange(K) + 0.5) * cell
+    corr = np.abs(_scan(z, times, K))
+    for s in taken:
+        corr[np.abs(_wrap(xs - s)) < 2.0 * cell] = -1.0
+    x0 = float(xs[np.argmax(corr)])
+    return *_polish(z, times, x0, x0 - cell, x0 + cell), K
+
+
+def estimate_qmegs(data, T):
+    """Peak of |G(x)| by ``_peak`` at spacing <= 0.5/T, fine enough to resolve the main lobe."""
+    if data.times.size == 0:
         raise EmptyData("no measurement records")
-    xs, cell = _midpoint_grid(0.5 / T)
-    x0 = float(xs[np.argmax(np.abs(_scan(z, times, xs.size)))])
-    evals = 0
-    if refine:
-        x0, _, evals = _polish(z, times, x0, x0 - cell, x0 + cell)
+    x, _, evals, K = _peak(data.z_hat, data.times, 0.5 / T)
     return Estimate(
-        float(_wrap(x0)),
-        diagnostics={
-            "grid_step": cell, "grid_points": xs.size, "refined": refine,
-            "polish_evals": evals,
-        },
+        float(_wrap(x)),
+        diagnostics={"grid_step": _TWO_PI / K, "grid_points": K, "polish_evals": evals},
     )
 
 
@@ -168,23 +171,6 @@ def _check_arithmetic(times):
     dt = np.diff(times)
     if dt[0] <= 0 or not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
         raise ScheduleMismatch("times are not an ascending arithmetic grid")
-    return float(dt[0])
-
-
-def _alternate(z, times, theta, bracket):
-    """Alternate the closed-form amplitude with 1-D refinement of theta.
-
-    For fixed theta the least-squares amplitude is r = G(theta), and
-    substituting it back leaves sum|z|^2 - N |G(theta)|^2, so the theta
-    step maximizes |G| directly; a second polish in a quarter of the
-    bracket re-centers it in case the optimum sat on its edge.
-    """
-    evals = 0
-    for b in (bracket, 0.25 * bracket):
-        theta, r, n = _polish(z, times, theta, theta - b, theta + b)
-        evals += n
-    resid = float(np.sum(np.abs(z - r * np.exp(1j * theta * times)) ** 2))
-    return theta, r, resid, evals
 
 
 def estimate_qcels(data):
@@ -195,9 +181,11 @@ def estimate_qcels(data):
 def estimate_qcels_ml(levels):
     """Multi-level variant: levels of doubling horizon warm-start theta.
 
-    Each entry is a dataset on its own arithmetic grid; the first level
-    is scanned globally, each later level polished by ``_alternate`` inside
-    a bracket one alias cell wide around the running estimate.
+    Each entry is a dataset on its own arithmetic grid.  For fixed theta the
+    least-squares amplitude is r = G(theta), which leaves the residual
+    sum|z|^2 - N |G(theta)|^2, so each level maximizes |G|: the first by
+    ``_peak`` on a pi/(2 h) grid, each later one by one ``_polish`` within
+    one alias cell, pi/(2 h_prev), of the running estimate.
     """
     if not levels:
         raise EmptyData("no levels")
@@ -207,15 +195,12 @@ def estimate_qcels_ml(levels):
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ScheduleMismatch("level horizons must strictly increase")
 
-    z = levels[0].z_hat
-    times = levels[0].times
-    xs, cell = _midpoint_grid(_TWO_PI / (4.0 * horizons[0]))
-    theta = float(xs[np.argmax(np.abs(_scan(z, times, xs.size)))])
-    theta, r, resid, evals = _alternate(z, times, theta, cell)
-
-    for lvl, prev in zip(levels[1:], horizons):
-        theta, r, resid, n = _alternate(lvl.z_hat, lvl.times, theta, np.pi / (2.0 * prev))
+    theta, r, evals, _ = _peak(levels[0].z_hat, levels[0].times, np.pi / (2.0 * horizons[0]))
+    for lvl, b in zip(levels[1:], np.pi / (2.0 * np.array(horizons))):
+        theta, r, n = _polish(lvl.z_hat, lvl.times, theta, theta - b, theta + b)
         evals += n
+    last = levels[-1]
+    resid = float(np.sum(np.abs(last.z_hat - r * np.exp(1j * theta * last.times)) ** 2))
     return Estimate(
         float(_wrap(theta)),
         amplitudes=np.array([r]),
@@ -226,36 +211,28 @@ def estimate_qcels_ml(levels):
 def estimate_csqpe(data, sparsity):
     """Orthogonal matching pursuit over frequency atoms exp(i theta t_k).
 
-    Greedy selection on a pi/(2T) grid with local refinement, joint
-    amplitude refits, and a few coordinate polish sweeps at the end.
+    Each greedy pick is one ``_peak`` of the residual on a pi/(2T) grid,
+    away from the atoms already taken, followed by a joint amplitude refit;
+    four coordinate polish sweeps over the atoms end it.
     """
     K = int(sparsity)
     if K < 1:
         raise ValueError("sparsity must be at least 1")
-    times = data.times
-    z = data.z_hat
+    times, z = data.times, data.z_hat
     if times.size == 0:
         raise EmptyData("no measurement records")
     T = float(np.max(np.abs(times)))
-    xs, cell = _midpoint_grid(np.pi / (2.0 * T))
 
-    selected = []
-    evals = 0
-    residual = z.copy()
-    B = np.empty((times.size, 0), dtype=complex)
-    amps = np.zeros(0, dtype=complex)
+    selected, evals, residual = [], 0, z
     for _ in range(K):
-        corr = np.abs(_scan(residual, times, xs.size))
-        for s in selected:
-            corr[np.abs(_wrap(xs - s)) < 2.0 * cell] = -1.0
-        x0 = float(xs[np.argmax(corr)])
-        x0, _, n = _polish(residual, times, x0, x0 - cell, x0 + cell)
+        x0, _, n, grid = _peak(residual, times, np.pi / (2.0 * T), selected)
         evals += n
         selected.append(x0)
         B = np.exp(1j * np.outer(times, np.array(selected)))
         amps = np.linalg.lstsq(B, z, rcond=None)[0]
         residual = z - B @ amps
 
+    cell = _TWO_PI / grid
     for _ in range(4):
         for m in range(len(selected)):
             # profile the amplitude out: against the deflated data the
@@ -325,6 +302,13 @@ def _kernel_fit(p_hat, M, thetas):
     return thetas, amps, float(f), evals
 
 
+def _fit_width(n):
+    n = _whole("n", n)
+    if n > _FIT_MAX_N:
+        raise ValueError(f"the histogram fit takes registers of n <= {_FIT_MAX_N}")
+    return n
+
+
 def fit_qft_histogram(p_hat, n, n_shots=None):
     """Fit the readout histogram with a small sum of squared kernels.
 
@@ -334,8 +318,8 @@ def fit_qft_histogram(p_hat, n, n_shots=None):
     stationary: every dK vanishes there), and ``_kernel_fit`` moves all
     centers jointly; theta_hat is the center of the largest amplitude.
     """
+    M = 2 ** _fit_width(n)
     p_hat = np.asarray(p_hat, dtype=float)
-    M = 2 ** _whole("n", n)
     if p_hat.size != M:
         raise ValueError("histogram length must be 2^n")
     thr = 0.01 * float(p_hat.max())
@@ -374,6 +358,6 @@ def estimate_curvefit_qft(sample):
     """Histogram the outcomes and fit the squared-kernel mixture."""
     if sample.outcomes.size == 0:
         raise EmptyData("no outcomes")
-    M = 2**int(sample.n)
+    M = 2 ** _fit_width(sample.n)
     p_hat = np.bincount(sample.outcomes, minlength=M) / sample.N_s
     return fit_qft_histogram(p_hat, sample.n, n_shots=sample.N_s)

@@ -213,11 +213,14 @@ _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
 def _qmegs_expected_blocks(spectrum, T, max_panels=65536):
     """E[Fisher matrix] under the truncated-normal time density, width T.
 
-    Composite Gauss-Legendre on t = T x, x in [-1, 1], doubling the panel
-    count until successive estimates of the theta-theta block agree to
-    _QUAD_REL_TOL.  The integrand oscillates on the O(1) scale of the phase
-    gaps regardless of T, so the panel count needed to resolve it grows
-    linearly with T; the cap accommodates T up to a few times 10^4.
+    Composite Gauss-Legendre on t = T x, doubling the panel count on
+    x in [-1, 1] until successive estimates of the theta-theta block agree
+    to _QUAD_REL_TOL.  The per-time matrix is even in t (C is even, S odd
+    but squared), so each level folds the line onto x in [0, 1]: half the
+    panels, the positive half of the same nodes, twice the density.  The
+    integrand oscillates on the O(1) scale of the phase gaps regardless of
+    T, so the panel count needed to resolve it grows linearly with T; the
+    cap accommodates T up to a few times 10^4.
     Convergence is judged on theta-theta alone because it is the
     only block that is an ordinary convergent integral: at times where all
     cos(t theta_l) align (t = 0 always; interior times too when the phases
@@ -231,12 +234,12 @@ def _qmegs_expected_blocks(spectrum, T, max_panels=65536):
     prev = None
     panels = 8
     while panels <= max_panels:
-        edges = np.linspace(-1.0, 1.0, panels + 1)
+        edges = np.linspace(0.0, 1.0, panels // 2 + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         x = (mid[:, None] + half * _gl_nodes[None, :]).ravel()
-        wx = np.broadcast_to(half * _gl_weights, (panels, _PANEL_NODES)).ravel()
-        dens = np.exp(-0.5 * x**2) / _TRUNC_NORM
+        wx = np.tile(half * _gl_weights, panels // 2)
+        dens = 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
         blocks = _ht_blocks_weighted(spectrum, T * x, wx * dens)
         if prev is not None:
             new = blocks.theta_theta

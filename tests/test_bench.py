@@ -29,6 +29,7 @@ from qpe_bounds import (
     __version__,
 )
 from qpe_bounds import bench as bench_module
+from qpe_bounds import estimators as estimators_module
 from qpe_bounds.bench import (
     _one_trial,
     accounting,
@@ -502,6 +503,20 @@ def test_cli_bench_partial_failure_exits_two(tmp_path):
     assert main(["bench", "--config", cfg, "--out", out]) == 2
     text = (tmp_path / "bench.csv").read_text()
     assert "NoPeaksDetected" in text
+
+
+def test_cli_bench_register_too_wide_to_fit_is_a_row_error(tmp_path, monkeypatch):
+    # the fit's width cap, lowered from n = 22 to 4 so that T = 31 (n = 5)
+    # crosses it: the row carries the error and bench exits 2
+    monkeypatch.setattr(estimators_module, "_FIT_MAX_N", 4)
+    cfg = _write_config(tmp_path, _config_dict(
+        protocols=[{"kind": "qft", "T": [31], "N_s": 50}], trials=2,
+    ))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+    (row,) = _read_rows(out)
+    assert row["error"] == "ValueError: the histogram fit takes registers of n <= 4"
+    assert np.isfinite(float(row["bound"]))
 
 
 def test_cli_bench_reproducibility_and_seed_override(tmp_path):

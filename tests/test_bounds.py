@@ -87,6 +87,19 @@ def test_eigenvalue_floor_caps_the_entry_above_condition_1e12():
     assert got <= exact
 
 
+def test_singular_fim_edge_at_minus_1e8_of_the_largest_eigenvalue():
+    # scaled [[1, r], [r, 1]] has eigenvalues 1 +- r; past r = 1 the small one
+    # is negative.  Down to -1e-8 of the large one it is roundoff and the
+    # floor lifts it to 1e-12 of the large one; below that it raises
+    r = 1.0 + 1e-8
+    hi = 1.0 + r
+    got = crlb_full(_toy(4.0, r * 6.0, 9.0))
+    assert got == pytest.approx((0.5 / hi + 0.5 / (1e-12 * hi)) / 4.0, rel=1e-9)
+    with pytest.raises(SingularFim, match="indefinite") as err:
+        crlb_full(_toy(4.0, (1.0 + 3e-8) * 6.0, 9.0))
+    assert err.value.condition == pytest.approx(2.0 / 3e-8, rel=1e-6)
+
+
 def test_singular_fim_on_bad_matrices():
     with pytest.raises(SingularFim):
         crlb_full(_toy(0.0, 0.0, 1.0))  # nonpositive diagonal

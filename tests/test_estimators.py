@@ -22,7 +22,7 @@ from qpe_bounds import (
 )
 from qpe_bounds.bench import qcels_levels
 from qpe_bounds.errors import EmptyData, NoPeaksDetected, ScheduleMismatch
-from qpe_bounds.estimators import _filtered, _scan
+from qpe_bounds.estimators import _filtered, _peak, _scan
 from qpe_bounds.simulate import HtSample
 
 
@@ -50,14 +50,28 @@ def test_qmegs_noisy_data_stays_in_main_lobe():
     assert abs(est.theta_hat - THETA0) < 5.0 / T
 
 
-def test_qmegs_grid_and_refine_controls():
+def test_qmegs_grid_controls():
     s = _three_mode()
-    sched = realize("qmegs", 50, 300, seed=1)
-    data = sample_ht_exact(s, sched)
-    coarse = estimate_qmegs(data, 50, refine=False)
-    fine = estimate_qmegs(data, 50)
-    assert abs(fine.theta_hat - THETA0) < abs(coarse.theta_hat - THETA0) + 1e-12
-    assert coarse.diagnostics["refined"] is False
+    T = 50
+    data = sample_ht_exact(s, realize("qmegs", T, 300, seed=1))
+    diag = estimate_qmegs(data, T).diagnostics
+    assert diag["grid_step"] <= 0.5 / T
+    assert diag["grid_points"] == int(np.ceil(4.0 * np.pi * T))
+
+
+def test_peak_masks_the_taken_centers():
+    # noiseless two-tone signal: the strong tone wins the scan; once it is
+    # taken, the weak one does, polished to within a quarter cell.  The mask
+    # spans two cells either side, where the strong lobe falls to 2/pi of
+    # its peak (0.38 here, below the weak tone's 0.45)
+    T = 100
+    times = np.arange(1, T + 1, dtype=float)
+    z = 0.6 * np.exp(0.5j * times) + 0.45 * np.exp(-1.2j * times)
+    step = np.pi / (2.0 * T)
+    strong, _, _, K = _peak(z, times, step)
+    assert abs(strong - 0.5) < 0.25 * (2.0 * np.pi / K)
+    weak, _, _, _ = _peak(z, times, step, [strong])
+    assert abs(weak + 1.2) < 0.25 * (2.0 * np.pi / K)
 
 
 def test_qmegs_empty_data():
@@ -160,6 +174,8 @@ def test_histogram_fit_recovers_exact_three_mode_mixtures():
 def test_histogram_fit_validation():
     with pytest.raises(ValueError):
         fit_qft_histogram(np.ones(10) / 10.0, 4)  # length is not 2^n
+    with pytest.raises(ValueError, match="n <= 22"):
+        fit_qft_histogram(np.ones(4) / 4.0, 23)  # too wide, refused before the length
     with pytest.raises(NoPeaksDetected):
         fit_qft_histogram(np.zeros(16), 4)
 
@@ -214,13 +230,12 @@ def test_polish_evaluations_are_reported():
     s = _three_mode()
     data = sample_ht_exact(s, realize("qmegs", 50, 300, seed=1))
     assert estimate_qmegs(data, 50).diagnostics["polish_evals"] >= 1
-    assert estimate_qmegs(data, 50, refine=False).diagnostics["polish_evals"] == 0
     est = estimate_csqpe(sample_ht_exact(s, realize("csqpe", 40, 150, seed=4)), sparsity=3)
     # one polish per greedy pick and per atom in each of four sweeps
     assert est.diagnostics["polish_evals"] >= 3 + 4 * 3
     levels = [sample_ht_exact(s, realize("qcels", h, 64)) for h in qcels_levels(256, 64)]
-    # two polishes per level
-    assert estimate_qcels_ml(levels).diagnostics["polish_evals"] >= 2 * len(levels)
+    # one polish per level
+    assert estimate_qcels_ml(levels).diagnostics["polish_evals"] >= len(levels)
 
 
 def test_qmegs_memory_stays_flat_at_deep_horizons():
