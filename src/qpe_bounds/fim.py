@@ -15,7 +15,6 @@ import numpy as np
 # dirichlet and dirichlet_derivative are no longer called here; the
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
-    _CHUNK,
     _MAX_N,
     _TWO_PI,
     dirichlet,
@@ -27,6 +26,8 @@ from .schedules import _C, ProtocolKind, _whole, realize
 from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
+# nodes per chunk of _ht_blocks_weighted: its (2L, chunk) arrays stay in cache
+_CHUNK_NODES = 1024
 _TRUNC_NORM = _C * np.sqrt(_TWO_PI)
 
 
@@ -84,7 +85,7 @@ def _second_moment(spectrum):
     return sm
 
 
-def _ht_blocks_weighted(spectrum, times, weights):
+def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
     """Weighted sum over times of the per-time Hadamard-test Fisher matrix.
 
     The real and imaginary measurements are independent Bernoullis with
@@ -96,24 +97,46 @@ def _ht_blocks_weighted(spectrum, times, weights):
     (then |S| or |C| = 0) is counted as at any other time; the c-sector
     information of the degenerate measurement diverges there and is
     omitted (such times carry zero weight in every schedule expectation).
-    Long time lists are processed in chunks to bound memory.
+
+    The nodes are the outer sum ``times[:, None] + offsets[None, :]`` of
+    two 1-D arrays, in row-major order, and ``weights`` has that shape or
+    its flattened one.  The half angles theta (a + b) / 2 come by angle
+    addition from two small sin/cos tables, one over the offsets b and
+    one per chunk over the times a, so sin and cos run on 1/offsets.size
+    of the nodes.  With the default single offset 0 (sin b = 0, cos b = 1)
+    they are exactly the sin and cos of the times.  The nodes are walked
+    in whole rows, about _CHUNK_NODES at a time, so the (2L, chunk) stacks
+    stay in cache.
     """
     th = spectrum.phases
     c = spectrum.overlaps
-    t = np.asarray(times, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    a = np.asarray(times, dtype=float)
+    b = np.asarray(offsets, dtype=float)
+    w = np.asarray(weights, dtype=float).reshape(a.size, b.size)
     L = th.size
+    # sin(x + y) = (sin x, cos x) . (cos y, sin y) and
+    # cos(x + y) = (sin x, cos x) . (-sin y, cos y): per phase, one
+    # (rows, 2) by (2, offsets) product each, about ten times faster than
+    # the same sums broadcast elementwise
+    hb = np.outer(th, 0.5 * b)
+    sb, cb = np.sin(hb), np.cos(hb)
+    to_sin = np.stack([cb, sb], axis=1)
+    to_cos = np.stack([-sb, cb], axis=1)
 
     F = np.zeros((2 * L, 2 * L))
     wt2 = 0.0
-    for start in range(0, t.size, _CHUNK):
-        tj = t[start : start + _CHUNK]
-        wj = w[start : start + _CHUNK]
+    rows = max(1, _CHUNK_NODES // b.size)
+    for start in range(0, a.size, rows):
+        aj = a[start : start + rows]
+        tj = (aj[:, None] + b).ravel()
+        wj = w[start : start + rows].ravel()
+        ha = np.outer(th, 0.5 * aj)
+        tab = np.stack([np.sin(ha), np.cos(ha)], axis=2)
         # half-angle forms keep 1 -|C| and 1 -|S| as sums of nonnegative
         # terms; the naive 1 - C^2 cancels catastrophically near the
         # alignment times and poisons quadrature at large T
-        SH = np.sin(np.outer(th, 0.5 * tj))
-        CH = np.cos(np.outer(th, 0.5 * tj))
+        SH = (tab @ to_sin).reshape(L, tj.size)
+        CH = (tab @ to_cos).reshape(L, tj.size)
         dC = (c @ (2.0 * SH**2)) * (c @ (2.0 * CH**2))
         dS = (c @ (SH - CH) ** 2) * (c @ (SH + CH) ** 2)
         badC = dC < _SINGULAR_TOL
@@ -217,10 +240,14 @@ def _qmegs_expected_blocks(spectrum, T, max_panels=65536):
     x in [-1, 1] until successive estimates of the theta-theta block agree
     to _QUAD_REL_TOL.  The per-time matrix is even in t (C is even, S odd
     but squared), so each level folds the line onto x in [0, 1]: half the
-    panels, the positive half of the same nodes, twice the density.  The
-    integrand oscillates on the O(1) scale of the phase gaps regardless of
-    T, so the panel count needed to resolve it grows linearly with T; the
-    cap accommodates T up to a few times 10^4.
+    panels, the positive half of the same nodes, twice the density.
+    Each level is one _ht_blocks_weighted call: the panel centres T mid
+    are its times, the _PANEL_NODES Gauss-Legendre offsets T half g_k its
+    offsets, and the quadrature weight times the density its (panels,
+    _PANEL_NODES) weights, so sin and cos run on the panel centres and
+    the offsets only.  The integrand oscillates on the O(1) scale of the
+    phase gaps regardless of T, so the panel count needed to resolve it
+    grows linearly with T; the cap accommodates T up to a few times 10^4.
     Convergence is judged on theta-theta alone because it is the
     only block that is an ordinary convergent integral: at times where all
     cos(t theta_l) align (t = 0 always; interior times too when the phases
@@ -237,10 +264,11 @@ def _qmegs_expected_blocks(spectrum, T, max_panels=65536):
         edges = np.linspace(0.0, 1.0, panels // 2 + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        x = (mid[:, None] + half * _gl_nodes[None, :]).ravel()
-        wx = np.tile(half * _gl_weights, panels // 2)
+        x = mid[:, None] + half * _gl_nodes[None, :]
         dens = 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
-        blocks = _ht_blocks_weighted(spectrum, T * x, wx * dens)
+        blocks = _ht_blocks_weighted(
+            spectrum, T * mid, half * _gl_weights * dens, offsets=T * half * _gl_nodes
+        )
         if prev is not None:
             new = blocks.theta_theta
             scale = np.max(np.abs(new)) + 1e-300

@@ -246,6 +246,37 @@ def test_qmegs_quadrature_panel_cap_edge():
         _qmegs_expected_blocks(s, 2000, max_panels=2048)
 
 
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="a phase near 0 brings |C| within 2.5e-12 of 1 near t = k pi; the "
+                          "theta-theta block gets spikes a few 1e-6 wide that uniform panels "
+                          "sample at random, so the doubling runs to the cap (ROADMAP item C)")
+def test_qmegs_quadrature_converges_with_a_phase_near_zero():
+    s = Spectrum([1e-6, 2.0], [0.5, 0.5])
+    assert np.all(np.isfinite(_qmegs_expected_blocks(s, 12).theta_theta))
+
+
+def test_ht_blocks_are_additive_across_chunk_boundaries():
+    s = Spectrum([0.7, -0.3, 2.1], [0.5, 0.3, 0.2])
+    # 1..3000 walks three chunks; the halves split one mid-chunk
+    t = np.arange(1.0, 3001.0)
+    w = 1.0 + 0.5 * np.sin(t)
+    whole = _ht_blocks_weighted(s, t, w).full()
+    halves = (_ht_blocks_weighted(s, t[:1500], w[:1500])
+              + _ht_blocks_weighted(s, t[1500:], w[1500:])).full()
+    assert np.allclose(whole, halves, rtol=0.0, atol=1e-13 * np.max(np.abs(whole)))
+    # three offsets do not divide the chunk, so each chunk takes whole rows
+    # of the (times, offsets) weights
+    a, b = t[:1000], np.array([0.0, 0.25, -0.4])
+    W = np.outer(w[:1000], [1.0, 2.0, 3.0])
+    outer = _ht_blocks_weighted(s, a, W, offsets=b).full()
+    flat = _ht_blocks_weighted(s, (a[:, None] + b).ravel(), W.ravel()).full()
+    split = (_ht_blocks_weighted(s, a[:500], W[:500], offsets=b)
+             + _ht_blocks_weighted(s, a[500:], W[500:], offsets=b)).full()
+    scale = np.max(np.abs(flat))
+    assert np.allclose(outer, flat, rtol=0.0, atol=1e-13 * scale)
+    assert np.allclose(outer, split, rtol=0.0, atol=1e-13 * scale)
+
+
 def test_total_fim_qft_scales_with_shots():
     s = Spectrum([0.37], [1.0])
     one = qft_fim(s, 3)
