@@ -31,7 +31,7 @@ from .estimators import (
     estimate_qmegs,
 )
 from .fim import f_i_max, register_width, total_fim
-from .schedules import ProtocolKind, _whole, realize, t_total
+from .schedules import ProtocolKind, _count, _whole, realize, t_total
 from .simulate import sample_ht, sample_qft, write_ht_csv, write_qft_csv
 from .spectrum import _PHASE_FAMILIES, make_spectrum
 
@@ -56,12 +56,10 @@ class ProtocolSpec:
         T = d.pop("T")
         if not isinstance(T, (list, tuple)):
             T = [T]
-        T = [_whole("T", v) for v in T]
-        if not T or any(v <= 0 for v in T):
-            raise ValueError("every protocol needs a positive T list")
-        spec = cls(kind, T, **{k: _whole(k, v) for k, v in d.items()})
-        if spec.N_t < 1 or spec.N_s < 1 or spec.sparsity < 1:
-            raise ValueError("N_t, N_s and sparsity must be positive")
+        if not T:
+            raise ValueError("every protocol needs a nonempty T list")
+        T = [_count("T", v) for v in T]
+        spec = cls(kind, T, **{k: _count(k, v) for k, v in d.items()})
         if kind == ProtocolKind.QFT_QPE:
             for v in spec.T:
                 register_width(v)

@@ -2,7 +2,7 @@
 
 Subcommands: bounds, diag, gi, bench, sample.  Each takes a JSON config
 mirroring CampaignConfig plus optional seed/output overrides.  Exit codes:
-0 on success, 1 on usage and configuration errors, 2 when some grid
+0 on success, 1 on usage, configuration and output errors, 2 when some grid
 points failed (their rows carry the error text).  ``--threads`` is
 checked (at least 1) and otherwise ignored: trials always run serially.
 """
@@ -82,11 +82,13 @@ def main(argv=None):
             return 0
         else:  # pragma: no cover - argparse enforces the choices
             return 1
+        bench.write_rows_csv(rows, out, config.seed, bench.COLUMNS.get(args.command))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    bench.write_rows_csv(rows, out, config.seed, bench.COLUMNS.get(args.command))
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     print(out)
     return 2 if any(row.error for row in rows) else 0
 

@@ -29,7 +29,7 @@ from .dirichlet import (  # noqa: F401
     squared_kernel_grid,
 )
 from .errors import EmptyData, NoPeaksDetected, ScheduleMismatch
-from .schedules import _whole
+from .schedules import _count, _whole
 
 # half-width, in fine-grid cells, of the Gaussian that _scan spreads each
 # record over; at oversampling >= 2 its edge value is <= exp(-9 pi) ~ 5e-13
@@ -215,9 +215,7 @@ def estimate_csqpe(data, sparsity):
     away from the atoms already taken, followed by a joint amplitude refit;
     four coordinate polish sweeps over the atoms end it.
     """
-    K = int(sparsity)
-    if K < 1:
-        raise ValueError("sparsity must be at least 1")
+    K = _count("sparsity", sparsity)
     times, z = data.times, data.z_hat
     if times.size == 0:
         raise EmptyData("no measurement records")

@@ -22,7 +22,7 @@ from .dirichlet import (  # noqa: F401
     register_chunks,
 )
 from .errors import DegenerateDistribution, ZeroSecondMoment
-from .schedules import _C, ProtocolKind, _whole, realize
+from .schedules import _C, ProtocolKind, _count, _whole, realize
 from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
@@ -33,14 +33,16 @@ _TRUNC_NORM = _C * np.sqrt(_TWO_PI)
 
 @dataclass
 class BlockFim:
-    """Symmetric 2L x 2L Fisher matrix; theta rows and columns come first."""
+    """Symmetric 2L x 2L Fisher matrix; row i is mode i's theta, row L + i its c.
+
+    The modes keep the spectrum's order, so a mode's label is its row.
+    """
 
     matrix: np.ndarray
-    labels: np.ndarray
 
     @property
     def L(self):
-        return self.labels.size
+        return self.matrix.shape[0] // 2
 
     @property
     def theta_theta(self):
@@ -51,15 +53,13 @@ class BlockFim:
         return self.matrix
 
     def index_of(self, label):
-        return _index_of(self.labels, label)
+        return _index_of(self.L, label)
 
     def __add__(self, other):
-        if not np.array_equal(self.labels, other.labels):
-            raise ValueError("cannot add Fisher matrices with different mode labels")
-        return BlockFim(self.matrix + other.matrix, self.labels)
+        return BlockFim(self.matrix + other.matrix)
 
     def __mul__(self, scalar):
-        return BlockFim(float(scalar) * self.matrix, self.labels)
+        return BlockFim(float(scalar) * self.matrix)
 
     __rmul__ = __mul__
 
@@ -162,7 +162,7 @@ def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
     if wt2:
         v = c * th
         F[:L, :L] += wt2 * np.outer(v, v) / _second_moment(spectrum)
-    return BlockFim(0.5 * (F + F.T), spectrum.labels)
+    return BlockFim(0.5 * (F + F.T))
 
 
 def ht_fim_single(spectrum, t):
@@ -224,7 +224,7 @@ def qft_fim(spectrum, n):
             raise DegenerateDistribution("an outcome probability underflowed")
         D = np.vstack([c[:, None] * dK, v])  # d p(y) / d(theta, c)
         F += (D / p) @ D.T
-    return BlockFim(0.5 * (F + F.T), spectrum.labels)
+    return BlockFim(0.5 * (F + F.T))
 
 
 _PANEL_NODES = 32
@@ -288,9 +288,9 @@ def total_fim(spectrum, kind, T, N_t, N_s):
     expectation.  QFT-QPE needs T = 2^n - 1; it and RPE need N_t = 1.
     """
     kind = ProtocolKind(kind)
-    N_t, N_s = _whole("N_t", N_t), _whole("N_s", N_s)
-    if N_s < 1 or N_t < 1:
-        raise ValueError("N_s and N_t must be positive")
+    N_t, N_s = _count("N_t", N_t), _count("N_s", N_s)
+    if T <= 0:
+        raise ValueError("T must be positive")
     if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and N_t != 1:
         raise ValueError(f"{kind.value} uses N_t = 1")
     if kind == ProtocolKind.QFT_QPE:

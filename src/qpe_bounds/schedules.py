@@ -49,6 +49,14 @@ def _whole(name, value, error=ValueError):
     return int(value)
 
 
+def _count(name, value):
+    """A whole number of at least 1: a count, or a CSQPE horizon."""
+    value = _whole(name, value)
+    if value < 1:
+        raise ValueError(f"{name}={value} must be at least 1")
+    return value
+
+
 def _require_power_of_two(T):
     T = _whole("T", T, RpeRequiresPowerOfTwo)
     if T < 1 or (T & (T - 1)) != 0:
@@ -68,7 +76,7 @@ def realize(kind, T, N_t, seed=0):
     if T <= 0:
         raise ValueError("T must be positive")
     if kind != ProtocolKind.RPE:
-        N_t = _whole("N_t", N_t)
+        N_t = _count("N_t", N_t)
     if kind == ProtocolKind.QMEGS:
         rng = np.random.default_rng(seed)
         u = rng.random(N_t)
@@ -79,8 +87,6 @@ def realize(kind, T, N_t, seed=0):
         times = rng.integers(1, _whole("T", T) + 1, size=N_t).astype(float)
         return Schedule(kind, float(T), N_t, times, seed)
     if kind == ProtocolKind.QCELS:
-        if N_t < 1:
-            raise ValueError("N_t must be at least 1")
         k = np.arange(1, N_t + 1, dtype=float)
         return Schedule(kind, float(T), N_t, k * T / N_t, None)
     if kind == ProtocolKind.RPE:
@@ -100,10 +106,10 @@ def gamma(kind, T=None, N_t=None):
     if kind == ProtocolKind.QMEGS:
         return 2.0 * np.sqrt(2.0 / np.pi) / _C * (1.0 - np.exp(-0.5))
     if kind == ProtocolKind.CSQPE:
-        T = _whole("T", T)
+        T = _count("T", T)
         return (T + 1.0) / T
     if kind == ProtocolKind.QCELS:
-        N_t = _whole("N_t", N_t)
+        N_t = _count("N_t", N_t)
         return (N_t + 1.0) / N_t
     raise NoLinearCostForm(f"{kind.value} has no linear total-cost constant")
 
@@ -114,10 +120,10 @@ def chi(kind, T=None, N_t=None):
     if kind == ProtocolKind.QMEGS:
         return 1.0 - np.sqrt(2.0 / (np.pi * np.e)) / _C
     if kind == ProtocolKind.CSQPE:
-        T = _whole("T", T)
+        T = _count("T", T)
         return (T + 1.0) * (2.0 * T + 1.0) / (6.0 * T**2)
     if kind == ProtocolKind.QCELS:
-        N_t = _whole("N_t", N_t)
+        N_t = _count("N_t", N_t)
         return (N_t + 1.0) * (2.0 * N_t + 1.0) / (6.0 * N_t**2)
     if kind == ProtocolKind.RPE:
         T = _require_power_of_two(T)
@@ -129,10 +135,12 @@ def chi(kind, T=None, N_t=None):
 def t_total(kind, T, N_t, N_s):
     """Total evolution-time cost of a campaign with N_s shots per time."""
     kind = ProtocolKind(kind)
-    N_s = _whole("N_s", N_s)
+    N_t, N_s = _count("N_t", N_t), _count("N_s", N_s)
+    if T <= 0:
+        raise ValueError("T must be positive")
     if kind == ProtocolKind.QFT_QPE:
         return float(N_s * T)
     if kind == ProtocolKind.RPE:
         T = _require_power_of_two(T)
         return float(2 * N_s * (2 * T - 1))
-    return float(gamma(kind, T, N_t) * N_s * _whole("N_t", N_t) * T)
+    return float(gamma(kind, T, N_t) * N_s * N_t * T)

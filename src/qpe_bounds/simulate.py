@@ -15,7 +15,7 @@ import numpy as np
 from .dirichlet import dirichlet, register_chunks  # noqa: F401
 from .errors import NormalizationFailure
 from .fim import ht_expectations
-from .schedules import _whole
+from .schedules import _count
 
 
 @dataclass
@@ -66,9 +66,7 @@ def sample_qft(spectrum, n, N_s, seed=0):
     rounding may leave just below 1, fall in the last bin.
     """
     chunks = register_chunks(n, spectrum.phases)
-    N_s = _whole("N_s", N_s)
-    if N_s < 1:
-        raise ValueError("N_s must be positive")
+    N_s = _count("N_s", N_s)
     u = np.random.default_rng(seed).random(N_s)
     outcomes = np.zeros(N_s, dtype=np.int64)
     total = 0.0
@@ -86,9 +84,7 @@ def sample_qft(spectrum, n, N_s, seed=0):
 
 def sample_ht(spectrum, schedule, N_s, seed=0):
     """Binomial counts of the Hadamard-test pair at every scheduled time."""
-    N_s = _whole("N_s", N_s)
-    if N_s < 1:
-        raise ValueError("N_s must be positive")
+    N_s = _count("N_s", N_s)
     t = schedule.times
     C, S = ht_expectations(spectrum, t)
     rng = np.random.default_rng(seed)

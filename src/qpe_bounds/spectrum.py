@@ -1,9 +1,9 @@
 """Signal model: eigenphase/overlap pairs and the benchmark spectrum families.
 
 A spectrum is a finite set of phases theta_l in (-pi, pi] with overlap
-weights c_l >= 0 summing to one.  Mode identity matters for reporting
-(the target is usually the largest-overlap mode, label 0), so a Spectrum
-keeps the original label of every mode even after phases are sorted.
+weights c_l >= 0 summing to one.  A mode's label is its position in the
+order given, so mode i is row i of every phase, overlap and Fisher array;
+the target is usually the largest-overlap mode, label 0.
 """
 
 import json
@@ -11,24 +11,26 @@ import json
 import numpy as np
 
 from .errors import DegenerateSpectrum
+from .schedules import _whole
 
 _SUM_TOL = 1e-12
 
 
-def _index_of(labels, label):
-    """Array position of the mode carrying the given label."""
-    pos = np.nonzero(labels == label)[0]
-    if pos.size == 0:
+def _index_of(L, label):
+    """Position of the mode labeled ``label``: a whole number in [0, L)."""
+    pos = _whole("label", label, KeyError)
+    if not 0 <= pos < L:
         raise KeyError(f"no mode labeled {label}")
-    return int(pos[0])
+    return pos
 
 
 class Spectrum:
-    """Sorted phases with co-permuted overlaps and stable mode labels."""
+    """Phases and overlaps in the order given; mode i sits at position i."""
 
-    def __init__(self, phases, overlaps, labels=None):
-        phases = np.asarray(phases, dtype=float)
-        overlaps = np.asarray(overlaps, dtype=float)
+    def __init__(self, phases, overlaps):
+        # copies, so freezing them below leaves the caller's arrays writable
+        phases = np.array(phases, dtype=float)
+        overlaps = np.array(overlaps, dtype=float)
         if phases.ndim != 1 or overlaps.ndim != 1:
             raise ValueError("phases and overlaps must be one-dimensional")
         if phases.size != overlaps.size:
@@ -43,33 +45,32 @@ class Spectrum:
             raise ValueError("overlaps must be nonnegative")
         if abs(overlaps.sum() - 1.0) > _SUM_TOL:
             raise ValueError("overlaps must sum to one")
-        if labels is None:
-            labels = np.arange(phases.size)
-        labels = np.asarray(labels, dtype=int)
-
-        order = np.argsort(phases, kind="stable")
-        self.phases = phases[order]
-        self.overlaps = overlaps[order]
-        self.labels = labels[order]
-        if self.phases.size > 1 and np.min(np.diff(self.phases)) <= 0.0:
+        self.phases = phases
+        self.overlaps = overlaps
+        if self.gap <= 0.0:
             raise DegenerateSpectrum("spectrum has coinciding phases")
-        for a in (self.phases, self.overlaps, self.labels):
-            a.setflags(write=False)
+        phases.setflags(write=False)
+        overlaps.setflags(write=False)
 
     @property
     def L(self):
         return self.phases.size
 
     @property
+    def labels(self):
+        """The mode labels 0..L-1, which are the positions."""
+        return np.arange(self.L)
+
+    @property
     def gap(self):
-        """Smallest spacing between adjacent phases; inf for one mode."""
+        """Smallest spacing between phases in sorted order; inf for one mode."""
         if self.L == 1:
             return np.inf
-        return float(np.min(np.diff(self.phases)))
+        return float(np.min(np.diff(np.sort(self.phases))))
 
     def index_of(self, label):
-        """Array position of the mode carrying the given label."""
-        return _index_of(self.labels, label)
+        """Position of the mode labeled ``label``, which is the label itself."""
+        return _index_of(self.L, label)
 
     def phase(self, label):
         return float(self.phases[self.index_of(label)])
@@ -81,13 +82,8 @@ class Spectrum:
         """Overlap-weighted second moment sum_l c_l theta_l^2."""
         return float(np.sum(self.overlaps * self.phases**2))
 
-    # serialization keeps label order so round trips preserve identity
     def to_dict(self):
-        order = np.argsort(self.labels)
-        return {
-            "phases": self.phases[order].tolist(),
-            "overlaps": self.overlaps[order].tolist(),
-        }
+        return {"phases": self.phases.tolist(), "overlaps": self.overlaps.tolist()}
 
     @classmethod
     def from_dict(cls, d):
@@ -144,7 +140,8 @@ _PHASE_FAMILIES = {
 def make_spectrum(kind, L, alpha):
     """Benchmark spectrum: named phase family paired with geometric overlaps.
 
-    Mode label l carries overlap c_l regardless of where its phase sorts.
+    Mode l has the family's l-th phase and overlap c_l, so label 0 is the
+    largest-overlap mode in every family (in tail_dense, the largest phase).
     """
     try:
         phases = _PHASE_FAMILIES[kind](L)

@@ -426,6 +426,15 @@ def test_cli_config_errors(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["gi", "sample"])
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, _config_dict())
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and "Traceback" not in err
+
+
 def test_cli_rpe_policy_across_subcommands(tmp_path, capsys):
     # every table bounds RPE; bench accounts it but has no estimator to
     # score, and an N_t other than 1 is refused everywhere

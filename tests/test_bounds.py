@@ -25,7 +25,7 @@ from qpe_bounds.errors import NoLinearCostForm, RpeRequiresPowerOfTwo, SingularF
 
 
 def _toy(tt, tc, cc):
-    return BlockFim(np.array([[tt, tc], [tc, cc]], dtype=float), np.array([0]))
+    return BlockFim(np.array([[tt, tc], [tc, cc]], dtype=float))
 
 
 def test_crlb_on_decoupled_matrix():

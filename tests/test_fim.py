@@ -196,6 +196,15 @@ def test_full_matrix_layout():
         assert np.array_equal(F.theta_theta, full[:L, :L])
 
 
+def test_row_i_is_mode_i_in_any_phase_order():
+    # descending phases: row 0 is mode 0 (c = 0.7), not the smallest phase
+    s = Spectrum([0.9, -0.6], [0.7, 0.3])
+    F = total_fim(s, "qcels", 64, 16, 1)
+    pos = F.index_of(0)
+    assert F.theta_theta[0, 0] == F.theta_theta[pos, pos]
+    assert F.theta_theta[0, 0] == pytest.approx(13749.562, rel=1e-6)
+
+
 def test_total_fim_qcels_exact_sum():
     # L=1, theta=0.5, T=4, N_t=4: times 1,2,3,4 give 2(1+4+9+16) = 60
     s = Spectrum([0.5], [1.0])

@@ -143,6 +143,26 @@ def test_total_fim_is_linear_in_shots(s, campaign, N_s, k):
     assert np.allclose(many, k * one, rtol=1e-12, atol=1e-12 * k * np.max(np.abs(one)))
 
 
+# relative to the largest entry; the worst of 23000 draws was 5.5e-16
+_PERMUTE_TOL = 1e-13
+
+
+# qmegs is left out: its quadrature does not converge for every drawn
+# spectrum (test_fim.py pins the near-zero-phase case as an xfail)
+@settings(max_examples=60, deadline=None)
+@given(_spectra(), st.sampled_from([c for c in _CAMPAIGNS if c[0] != "qmegs"]), st.data())
+def test_permuting_the_modes_permutes_the_fisher_matrix(s, campaign, data):
+    # mode i is row i: the spectrum with its modes in order perm has the
+    # matrix P F P^T, with the same permutation on the theta and c rows
+    kind, T, N_t = campaign
+    perm = np.array(data.draw(st.permutations(range(s.L))))
+    moved = Spectrum(s.phases[perm], s.overlaps[perm])
+    rows = np.concatenate([perm, s.L + perm])
+    want = total_fim(s, kind, T, N_t, 1).full()[np.ix_(rows, rows)]
+    got = total_fim(moved, kind, T, N_t, 1).full()
+    assert np.allclose(got, want, rtol=0.0, atol=_PERMUTE_TOL * np.max(np.abs(want)))
+
+
 # a dyadic target sits on the readout grid, where it has no bound
 @settings(max_examples=100, deadline=None)
 @given(_spectra(), st.sampled_from([c for c in _CAMPAIGNS if c[0] != "qft"]), st.data())

@@ -4,7 +4,20 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from qpe_bounds import ProtocolKind, Spectrum, chi, gamma, realize, t_total, total_fim
+from qpe_bounds import (
+    ProtocolKind,
+    Spectrum,
+    chi,
+    estimate_csqpe,
+    gamma,
+    realize,
+    sample_ht,
+    sample_ht_exact,
+    sample_qft,
+    t_total,
+    total_fim,
+)
+from qpe_bounds.bench import ProtocolSpec
 from qpe_bounds.errors import NoLinearCostForm, RpeRequiresPowerOfTwo
 
 _C = float(erf(1.0 / np.sqrt(2.0)))
@@ -151,3 +164,44 @@ def test_booleans_and_strings_are_not_whole_numbers():
     with pytest.raises(RpeRequiresPowerOfTwo):
         realize("rpe", True, 1)
     assert realize("qcels", 10, np.int64(4)).N_t == 4
+
+
+_S = Spectrum([0.3, -0.4], [0.6, 0.4])
+_DATA = sample_ht_exact(_S, realize("csqpe", 10, 6))
+# a count below 1, a horizon at or below 0, or a fractional or boolean
+# sparsity is an error, never an empty schedule, a negative cost or a
+# silently truncated fit
+_NOT_POSITIVE = {
+    "t_total-N_s=0": lambda: t_total("qmegs", 100, 5, 0),
+    "t_total-N_t=-5": lambda: t_total("qmegs", 100, -5, 1),
+    "t_total-qft-T=-7": lambda: t_total("qft", -7, 1, 1),
+    "t_total-csqpe-T=-4": lambda: t_total("csqpe", -4, 2, 1),
+    "t_total-qcels-T=0": lambda: t_total("qcels", 0, 2, 1),
+    "gamma-csqpe-T=0": lambda: gamma("csqpe", 0),
+    "gamma-qcels-N_t=0": lambda: gamma("qcels", N_t=0),
+    "chi-csqpe-T=0": lambda: chi("csqpe", 0),
+    "chi-qcels-N_t=0": lambda: chi("qcels", N_t=0),
+    "realize-qmegs-N_t=0": lambda: realize("qmegs", 10, 0),
+    "realize-csqpe-N_t=0": lambda: realize("csqpe", 10, 0),
+    "realize-qcels-N_t=-1": lambda: realize("qcels", 10, -1),
+    "total_fim-N_t=0": lambda: total_fim(_S, "csqpe", 10, 0, 1),
+    "total_fim-N_s=0": lambda: total_fim(_S, "qcels", 10, 2, 0),
+    "total_fim-qmegs-T=0": lambda: total_fim(_S, "qmegs", 0, 2, 1),
+    "total_fim-qmegs-T=-12": lambda: total_fim(_S, "qmegs", -12, 2, 1),
+    "total_fim-csqpe-T=0": lambda: total_fim(_S, "csqpe", 0, 2, 1),
+    "sample_ht-N_s=0": lambda: sample_ht(_S, realize("qcels", 10, 2), 0),
+    "sample_qft-N_s=0": lambda: sample_qft(_S, 3, 0),
+    "csqpe-sparsity=2.5": lambda: estimate_csqpe(_DATA, 2.5),
+    "csqpe-sparsity=True": lambda: estimate_csqpe(_DATA, True),
+    "csqpe-sparsity=0": lambda: estimate_csqpe(_DATA, 0),
+    "config-N_t=0": lambda: ProtocolSpec.from_dict({"kind": "qcels", "T": 16, "N_t": 0}),
+    "config-sparsity=-1": lambda: ProtocolSpec.from_dict(
+        {"kind": "csqpe", "T": 16, "sparsity": -1}
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOT_POSITIVE.values()), ids=list(_NOT_POSITIVE))
+def test_counts_and_horizons_below_one_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()

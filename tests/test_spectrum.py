@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qpe_bounds import Spectrum, make_spectrum
+from qpe_bounds import BlockFim, Spectrum, make_spectrum
 from qpe_bounds.errors import DegenerateSpectrum
 from qpe_bounds.spectrum import (
     geometric_overlaps,
@@ -16,17 +16,38 @@ from qpe_bounds.spectrum import (
 
 
 def test_sorts_phases_and_carries_overlaps():
+    # only a sorted copy is read (gap, coincidence check); the stored order
+    # stays as given, and each overlap stays with its own phase
     s = Spectrum([0.5, -0.5, 1.5], [0.2, 0.5, 0.3])
-    assert np.allclose(s.phases, [-0.5, 0.5, 1.5])
-    assert np.allclose(s.overlaps, [0.5, 0.2, 0.3])
+    assert s.phases.tolist() == [0.5, -0.5, 1.5]
+    assert s.overlaps.tolist() == [0.2, 0.5, 0.3]
+    assert s.gap == 1.0
+    ascending = Spectrum([-0.5, 0.5, 1.5], [0.5, 0.2, 0.3])
+    assert ascending.gap == s.gap
+    assert ascending.second_moment() == pytest.approx(s.second_moment())
+    with pytest.raises(DegenerateSpectrum):
+        Spectrum([0.3, -0.2, 0.3], [0.2, 0.5, 0.3])
 
 
 def test_labels_track_original_positions():
+    # a mode's label is its position: nothing is sorted or permuted
     s = Spectrum([0.5, -0.5, 1.5], [0.2, 0.5, 0.3])
-    assert s.phase(0) == pytest.approx(0.5)
-    assert s.overlap(0) == pytest.approx(0.2)
-    assert s.phase(1) == pytest.approx(-0.5)
-    assert s.index_of(1) == 0
+    assert s.labels.tolist() == [0, 1, 2]
+    assert s.phase(0) == 0.5
+    assert s.overlap(0) == 0.2
+    assert s.phase(1) == -0.5
+    assert s.index_of(1) == 1
+
+
+def test_index_of_is_one_range_check():
+    # a label is a whole number in [0, L); -1 never counts from the end
+    s = Spectrum([0.5, -0.5, 1.5], [0.2, 0.5, 0.3])
+    for owner in (s, BlockFim(np.eye(2 * s.L))):
+        for label in (-1, s.L, 1.5, True, "0"):
+            with pytest.raises(KeyError):
+                owner.index_of(label)
+        assert owner.index_of(0.0) == 0
+        assert owner.index_of(np.int64(2)) == 2
 
 
 def test_validation_errors():
@@ -45,9 +66,12 @@ def test_validation_errors():
 
 
 def test_immutable_arrays():
-    s = Spectrum([0.1, 0.2], [0.4, 0.6])
+    mine = np.array([0.1, 0.2])
+    s = Spectrum(mine, [0.4, 0.6])
     with pytest.raises(ValueError):
         s.phases[0] = 0.0
+    mine[0] = 0.0  # the spectrum froze its own copy, not the caller's array
+    assert s.phases[0] == 0.1
 
 
 def test_gap_and_second_moment():
