@@ -1,4 +1,4 @@
-"""Cost accounting and the campaign runner: bound sweeps, tables, benchmarks, CSV.
+"""Campaign configs, checked when built, and the runner: bound sweeps, tables, benchmarks.
 
 ``accounting`` turns the Fisher blocks over a list of horizons into the
 floor T * t_total / I_ii on T * t_total * MSE, for every protocol;
@@ -10,10 +10,9 @@ Every benchmark row carries enough fields to recompute R = T * t_total *
 mse / bound = mse * I_ii; a failure at one grid point is recorded in
 that row's error column and never suppresses the others.  Trials run
 serially, each drawn by ``_draw`` from its own (seed, point, trial)
-seed; ``emit_samples`` writes the same draws.
+seed; ``emit_samples`` writes the same draws, through ``simulate.write_csv``.
 """
 
-import json
 import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -32,14 +31,16 @@ from .estimators import (
 )
 from .fim import f_i_max, register_width, total_fim
 from .schedules import ProtocolKind, _count, _whole, realize, t_total
-from .simulate import sample_ht, sample_qft, write_ht_csv, write_qft_csv
+from .simulate import sample_ht, sample_qft, write_csv, write_ht_csv, write_qft_csv
 from .spectrum import _PHASE_FAMILIES, make_spectrum
 
-_ROW_ERRORS = (ArithmeticError, ValueError, RuntimeError, KeyError)
+_ROW_ERRORS = (ArithmeticError, ValueError, RuntimeError, KeyError, MemoryError)
 
 
 @dataclass
 class ProtocolSpec:
+    """One protocol of a campaign, checked when built; a scalar T becomes [T]."""
+
     kind: ProtocolKind
     T: list
     N_t: int = 1
@@ -48,28 +49,23 @@ class ProtocolSpec:
 
     def __post_init__(self):
         self.kind = ProtocolKind(self.kind)
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        kind = ProtocolKind(d.pop("kind"))
-        T = d.pop("T")
-        if not isinstance(T, (list, tuple)):
-            T = [T]
+        T = self.T if isinstance(self.T, (list, tuple)) else [self.T]
         if not T:
             raise ValueError("every protocol needs a nonempty T list")
-        T = [_count("T", v) for v in T]
-        spec = cls(kind, T, **{k: _count(k, v) for k, v in d.items()})
-        if kind == ProtocolKind.QFT_QPE:
-            for v in spec.T:
+        self.T = [_count("T", v) for v in T]
+        for name in ("N_t", "N_s", "sparsity"):
+            setattr(self, name, _count(name, getattr(self, name)))
+        if self.kind == ProtocolKind.QFT_QPE:
+            for v in self.T:
                 register_width(v)
-        if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and spec.N_t != 1:
-            raise ValueError(f"{kind.value} uses N_t = 1")
-        return spec
+        if self.kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and self.N_t != 1:
+            raise ValueError(f"{self.kind.value} uses N_t = 1")
 
 
 @dataclass
 class CampaignConfig:
+    """A campaign, checked when built by any path; dict protocols become ProtocolSpecs."""
+
     spectrum: str
     L: int
     alphas: list
@@ -78,36 +74,33 @@ class CampaignConfig:
     seed: int = 0
     target: int = 0
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        protocols = [ProtocolSpec.from_dict(p) for p in d.pop("protocols", [])]
+    def __post_init__(self):
+        self.protocols = [
+            p if isinstance(p, ProtocolSpec) else ProtocolSpec(**p) for p in self.protocols
+        ]
         for name in ("L", "trials", "seed", "target"):
-            if name in d:
-                d[name] = _whole(name, d[name])
-        cfg = cls(protocols=protocols, **d)
-        if cfg.spectrum not in _PHASE_FAMILIES:
-            raise ValueError(f"unknown spectrum family {cfg.spectrum!r}")
-        if cfg.L < 1:
+            setattr(self, name, _whole(name, getattr(self, name)))
+        if self.spectrum not in _PHASE_FAMILIES:
+            raise ValueError(f"unknown spectrum family {self.spectrum!r}")
+        if self.L < 1:
             raise ValueError("L must be at least 1")
-        if not isinstance(cfg.alphas, list) or not cfg.alphas or any(
+        if not isinstance(self.alphas, list) or not self.alphas or any(
             isinstance(a, bool) or not isinstance(a, Real) or not 0.0 < a < 1.0
-            for a in cfg.alphas
+            for a in self.alphas
         ):
             raise ValueError("alphas must be a nonempty list of numbers inside (0, 1)")
-        if not cfg.protocols:
+        if not self.protocols:
             raise ValueError("at least one protocol is required")
-        if cfg.trials < 2:
+        if self.trials < 2:
             raise ValueError("trials must be at least 2")
-        if cfg.seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0 <= cfg.target < cfg.L:
+        if not 0 <= self.target < self.L:
             raise ValueError("target mode label out of range")
-        return cfg
 
     @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+    def from_dict(cls, d):
+        return cls(**d)
 
 
 @dataclass
@@ -325,15 +318,6 @@ def gi_sweep(config):
     return _pass(config)
 
 
-def _format(value):
-    # plain-float repr round-trips exactly and never prints a numpy wrapper
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def write_rows_csv(rows, path, seed, columns=None):
     """Dataclass rows to CSV under the versioned header comment.
 
@@ -343,12 +327,8 @@ def write_rows_csv(rows, path, seed, columns=None):
     if not rows:
         raise ValueError("nothing to write")
     names = columns or [f.name for f in fields(rows[0])]
-    lines = [f"# qpe-bounds v{__version__} seed={seed}"]
-    lines.append(",".join(names))
-    for row in rows:
-        lines.append(",".join(_format(getattr(row, n)) for n in names))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [[getattr(row, n) for row in rows] for n in names]
+    write_csv(path, names, [columns], f"# qpe-bounds v{__version__} seed={seed}")
 
 
 def emit_samples(config, out_path):

@@ -10,6 +10,7 @@ checked (at least 1) and otherwise ignored: trials always run serially.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bench
 from ._version import __version__
@@ -43,9 +44,7 @@ def _load_config(args):
     with open(args.config) as fh:
         config = bench.CampaignConfig.from_dict(json.load(fh))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     if args.threads < 1:
         raise ValueError("threads must be at least 1")
     return config
@@ -83,7 +82,7 @@ def main(argv=None):
         else:  # pragma: no cover - argparse enforces the choices
             return 1
         bench.write_rows_csv(rows, out, config.seed, bench.COLUMNS.get(args.command))
-    except ValueError as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:  # also a size past the machine
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -159,8 +159,6 @@ def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
     (K, dK/dtheta).
     """
     hi = m if hi is None else hi
-    if np.ndim(theta) == 0:
-        return _kernel_row(m, float(theta), lo, hi, derivative)
     theta = np.asarray(theta, dtype=float)
     rows = [_kernel_row(m, t, lo, hi, derivative) for t in theta.ravel().tolist()]
     shape = theta.shape + (hi - lo,)

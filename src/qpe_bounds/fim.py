@@ -230,10 +230,12 @@ def qft_fim(spectrum, n):
 _PANEL_NODES = 32
 # the quadrature stops once the theta-theta block moves by less than this
 _QUAD_REL_TOL = 1e-6
+# the panel count on [-1, 1] at which the doubling gives up
+_MAX_PANELS = 65536
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 
-def _qmegs_expected_blocks(spectrum, T, max_panels=65536):
+def _qmegs_expected_blocks(spectrum, T):
     """E[Fisher matrix] under the truncated-normal time density, width T.
 
     Composite Gauss-Legendre on t = T x, doubling the panel count on
@@ -260,7 +262,7 @@ def _qmegs_expected_blocks(spectrum, T, max_panels=65536):
     """
     prev = None
     panels = 8
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS:
         edges = np.linspace(0.0, 1.0, panels // 2 + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])

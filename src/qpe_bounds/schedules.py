@@ -8,7 +8,7 @@ and chi, the normalized second moment E[t^2]/T^2.
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import erf, erfinv
@@ -44,7 +44,8 @@ def _whole(name, value, error=ValueError):
     never coerced.
     """
     number = isinstance(value, Real) and not isinstance(value, bool)
-    if not (number and float(value).is_integer()):
+    # an int is whole as it stands: float() of one past 1e308 would overflow
+    if not (number and (isinstance(value, Integral) or float(value).is_integer())):
         raise error(f"{name}={value if number else repr(value)} is not a whole number")
     return int(value)
 

@@ -2,7 +2,8 @@
 
 No state vectors are involved: transform-readout outcomes follow the
 kernel mixture over 2^n bins, Hadamard-test outcomes are Bernoulli pairs.
-CSV writers/readers round-trip multi-trial datasets for offline runs.
+``write_csv`` writes every CSV of the package, tables and samples alike;
+the sample readers share one row reader and round-trip multi-trial datasets.
 """
 
 import csv
@@ -102,58 +103,76 @@ def sample_ht_exact(spectrum, schedule, N_s=1):
     return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s), None)
 
 
+def _format(value):
+    # plain-float repr round-trips exactly and never prints a numpy wrapper;
+    # text holding a comma, quote or line break is quoted, as csv does
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column):
+    # a numeric array gets the text _format gives its values, in bulk
+    if isinstance(column, np.ndarray):
+        return map(repr if column.dtype.kind == "f" else str, column.tolist())
+    return map(_format, column)
+
+
+def write_csv(path, header, blocks, comment=None):
+    """An optional # comment line, the header, then the rows, each line ending in \\n.
+
+    Each of ``blocks`` is a list of equal-length columns, one value a row.
+    """
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(comment.rstrip("\n") + "\n")
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            # the closing "" ends the last row and leaves an empty block unwritten
+            fh.write("\n".join([*map(",".join, zip(*map(_cells, columns))), ""]))
+
+
+def _read_trials(path):
+    """Each trial's rows under the header, trial column dropped; \\r\\n line ends read too."""
+    trials = {}
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#")) if r]
+    for trial, *values in rows[1:]:
+        trials.setdefault(int(trial), []).append(values)
+    return [trials[k] for k in sorted(trials)]
+
+
 def write_qft_csv(samples, path, header_comment=None):
     """Rows (trial, y); one trial per QftSample."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "y"])
-        for trial, sample in enumerate(samples):
-            for y in sample.outcomes:
-                writer.writerow([trial, int(y)])
+    blocks = (
+        [np.full(s.outcomes.size, k), np.asarray(s.outcomes, dtype=np.int64)]
+        for k, s in enumerate(samples)
+    )
+    write_csv(path, ["trial", "y"], blocks, header_comment)
 
 
 def read_qft_csv(path, n):
     """Inverse of write_qft_csv; n is not stored in the file."""
-    by_trial = {}
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    for trial, y in rows[1:]:
-        by_trial.setdefault(int(trial), []).append(int(y))
-    return [
-        QftSample(n, np.array(by_trial[k], dtype=np.int64))
-        for k in sorted(by_trial)
-    ]
+    return [QftSample(n, np.array(rows, dtype=np.int64)[:, 0]) for rows in _read_trials(path)]
 
 
 def write_ht_csv(samples, path, header_comment=None):
     """Rows (trial, t, n_re0, n_re1, n_im0, n_im1)."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "t", "n_re0", "n_re1", "n_im0", "n_im1"])
-        for trial, s in enumerate(samples):
-            for k in range(s.times.size):
-                writer.writerow(
-                    [trial, repr(float(s.times[k])), repr(float(s.n_re0[k])),
-                     repr(float(s.n_re1[k])), repr(float(s.n_im0[k])),
-                     repr(float(s.n_im1[k]))]
-                )
+    blocks = (
+        [np.full(s.times.size, k),
+         *np.array((s.times, s.n_re0, s.n_re1, s.n_im0, s.n_im1), dtype=float)]
+        for k, s in enumerate(samples)
+    )
+    write_csv(path, ["trial", "t", "n_re0", "n_re1", "n_im0", "n_im1"], blocks, header_comment)
 
 
 def read_ht_csv(path):
-    by_trial = {}
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    for trial, t, a, b, c, d in rows[1:]:
-        by_trial.setdefault(int(trial), []).append(
-            (float(t), float(a), float(b), float(c), float(d))
-        )
     out = []
-    for k in sorted(by_trial):
-        rec = np.array(by_trial[k])
+    for rows in _read_trials(path):
+        rec = np.array(rows, dtype=float)
         N_s = float(rec[0, 1] + rec[0, 2])
         out.append(HtSample(rec[:, 0], rec[:, 1], rec[:, 2], rec[:, 3], rec[:, 4], N_s))
     return out

@@ -6,8 +6,6 @@ order given, so mode i is row i of every phase, overlap and Fisher array;
 the target is usually the largest-overlap mode, label 0.
 """
 
-import json
-
 import numpy as np
 
 from .errors import DegenerateSpectrum
@@ -88,13 +86,6 @@ class Spectrum:
     @classmethod
     def from_dict(cls, d):
         return cls(d["phases"], d["overlaps"])
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
     def __repr__(self):
         return f"Spectrum(L={self.L}, gap={self.gap:.4g})"

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,22 +55,24 @@ def _config_dict(**over):
 
 
 def test_protocol_spec_coercion_and_validation():
-    spec = ProtocolSpec.from_dict({"kind": "qcels", "T": 16, "N_t": 4})
+    spec = ProtocolSpec("qcels", 16, N_t=4)
     assert spec.T == [16] and spec.N_s == 1
+    assert ProtocolSpec("qmegs", T=20, N_t=40).T == [20]
     direct = ProtocolSpec("qft", [7])
     assert direct.kind.value == "qft"
+    for kind, T, over in (
+        ("qmegs", [], {}),
+        ("qmegs", [0], {}),
+        ("qft", [6], {}),  # needs 2^n - 1
+        ("qft", [7], {"N_t": 2}),
+        ("rpe", [8], {"N_t": 4}),  # the ladder ignores N_t
+        ("nope", [4], {}),
+    ):
+        with pytest.raises(ValueError):
+            ProtocolSpec(kind, T, **over)
+    # a spec is checked again when rebuilt
     with pytest.raises(ValueError):
-        ProtocolSpec.from_dict({"kind": "qmegs", "T": []})
-    with pytest.raises(ValueError):
-        ProtocolSpec.from_dict({"kind": "qmegs", "T": [0]})
-    with pytest.raises(ValueError):
-        ProtocolSpec.from_dict({"kind": "qft", "T": [6]})  # needs 2^n - 1
-    with pytest.raises(ValueError):
-        ProtocolSpec.from_dict({"kind": "qft", "T": [7], "N_t": 2})
-    with pytest.raises(ValueError):
-        ProtocolSpec.from_dict({"kind": "rpe", "T": [8], "N_t": 4})  # ladder ignores N_t
-    with pytest.raises(ValueError):
-        ProtocolSpec.from_dict({"kind": "nope", "T": [4]})
+        replace(direct, N_t=2)
 
 
 def test_campaign_config_validation():
@@ -105,7 +108,7 @@ def test_campaign_config_validation():
     for bad in cases:
         with pytest.raises(ValueError):
             CampaignConfig.from_dict(bad)
-    cfg = CampaignConfig.from_json(json.dumps(_config_dict()))
+    cfg = CampaignConfig.from_dict(json.loads(json.dumps(_config_dict())))
     assert cfg.L == 3
     # integral floats are accepted as the integers they spell
     whole = CampaignConfig.from_dict(_config_dict(
@@ -115,6 +118,33 @@ def test_campaign_config_validation():
         3, 4, [20], 50
     )
     assert all(type(v) is int for v in (whole.L, whole.trials, whole.protocols[0].T[0]))
+    # an int past the float range is whole as it stands: no OverflowError
+    assert CampaignConfig.from_dict(_config_dict(L=10**400)).L == 10**400
+
+
+def test_campaign_config_is_checked_when_built_by_any_path():
+    # the constructor and dataclasses.replace run the checks from_dict runs
+    spec = ProtocolSpec("qmegs", [20], N_t=50, N_s=5)
+    args = dict(spectrum="uniform", L=3, alphas=[0.4], protocols=[spec], trials=3, seed=11)
+    cfg = CampaignConfig(**args)
+    assert cfg == CampaignConfig.from_dict(_config_dict())
+    for over in (
+        {"trials": 1},
+        {"alphas": [1.5]},
+        {"seed": -5},
+        {"target": 3},
+        {"protocols": [{"kind": "qft", "T": [6]}]},
+        {"protocols": [{"kind": "qft", "T": [7], "N_t": 2}]},
+    ):
+        with pytest.raises(ValueError):
+            CampaignConfig(**{**args, **over})
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        replace(cfg, seed=-1)
+    with pytest.raises(ValueError):
+        replace(cfg, protocols=[replace(spec, T=[])])
+    # dict entries of protocols become specs; a scalar T becomes a list
+    built = CampaignConfig(**{**args, "protocols": [{"kind": "qmegs", "T": 20, "N_t": 50}]})
+    assert built.protocols == [ProtocolSpec("qmegs", [20], N_t=50)]
 
 
 def test_qcels_levels_ladder():
@@ -277,12 +307,16 @@ def test_accounting_sums_blocks_and_costs_over_the_horizons():
 
 
 def test_failed_accounting_lands_in_the_row():
-    # a label no mode carries fails every point of every table, row by row
-    cfg = CampaignConfig.from_dict(_config_dict(alphas=[0.3, 0.6]))
-    cfg.target = 0.5
+    # a head-dense spectrum needs two modes, so every point of every table
+    # fails, row by row
+    cfg = CampaignConfig.from_dict(_config_dict(spectrum="head_dense", L=1, alphas=[0.3, 0.6]))
     for rows in (gi_sweep(cfg), sweep_bounds(cfg)[0], check_diag(cfg), run_campaign(cfg)):
         assert len(rows) == 2
-        assert all("KeyError" in row.error and np.isnan(row.g0) for row in rows)
+        assert all(
+            row.error == "ValueError: head-dense spectra need at least two modes"
+            and np.isnan(row.g0)
+            for row in rows
+        )
 
 
 def test_write_rows_csv_format(tmp_path):
@@ -526,6 +560,31 @@ def test_cli_bench_register_too_wide_to_fit_is_a_row_error(tmp_path, monkeypatch
     (row,) = _read_rows(out)
     assert row["error"] == "ValueError: the histogram fit takes registers of n <= 4"
     assert np.isfinite(float(row["bound"]))
+
+
+def test_sizes_past_the_machine_are_a_row_error_or_a_config_error(tmp_path, capsys):
+    # 1e17 float64 values ask for 8e17 bytes: past any address space and
+    # below numpy's size limit, so the allocation fails at once
+    cfg = _write_config(tmp_path, _config_dict(
+        protocols=[{"kind": "csqpe", "T": [1e17], "N_t": 5}],
+    ), "gi.json")
+    out = tmp_path / "gi.csv"
+    assert main(["gi", "--config", cfg, "--out", str(out)]) == 2
+    (row,) = _read_rows(out)
+    assert "MemoryError: Unable to allocate" in row["error"]
+    assert row["error"].endswith("data type float64")  # the quoted comma stays in the field
+    cfg = _write_config(tmp_path, _config_dict(
+        protocols=[{"kind": "qcels", "T": [16], "N_t": 1e17}],
+    ), "sample.json")
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "raw.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and "Traceback" not in err
+    # a shot count past a C long is a config error too
+    cfg = _write_config(tmp_path, _config_dict(
+        protocols=[{"kind": "qmegs", "T": [20], "N_t": 5, "N_s": 1e19}],
+    ), "shots.json")
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "raw.csv")]) == 1
+    assert capsys.readouterr().err.startswith("config error: Python int too large")
 
 
 def test_cli_bench_reproducibility_and_seed_override(tmp_path):

@@ -22,6 +22,7 @@ from qpe_bounds import (
     rpe_fim_bounds,
     total_fim,
 )
+from qpe_bounds import fim as fim_module
 from qpe_bounds.errors import RpeRequiresPowerOfTwo, ZeroSecondMoment
 from qpe_bounds.fim import _ht_blocks_weighted, _qmegs_expected_blocks
 
@@ -245,14 +246,16 @@ def test_total_fim_qmegs_single_mode_quadrature():
     assert got == pytest.approx(2.0 * chi("qmegs") * T**2, rel=1e-6)
 
 
-def test_qmegs_quadrature_panel_cap_edge():
+def test_qmegs_quadrature_panel_cap_edge(monkeypatch):
     # on uniform L=20, alpha 0.4 at T = 2000 the doubling converges at 4096
     # panels; one level fewer must raise instead of returning a coarse average
     s = make_spectrum("uniform", 20, 0.4)
-    blocks = _qmegs_expected_blocks(s, 2000, max_panels=4096)
+    monkeypatch.setattr(fim_module, "_MAX_PANELS", 4096)
+    blocks = _qmegs_expected_blocks(s, 2000)
     assert np.all(np.isfinite(blocks.theta_theta))
+    monkeypatch.setattr(fim_module, "_MAX_PANELS", 2048)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        _qmegs_expected_blocks(s, 2000, max_panels=2048)
+        _qmegs_expected_blocks(s, 2000)
 
 
 @pytest.mark.xfail(strict=True, raises=ArithmeticError,

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpe_bounds import (
+    CampaignConfig,
     HtSample,
     QftSample,
     Schedule,
@@ -340,3 +341,67 @@ def test_mirrored_data_negate_every_estimate(s, kind, seed):
             a, b = (estimate_csqpe(d, len(s.labels)).theta_hat
                     for d in (data, _mirror_ht(data)))
     assert abs(_wrap(a + b)) <= (1e-8 if kind == "qft" else 1e-9)
+
+
+# Config fuzz: a config with its fields near their valid ranges, with up to
+# two fields (of it or of a protocol) dropped or replaced by any JSON value;
+# or any JSON value in place of the whole config
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_PROTOCOL_FIELDS = {
+    "kind": st.sampled_from(["qmegs", "csqpe", "qcels", "qft", "rpe"]),
+    "T": st.sampled_from([1, 7, 20, 63])
+    | st.lists(st.sampled_from([1, 7, 20, 63]), min_size=1, max_size=3),
+    "N_t": st.integers(1, 3),
+    "N_s": st.integers(1, 3),
+    "sparsity": st.integers(1, 3),
+}
+
+
+def _mutated(draw, fields):
+    d = {name: draw(values) for name, values in fields.items()}
+    mutations = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    names = st.sampled_from([*fields, "extra"])
+    for name in draw(st.lists(names, min_size=mutations, max_size=mutations, unique=True)):
+        if draw(st.booleans()):
+            d.pop(name, None)
+        else:
+            d[name] = draw(_json)
+    return d
+
+
+@st.composite
+def _json_configs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_json)
+    config = _mutated(draw, {
+        "spectrum": st.sampled_from(["uniform", "head_dense", "tail_dense"]),
+        "L": st.integers(1, 4),
+        "alphas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        "protocols": st.just(None),
+        "trials": st.integers(1, 4),
+        "seed": st.integers(0, 4),
+        "target": st.integers(0, 3),
+    })
+    if "protocols" in config and config["protocols"] is None:
+        config["protocols"] = [_mutated(draw, _PROTOCOL_FIELDS)
+                               for _ in range(draw(st.integers(1, 2)))]
+    return config
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_configs())
+def test_any_json_config_is_a_config_or_a_typed_error(d):
+    try:
+        cfg = CampaignConfig.from_dict(d)
+    except (ValueError, TypeError, KeyError) as exc:
+        with pytest.raises(type(exc)) as again:
+            CampaignConfig(**d)
+        assert str(again.value) == str(exc)
+        return
+    assert CampaignConfig(**d) == cfg

@@ -194,10 +194,8 @@ _NOT_POSITIVE = {
     "csqpe-sparsity=2.5": lambda: estimate_csqpe(_DATA, 2.5),
     "csqpe-sparsity=True": lambda: estimate_csqpe(_DATA, True),
     "csqpe-sparsity=0": lambda: estimate_csqpe(_DATA, 0),
-    "config-N_t=0": lambda: ProtocolSpec.from_dict({"kind": "qcels", "T": 16, "N_t": 0}),
-    "config-sparsity=-1": lambda: ProtocolSpec.from_dict(
-        {"kind": "csqpe", "T": 16, "sparsity": -1}
-    ),
+    "config-N_t=0": lambda: ProtocolSpec("qcels", 16, N_t=0),
+    "config-sparsity=-1": lambda: ProtocolSpec("csqpe", 16, sparsity=-1),
 }
 
 

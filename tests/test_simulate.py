@@ -179,6 +179,33 @@ def test_csv_readers_skip_comment_lines(tmp_path):
     assert np.array_equal(back[1].outcomes, [2])
 
 
+def test_sample_files_end_lines_in_a_bare_newline(tmp_path):
+    s = Spectrum([0.3, -0.8], [0.7, 0.3])
+    ht = tmp_path / "ht.csv"
+    write_ht_csv([sample_ht(s, realize("qcels", 8, 4), 5, seed=k) for k in range(2)], ht, "# c")
+    qft = tmp_path / "qft.csv"
+    write_qft_csv([sample_qft(s, 3, 6, seed=k) for k in range(2)], qft, "# c")
+    for path, rows in ((ht, 8), (qft, 12)):
+        data = path.read_bytes()
+        assert b"\r" not in data and data.count(b"\n") == rows + 2
+
+
+def test_csv_readers_take_crlf_files(tmp_path):
+    # the layout csv.writer gave: the comment line ends in LF, every other in CRLF
+    qft = tmp_path / "qft.csv"
+    qft.write_bytes(b"# c\ntrial,y\r\n0,3\r\n0,5\r\n1,2\r\n")
+    back = read_qft_csv(qft, 3)
+    assert [b.outcomes.tolist() for b in back] == [[3, 5], [2]]
+    ht = tmp_path / "ht.csv"
+    ht.write_bytes(
+        b"# c\ntrial,t,n_re0,n_re1,n_im0,n_im1\r\n"
+        b"0,0.1,3.0,2.0,4.0,1.0\r\n0,0.30000000000000004,1.0,4.0,2.5,2.5\r\n"
+    )
+    (rec,) = read_ht_csv(ht)
+    assert rec.times.tolist() == [0.1, 0.30000000000000004]
+    assert rec.n_im0.tolist() == [4.0, 2.5] and rec.N_s == 5.0
+
+
 def test_fractional_shot_counts_are_rejected_not_truncated():
     # a binomial or shot count cannot be 2.5; drawing 2 and charging 2.5
     # would put fractional counts into n_re1 and scale the cost wrongly

@@ -84,7 +84,7 @@ def test_gap_and_second_moment():
 def test_json_round_trip():
     s = Spectrum([0.5, -0.5], [0.25, 0.75])
     text = json.dumps(s.to_dict())
-    back = Spectrum.from_json(text)
+    back = Spectrum.from_dict(json.loads(text))
     assert np.allclose(back.phases, s.phases)
     assert np.allclose(back.overlaps, s.overlaps)
     # label order in the record matches the constructor argument order
