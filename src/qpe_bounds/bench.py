@@ -29,8 +29,8 @@ from .estimators import (
     estimate_qcels_ml,
     estimate_qmegs,
 )
-from .fim import f_i_max, register_width, total_fim
-from .schedules import ProtocolKind, _count, _whole, realize, t_total
+from .fim import f_i_max, total_fim
+from .schedules import ProtocolKind, _count, _point, _whole, realize, register_width, t_total
 from .simulate import sample_ht, sample_qft, write_csv, write_ht_csv, write_qft_csv
 from .spectrum import _PHASE_FAMILIES, make_spectrum
 
@@ -48,18 +48,13 @@ class ProtocolSpec:
     sparsity: int = 4
 
     def __post_init__(self):
-        self.kind = ProtocolKind(self.kind)
         T = self.T if isinstance(self.T, (list, tuple)) else [self.T]
         if not T:
             raise ValueError("every protocol needs a nonempty T list")
-        self.T = [_count("T", v) for v in T]
-        for name in ("N_t", "N_s", "sparsity"):
-            setattr(self, name, _count(name, getattr(self, name)))
-        if self.kind == ProtocolKind.QFT_QPE:
-            for v in self.T:
-                register_width(v)
-        if self.kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and self.N_t != 1:
-            raise ValueError(f"{self.kind.value} uses N_t = 1")
+        self.T = [_count("T", v) for v in T]  # whole for every kind, unlike the library
+        for v in self.T:
+            self.kind, _, self.N_t, self.N_s = _point(self.kind, v, self.N_t, self.N_s)
+        self.sparsity = _count("sparsity", self.sparsity)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from scipy.linalg import cho_factor  # noqa: F401
 
 from .errors import SingularFim
 from .fim import f_i_max
-from .schedules import _require_power_of_two
+from .schedules import _point
 
 
 _COND_CAP = 1e12
@@ -96,7 +96,7 @@ def rpe_fim_bounds(spectrum, T, N_s, label=0):
     f_i_max, the aligned-time gain; both coincide with the exact entry
     when L = 1, where the gain factor is identically 2.
     """
-    T = _require_power_of_two(T)
+    _, T, _, N_s = _point("rpe", T, 1, N_s)
     c_i = spectrum.overlap(label)
     if c_i == 0.0:
         return 0.0, 0.0

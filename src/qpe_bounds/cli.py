@@ -75,12 +75,10 @@ def main(argv=None):
             rows = bench.check_diag(config)
         elif args.command == "gi":
             rows = bench.gi_sweep(config)
-        elif args.command == "sample":
+        else:  # sample
             for path in bench.emit_samples(config, out):
                 print(path)
             return 0
-        else:  # pragma: no cover - argparse enforces the choices
-            return 1
         bench.write_rows_csv(rows, out, config.seed, bench.COLUMNS.get(args.command))
     except (ValueError, OverflowError, MemoryError) as exc:  # also a size past the machine
         print(f"config error: {exc}", file=sys.stderr)

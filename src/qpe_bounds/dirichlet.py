@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .schedules import _whole
+from .schedules import _MAX_N, _whole
 
 _TWO_PI = 2.0 * np.pi
 # pi in two parts for the reduction theta/2 = pi j / M + d: _PI_HI keeps 26
@@ -26,8 +26,7 @@ _PI_HI = math.ldexp(round(math.ldexp(math.pi, 24)), -24)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 # the cached half-angle table holds 2M bins; larger grids build their slice
 _TABLE_BINS = 1 << 20
-# the widest register; bins (in fim, Hadamard-test times) per (2L, chunk) stack
-_MAX_N = 26
+# bins (in fim, Hadamard-test times) per (2L, chunk) stack
 _CHUNK = 1 << 15
 
 

@@ -29,7 +29,7 @@ from .dirichlet import (  # noqa: F401
     squared_kernel_grid,
 )
 from .errors import EmptyData, NoPeaksDetected, ScheduleMismatch
-from .schedules import _count, _whole
+from .schedules import _count, _point, _whole
 
 # half-width, in fine-grid cells, of the Gaussian that _scan spreads each
 # record over; at oversampling >= 2 its edge value is <= exp(-9 pi) ~ 5e-13
@@ -154,6 +154,7 @@ def _peak(z, times, step, taken=()):
 
 def estimate_qmegs(data, T):
     """Peak of |G(x)| by ``_peak`` at spacing <= 0.5/T, fine enough to resolve the main lobe."""
+    T = _point("qmegs", T, 1)[1]
     if data.times.size == 0:
         raise EmptyData("no measurement records")
     x, _, evals, K = _peak(data.z_hat, data.times, 0.5 / T)

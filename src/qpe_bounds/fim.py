@@ -4,7 +4,8 @@ Parameters are the 2L reals (theta_1..theta_L, c_1..c_L) with the overlaps
 treated as free coordinates.  Both families build the matrix the same way,
 sum over outcomes of grad p grad p^T / p, from one stack of gradients.  All
 builders return a BlockFim; information is additive, so repeated shots
-scale it and independent times sum it.  ``bench.accounting`` turns it into
+scale it and independent times sum it.  ``total_fim`` checks its campaign
+point by ``schedules._point``; ``bench.accounting`` turns the matrix into
 g0 and the cost bound.
 """
 
@@ -15,14 +16,13 @@ import numpy as np
 # dirichlet and dirichlet_derivative are no longer called here; the
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
-    _MAX_N,
     _TWO_PI,
     dirichlet,
     dirichlet_derivative,
     register_chunks,
 )
 from .errors import DegenerateDistribution, ZeroSecondMoment
-from .schedules import _C, ProtocolKind, _count, _whole, realize
+from .schedules import _C, ProtocolKind, _point, realize, register_width
 from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
@@ -167,6 +167,8 @@ def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
 
 def ht_fim_single(spectrum, t):
     """Fisher matrix of the Bernoulli pair measured after evolution time t."""
+    if not np.isfinite(t):
+        raise ValueError(f"t={t!r} is not finite")
     return _ht_blocks_weighted(spectrum, [t], [1.0])
 
 
@@ -199,14 +201,6 @@ def f_i_max(spectrum, label):
     a pointwise bound on f_i for every spectrum.
     """
     return 1.0 + spectrum.phase(label) ** 2 / _second_moment(spectrum)
-
-
-def register_width(T):
-    """n of the register of depth T = 2^n - 1, from 1 to _MAX_N; T must be whole."""
-    M = _whole("T", T) + 1
-    if not 2 <= M <= 2**_MAX_N or M & (M - 1):
-        raise ValueError(f"QFT-QPE needs T = 2^n - 1 with 1 <= n <= {_MAX_N}")
-    return M.bit_length() - 1
 
 
 def qft_fim(spectrum, n):
@@ -287,23 +281,16 @@ def total_fim(spectrum, kind, T, N_t, N_s):
 
     Deterministic schedules are summed exactly; CSQPE averages over the
     integer times 1..T in closed sum; QMEGS uses the converged quadrature
-    expectation.  QFT-QPE needs T = 2^n - 1; it and RPE need N_t = 1.
+    expectation.
     """
-    kind = ProtocolKind(kind)
-    N_t, N_s = _count("N_t", N_t), _count("N_s", N_s)
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and N_t != 1:
-        raise ValueError(f"{kind.value} uses N_t = 1")
+    kind, T, N_t, N_s = _point(kind, T, N_t, N_s)
     if kind == ProtocolKind.QFT_QPE:
         return float(N_s) * qft_fim(spectrum, register_width(T))
     if kind in (ProtocolKind.QCELS, ProtocolKind.RPE):
         times = realize(kind, T, N_t).times
         return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times))
     if kind == ProtocolKind.CSQPE:
-        times = np.arange(1, _whole("T", T) + 1, dtype=float)
+        times = np.arange(1, T + 1, dtype=float)
         w = np.full(times.size, 1.0 / times.size)
         return float(N_s * N_t) * _ht_blocks_weighted(spectrum, times, w)
-    if kind == ProtocolKind.QMEGS:
-        return float(N_s * N_t) * _qmegs_expected_blocks(spectrum, T)
-    raise ValueError(f"unknown protocol {kind!r}")
+    return float(N_s * N_t) * _qmegs_expected_blocks(spectrum, T)

@@ -1,9 +1,11 @@
-"""Measurement-time schedules and their cost/second-moment constants.
+"""Campaign points, measurement-time schedules and their cost constants.
 
-Each Hadamard-test protocol is characterized by how it draws evolution
-times t_k up to a cutoff T.  Two scalars summarize a schedule family:
-gamma, the linear total-cost constant (t_total = gamma * N_s * N_t * T),
-and chi, the normalized second moment E[t^2]/T^2.
+``_point`` holds every rule for a campaign point (kind, T, N_t, N_s); each
+entry point that takes one checks it there.  Each Hadamard-test protocol
+is characterized by how it draws evolution times t_k up to a cutoff T.
+Two scalars summarize a schedule family: gamma, the linear total-cost
+constant (t_total = gamma * N_s * N_t * T), and chi, the normalized
+second moment E[t^2]/T^2.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,8 @@ class ProtocolKind(Enum):
 
 # normalization of the standard normal truncated to [-1, 1]
 _C = float(erf(1.0 / np.sqrt(2.0)))
+# the widest transform-readout register
+_MAX_N = 26
 
 
 @dataclass
@@ -34,7 +38,6 @@ class Schedule:
     T: float
     N_t: int
     times: np.ndarray
-    seed: int | None = None
 
 
 def _whole(name, value, error=ValueError):
@@ -65,37 +68,59 @@ def _require_power_of_two(T):
     return T
 
 
+def register_width(T):
+    """n of the register of depth T = 2^n - 1, from 1 to _MAX_N; T must be whole."""
+    M = _whole("T", T) + 1
+    if not 2 <= M <= 2**_MAX_N or M & (M - 1):
+        raise ValueError(f"QFT-QPE needs T = 2^n - 1 with 1 <= n <= {_MAX_N}")
+    return M.bit_length() - 1
+
+
+def _point(kind, T, N_t, N_s=1):
+    """(kind, T, N_t, N_s) checked, with kind a ProtocolKind and the counts ints.
+
+    A QMEGS or QCELS horizon is a finite real above 0; a CSQPE one is a
+    count, an RPE one a power of two and a QFT-QPE one 2^n - 1, all ints.
+    QFT-QPE and RPE take N_t = 1.
+    """
+    kind = ProtocolKind(kind)
+    N_t, N_s = _count("N_t", N_t), _count("N_s", N_s)
+    if kind in (ProtocolKind.QMEGS, ProtocolKind.QCELS):
+        if isinstance(T, bool) or not isinstance(T, Real) or not 0 < T < np.inf:
+            raise ValueError(f"T={T!r} must be a finite number above 0")
+    elif kind == ProtocolKind.CSQPE:
+        T = _count("T", T)
+    elif kind == ProtocolKind.RPE:
+        T = _require_power_of_two(T)
+    else:
+        T = 2 ** register_width(T) - 1
+    if kind in (ProtocolKind.QFT_QPE, ProtocolKind.RPE) and N_t != 1:
+        raise ValueError(f"{kind.value} uses N_t = 1")
+    return kind, T, N_t, N_s
+
+
 def realize(kind, T, N_t, seed=0):
     """Draw (or lay out) the evolution times of one schedule.
 
     QMEGS times are i.i.d. from a normal of width T truncated to [-T, T],
-    sampled by inverse CDF; CSQPE times are uniform integers in [1, T], T whole;
+    sampled by inverse CDF; CSQPE times are uniform integers in [1, T];
     QCELS times are the arithmetic grid k T / N_t; RPE uses the geometric
-    ladder 1, 2, 4, ..., T (N_t is then log2(T) + 1 regardless of input).
+    ladder 1, 2, 4, ..., T and ignores N_t (its N_t is log2(T) + 1).
     """
-    kind = ProtocolKind(kind)
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if kind != ProtocolKind.RPE:
-        N_t = _count("N_t", N_t)
+    rpe = ProtocolKind(kind) == ProtocolKind.RPE
+    kind, T, N_t, _ = _point(kind, T, 1 if rpe else N_t)
     if kind == ProtocolKind.QMEGS:
-        rng = np.random.default_rng(seed)
-        u = rng.random(N_t)
+        u = np.random.default_rng(seed).random(N_t)
         times = T * np.sqrt(2.0) * erfinv(_C * (2.0 * u - 1.0))
-        return Schedule(kind, float(T), N_t, times, seed)
-    if kind == ProtocolKind.CSQPE:
-        rng = np.random.default_rng(seed)
-        times = rng.integers(1, _whole("T", T) + 1, size=N_t).astype(float)
-        return Schedule(kind, float(T), N_t, times, seed)
-    if kind == ProtocolKind.QCELS:
-        k = np.arange(1, N_t + 1, dtype=float)
-        return Schedule(kind, float(T), N_t, k * T / N_t, None)
-    if kind == ProtocolKind.RPE:
-        T = _require_power_of_two(T)
-        m = int(np.log2(T)) + 1
-        times = 2.0 ** np.arange(m)
-        return Schedule(kind, float(T), m, times, None)
-    raise ValueError("QFT-QPE has no time schedule; it is a one-shot circuit family")
+    elif kind == ProtocolKind.CSQPE:
+        times = np.random.default_rng(seed).integers(1, T + 1, size=N_t).astype(float)
+    elif kind == ProtocolKind.QCELS:
+        times = np.arange(1, N_t + 1, dtype=float) * T / N_t
+    elif rpe:
+        times = 2.0 ** np.arange(T.bit_length())
+    else:
+        raise ValueError("QFT-QPE has no time schedule; it is a one-shot circuit family")
+    return Schedule(kind, float(T), times.size, times)
 
 
 def gamma(kind, T=None, N_t=None):
@@ -135,13 +160,9 @@ def chi(kind, T=None, N_t=None):
 
 def t_total(kind, T, N_t, N_s):
     """Total evolution-time cost of a campaign with N_s shots per time."""
-    kind = ProtocolKind(kind)
-    N_t, N_s = _count("N_t", N_t), _count("N_s", N_s)
-    if T <= 0:
-        raise ValueError("T must be positive")
+    kind, T, N_t, N_s = _point(kind, T, N_t, N_s)
     if kind == ProtocolKind.QFT_QPE:
         return float(N_s * T)
     if kind == ProtocolKind.RPE:
-        T = _require_power_of_two(T)
         return float(2 * N_s * (2 * T - 1))
     return float(gamma(kind, T, N_t) * N_s * N_t * T)

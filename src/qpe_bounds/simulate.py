@@ -23,7 +23,6 @@ from .schedules import _count
 class QftSample:
     n: int
     outcomes: np.ndarray  # integer bin indices, one per shot
-    seed: int | None = None
 
     @property
     def N_s(self):
@@ -38,7 +37,6 @@ class HtSample:
     n_im0: np.ndarray
     n_im1: np.ndarray
     N_s: float
-    seed: int | None = None
 
     @property
     def z_hat(self):
@@ -80,7 +78,7 @@ def sample_qft(spectrum, n, N_s, seed=0):
     if abs(total - 1.0) > 1e-9:
         raise NormalizationFailure(f"probabilities sum to {total!r}")
     np.minimum(outcomes, 2 ** int(n) - 1, out=outcomes)
-    return QftSample(int(n), outcomes, seed)
+    return QftSample(int(n), outcomes)
 
 
 def sample_ht(spectrum, schedule, N_s, seed=0):
@@ -91,7 +89,7 @@ def sample_ht(spectrum, schedule, N_s, seed=0):
     rng = np.random.default_rng(seed)
     n_re0 = rng.binomial(N_s, (1.0 + C) / 2.0).astype(float)
     n_im0 = rng.binomial(N_s, (1.0 + S) / 2.0).astype(float)
-    return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s), seed)
+    return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s))
 
 
 def sample_ht_exact(spectrum, schedule, N_s=1):
@@ -100,7 +98,7 @@ def sample_ht_exact(spectrum, schedule, N_s=1):
     C, S = ht_expectations(spectrum, t)
     n_re0 = N_s * (1.0 + C) / 2.0
     n_im0 = N_s * (1.0 + S) / 2.0
-    return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s), None)
+    return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s))
 
 
 def _format(value):

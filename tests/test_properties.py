@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qpe_bounds import (
     CampaignConfig,
     HtSample,
+    ProtocolSpec,
     QftSample,
     Schedule,
     Spectrum,
@@ -33,6 +34,7 @@ from qpe_bounds import (
     rpe_fim_bounds,
     sample_ht,
     sample_ht_exact,
+    t_total,
     total_fim,
     write_ht_csv,
     write_qft_csv,
@@ -405,3 +407,41 @@ def test_any_json_config_is_a_config_or_a_typed_error(d):
         assert str(again.value) == str(exc)
         return
     assert CampaignConfig(**d) == cfg
+
+
+# The rule book: every entry point that takes a campaign point
+# (kind, T, N_t, N_s) accepts the same points.  Valid horizons stay at or
+# below 70, apart from 255 (a QFT-QPE depth) and 2^27 - 1 (the depth one
+# past the widest register), so each accepted point costs a few milliseconds.
+_S2 = Spectrum([0.3, -1.1], [0.6, 0.4])
+_point_horizons = st.one_of(
+    st.integers(-2, 70),
+    st.floats(0.1, 70.0),
+    st.sampled_from([0, -0.0, -5.0, np.nan, np.inf, -np.inf, True, "8", 6, 7, 16.9, 255,
+                     2**27 - 1]),
+)
+_point_counts = st.one_of(st.integers(-1, 4), st.sampled_from([2.5, True]))
+
+
+def _accepts(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["qmegs", "csqpe", "qcels", "qft", "rpe"]), _point_horizons,
+       _point_counts, _point_counts)
+def test_every_entry_point_accepts_the_same_campaign_points(kind, T, N_t, N_s):
+    # a QMEGS or CSQPE point at 2^27 - 1 is valid, and its work is a
+    # quadrature past its panel cap or 2^27 times
+    assume(T != 2**27 - 1 or kind not in ("qmegs", "csqpe"))
+    ok = _accepts(t_total, kind, T, N_t, N_s)
+    assert _accepts(total_fim, _S2, kind, T, N_t, N_s) == ok
+    if not isinstance(T, (bool, str)) and float(T).is_integer():
+        assert _accepts(ProtocolSpec, kind, T, N_t, N_s) == ok
+    if kind != "qft":  # QFT-QPE has no schedule, RPE's ignores N_t, none has N_s
+        N_t = 1 if kind == "rpe" else N_t
+        assert _accepts(realize, kind, T, N_t) == _accepts(t_total, kind, T, N_t, 1)

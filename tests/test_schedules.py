@@ -1,5 +1,7 @@
 """Time schedules and the (gamma, chi) cost constants."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -8,9 +10,15 @@ from qpe_bounds import (
     ProtocolKind,
     Spectrum,
     chi,
+    cost_product_bound,
     estimate_csqpe,
+    estimate_qmegs,
+    f_i,
+    g_i,
     gamma,
+    ht_fim_single,
     realize,
+    rpe_fim_bounds,
     sample_ht,
     sample_ht_exact,
     sample_qft,
@@ -202,4 +210,44 @@ _NOT_POSITIVE = {
 @pytest.mark.parametrize("call", list(_NOT_POSITIVE.values()), ids=list(_NOT_POSITIVE))
 def test_counts_and_horizons_below_one_are_rejected(call):
     with pytest.raises(ValueError):
+        call()
+
+
+# points that one entry point refused and another took, or that no entry
+# point checked: a QFT-QPE depth off 2^n - 1, N_t != 1 for QFT-QPE or RPE,
+# a horizon that is not finite, a bool or a string, a negative shot count.
+# Each raises the rule's own message, before any work starts.
+_HORIZON = "must be a finite number above 0"
+_OUTSIDE_THE_RULES = {
+    "t_total-qft-T=6": (lambda: t_total("qft", 6, 1, 1), "QFT-QPE needs T = 2"),
+    "t_total-qft-T=7.5": (lambda: t_total("qft", 7.5, 1, 1), "T=7.5 is not a whole number"),
+    "t_total-qft-T=2^40-1": (lambda: t_total("qft", 2**40 - 1, 1, 1), "QFT-QPE needs T = 2"),
+    "t_total-qft-N_t=2": (lambda: t_total("qft", 7, 2, 1), "qft uses N_t = 1"),
+    "t_total-rpe-N_t=4": (lambda: t_total("rpe", 8, 4, 2), "rpe uses N_t = 1"),
+    "t_total-qmegs-T=nan": (lambda: t_total("qmegs", np.nan, 1, 1), f"T=nan {_HORIZON}"),
+    "t_total-qmegs-T=True": (lambda: t_total("qmegs", True, 1, 1), f"T=True {_HORIZON}"),
+    "t_total-qcels-T='8'": (lambda: t_total("qcels", "8", 2, 1), f"T='8' {_HORIZON}"),
+    "g_i-qcels-T=inf": (lambda: g_i(_S, "qcels", np.inf, 3, 1), f"T=inf {_HORIZON}"),
+    "g_i-qmegs-T=nan": (lambda: g_i(_S, "qmegs", np.nan, 3, 1), f"T=nan {_HORIZON}"),
+    "bound-qcels-T=nan": (
+        lambda: cost_product_bound(_S, "qcels", np.nan, 3, 1), f"T=nan {_HORIZON}"
+    ),
+    "total_fim-qcels-T=True": (lambda: total_fim(_S, "qcels", True, 2, 1), f"T=True {_HORIZON}"),
+    "estimate_qmegs-T=0": (lambda: estimate_qmegs(_DATA, 0), f"T=0 {_HORIZON}"),
+    "estimate_qmegs-T=nan": (lambda: estimate_qmegs(_DATA, np.nan), f"T=nan {_HORIZON}"),
+    "estimate_qmegs-T=-5": (lambda: estimate_qmegs(_DATA, -5), f"T=-5 {_HORIZON}"),
+    "rpe_fim_bounds-N_s=-3": (lambda: rpe_fim_bounds(_S, 8, -3), "N_s=-3 must be at least 1"),
+    "rpe_fim_bounds-N_s=nan": (
+        lambda: rpe_fim_bounds(_S, 8, np.nan), "N_s=nan is not a whole number"
+    ),
+    "ht_fim_single-t=nan": (lambda: ht_fim_single(_S, np.nan), "t=nan is not finite"),
+    "f_i-t=inf": (lambda: f_i(_S, 0, np.inf), "t=inf is not finite"),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", list(_OUTSIDE_THE_RULES.values()), ids=list(_OUTSIDE_THE_RULES)
+)
+def test_points_outside_the_rules_are_refused_by_every_entry_point(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
