@@ -9,6 +9,7 @@ point by ``schedules._point``; ``bench.accounting`` turns the matrix into
 g0 and the cost bound.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,28 +86,13 @@ def _second_moment(spectrum):
     return sm
 
 
-def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
-    """Weighted sum over times of the per-time Hadamard-test Fisher matrix.
+def _ht_walk(spectrum, times, weights, offsets):
+    """The nodes ``times[:, None] + offsets[None, :]``, about _CHUNK_NODES at a time.
 
-    The real and imaginary measurements are independent Bernoullis with
-    success probabilities (1+C)/2 and (1+S)/2, so each time adds
-    grad C grad C^T / (1 - C^2) + grad S grad S^T / (1 - S^2), the
-    gradients taken over (theta, c).  At times where |C| or |S|
-    reaches 1 that measurement's theta-theta term takes its finite limit
-    c_i c_j t^2 theta_i theta_j / sum_l c_l theta_l^2, and its partner
-    (then |S| or |C| = 0) is counted as at any other time; the c-sector
-    information of the degenerate measurement diverges there and is
-    omitted (such times carry zero weight in every schedule expectation).
-
-    The nodes are the outer sum ``times[:, None] + offsets[None, :]`` of
-    two 1-D arrays, in row-major order, and ``weights`` has that shape or
-    its flattened one.  The half angles theta (a + b) / 2 come by angle
-    addition from two small sin/cos tables, one over the offsets b and
-    one per chunk over the times a, so sin and cos run on 1/offsets.size
-    of the nodes.  With the default single offset 0 (sin b = 0, cos b = 1)
-    they are exactly the sin and cos of the times.  The nodes are walked
-    in whole rows, about _CHUNK_NODES at a time, so the (2L, chunk) stacks
-    stay in cache.
+    Yields per chunk of whole rows (t, w, gC, gS, wC, wS, badC, badS, dC,
+    dS): the node times and weights, the (2L, nodes) gradients of C and S
+    over (theta, c), dC = 1 - C^2 and dS = 1 - S^2, the masks where they
+    fall below _SINGULAR_TOL, and wC = w / dC and wS = w / dS (0 there).
     """
     th = spectrum.phases
     c = spectrum.overlaps
@@ -123,8 +109,6 @@ def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
     to_sin = np.stack([cb, sb], axis=1)
     to_cos = np.stack([-sb, cb], axis=1)
 
-    F = np.zeros((2 * L, 2 * L))
-    wt2 = 0.0
     rows = max(1, _CHUNK_NODES // b.size)
     for start in range(0, a.size, rows):
         aj = a[start : start + rows]
@@ -154,14 +138,53 @@ def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
         ct = c[:, None] * tj
         np.multiply(-ct, sin, out=gC[:L])
         np.multiply(ct, cos, out=gS[:L])
-        F += (gC * wC) @ gC.T + (gS * wS) @ gS.T
+        yield tj, wj, gC, gS, wC, wS, badC, badS, dC, dS
+
+
+def _aligned_limit(spectrum, wt2):
+    """theta-theta limit of the measurements at |C| or |S| = 1; wt2 is their sum of w t^2."""
+    v = spectrum.overlaps * spectrum.phases
+    return wt2 * np.outer(v, v) / _second_moment(spectrum)
+
+
+def _gram(gC, gS, wC, wS):
+    return (gC * wC) @ gC.T + (gS * wS) @ gS.T
+
+
+def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
+    """Weighted sum over times of the per-time Hadamard-test Fisher matrix.
+
+    The real and imaginary measurements are independent Bernoullis with
+    success probabilities (1+C)/2 and (1+S)/2, so each time adds
+    grad C grad C^T / (1 - C^2) + grad S grad S^T / (1 - S^2), the
+    gradients taken over (theta, c).  At times where |C| or |S|
+    reaches 1 that measurement's theta-theta term takes its finite limit
+    c_i c_j t^2 theta_i theta_j / sum_l c_l theta_l^2, and its partner
+    (then |S| or |C| = 0) is counted as at any other time; the c-sector
+    information of the degenerate measurement diverges there and is
+    omitted (such times carry zero weight in every schedule expectation).
+
+    The nodes are the outer sum ``times[:, None] + offsets[None, :]`` of
+    two 1-D arrays, in row-major order, and ``weights`` has that shape or
+    its flattened one.  The half angles theta (a + b) / 2 come by angle
+    addition from two small sin/cos tables, one over the offsets b and
+    one per chunk over the times a, so sin and cos run on 1/offsets.size
+    of the nodes.  With the default single offset 0 (sin b = 0, cos b = 1)
+    they are exactly the sin and cos of the times.  The nodes are walked
+    in whole rows, about _CHUNK_NODES at a time (``_ht_walk``), so the
+    (2L, chunk) stacks stay in cache.
+    """
+    L = spectrum.L
+    F = np.zeros((2 * L, 2 * L))
+    wt2 = 0.0
+    for tj, wj, gC, gS, wC, wS, badC, badS, _, _ in _ht_walk(spectrum, times, weights, offsets):
+        F += _gram(gC, gS, wC, wS)
         if badC.any() or badS.any():
             wt2 += np.sum(wj[badC] * tj[badC] ** 2)
             wt2 += np.sum(wj[badS] * tj[badS] ** 2)
 
     if wt2:
-        v = c * th
-        F[:L, :L] += wt2 * np.outer(v, v) / _second_moment(spectrum)
+        F[:L, :L] += _aligned_limit(spectrum, wt2)
     return BlockFim(0.5 * (F + F.T))
 
 
@@ -224,26 +247,91 @@ def qft_fim(spectrum, n):
 _PANEL_NODES = 32
 # the quadrature stops once the theta-theta block moves by less than this
 _QUAD_REL_TOL = 1e-6
-# the panel count on [-1, 1] at which the doubling gives up
+# the finest panel count on [-1, 1]; a level that would pass it raises
 _MAX_PANELS = 65536
+# a panel settles only if min(1 - C^2, 1 - S^2) stays above this on its children's nodes
+_DIP_FLOOR = 1e-2
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+_log = logging.getLogger(__name__)
+
+
+def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
+    """One level of the time average: the panels [l, l + 2 half] of x in [0, 1].
+
+    The panels come in sibling pairs, and ``parents`` holds the
+    theta-theta diagonal of each pair's parent (None: no pair settles).
+    A pair settles when its two diagonals add up to its parent's within
+    ``allowance`` and no node of it has min(1 - C^2, 1 - S^2) below
+    _DIP_FLOOR.  The decision is taken chunk by chunk inside one walk, so
+    the settled panels' blocks are summed apart from the others with no
+    second pass.  Returns (settled, rest, diag, done): the full blocks of
+    the settled pairs and of the others, the (panels, L) theta-theta
+    diagonal of each panel, and per pair whether it settled.
+    """
+    L = spectrum.L
+    nb = _PANEL_NODES
+    mid = lefts + half
+    x = mid[:, None] + half * _gl_nodes[None, :]
+    w = half * _gl_weights * 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
+    blocks = np.zeros((2, 2 * L, 2 * L))
+    wt2 = np.zeros(2)
+    diag, done = [], []
+    pair = 0
+    for tj, wj, gC, gS, wC, wS, badC, badS, dC, dS in _ht_walk(spectrum, T * mid, w, T * half * _gl_nodes):
+        # a chunk is _CHUNK_NODES // nb = 32 whole panels, so no pair is split
+        rows = tj.size // nb
+        # per panel, the w t^2 of its measurements at |C| or |S| = 1
+        at_limit = (wj * tj**2 * (badC.astype(float) + badS)).reshape(rows, nb).sum(axis=1)
+        gCt, gSt = gC[:L].reshape(L, rows, nb), gS[:L].reshape(L, rows, nb)
+        d = np.einsum("lrk,lrk,rk->rl", gCt, gCt, wC.reshape(rows, nb))
+        d += np.einsum("lrk,lrk,rk->rl", gSt, gSt, wS.reshape(rows, nb))
+        if at_limit.any():
+            d += np.outer(at_limit, np.diag(_aligned_limit(spectrum, 1.0)))
+        ok = np.zeros(rows // 2, dtype=bool)
+        if parents is not None:
+            moved = d.reshape(-1, 2, L).sum(axis=1) - parents[pair : pair + rows // 2]
+            dip = np.minimum(dC, dS).reshape(-1, 2 * nb).min(axis=1)
+            ok = (np.max(np.abs(moved), axis=1) <= allowance) & (dip >= _DIP_FLOOR)
+        pair += rows // 2
+        diag.append(d)
+        done.append(ok)
+        # one product per run of equal verdicts, on views: gathering the
+        # columns cost more than the products
+        cuts = [0, *(np.flatnonzero(ok[1:] != ok[:-1]) + 1), ok.size]
+        for p0, p1 in zip(cuts[:-1], cuts[1:]):
+            k, cols = int(not ok[p0]), slice(2 * nb * p0, 2 * nb * p1)
+            blocks[k] += _gram(gC[:, cols], gS[:, cols], wC[cols], wS[cols])
+            wt2[k] += at_limit[2 * p0 : 2 * p1].sum()
+
+    for k in range(2):
+        if wt2[k]:
+            blocks[k][:L, :L] += _aligned_limit(spectrum, wt2[k])
+        blocks[k] = 0.5 * (blocks[k] + blocks[k].T)
+    return blocks[0], blocks[1], np.concatenate(diag), np.concatenate(done)
 
 
 def _qmegs_expected_blocks(spectrum, T):
     """E[Fisher matrix] under the truncated-normal time density, width T.
 
-    Composite Gauss-Legendre on t = T x, doubling the panel count on
-    x in [-1, 1] until successive estimates of the theta-theta block agree
-    to _QUAD_REL_TOL.  The per-time matrix is even in t (C is even, S odd
-    but squared), so each level folds the line onto x in [0, 1]: half the
-    panels, the positive half of the same nodes, twice the density.
-    Each level is one _ht_blocks_weighted call: the panel centres T mid
-    are its times, the _PANEL_NODES Gauss-Legendre offsets T half g_k its
-    offsets, and the quadrature weight times the density its (panels,
-    _PANEL_NODES) weights, so sin and cos run on the panel centres and
-    the offsets only.  The integrand oscillates on the O(1) scale of the
-    phase gaps regardless of T, so the panel count needed to resolve it
-    grows linearly with T; the cap accommodates T up to a few times 10^4.
+    Composite Gauss-Legendre on t = T x, from 8 panels on x in [-1, 1],
+    each level halving every panel still in play, until successive levels
+    agree on the whole theta-theta block to _QUAD_REL_TOL of its largest
+    entry.  The per-time matrix is even in t (C is even, S odd but
+    squared), so the line folds onto x in [0, 1]: the positive half of the
+    same nodes, twice the density.  A panel settles, and leaves the
+    doubling, once its two children's theta-theta diagonal differs from
+    its own by at most _QUAD_REL_TOL times the block's largest entry at
+    the level before (known before the walk, so each chunk decides its
+    pairs) times the panel's share of [0, 1], and no node of the
+    children has min(1 - C^2, 1 - S^2) below _DIP_FLOOR: near |C| or
+    |S| = 1 the integrand can carry spikes narrower than the node
+    spacing, which a settled panel would never see.  Its children are then summed once in
+    full (``_qmegs_level``).  A level in which every panel would settle
+    settles none, so the only way out is the theta-theta stop.
+    _MAX_PANELS caps the finest level's panel count on [-1, 1].  The
+    integrand oscillates on the O(1) scale of the phase gaps regardless
+    of T, so that count grows linearly with T where the integrand still
+    moves; the cap accommodates T up to a few 10^4.
     Convergence is judged on theta-theta alone because it is the
     only block that is an ordinary convergent integral: at times where all
     cos(t theta_l) align (t = 0 always; interior times too when the phases
@@ -253,27 +341,44 @@ def _qmegs_expected_blocks(spectrum, T):
     returned at the stopping resolution as regularized surrogates; the
     theta rows of the inverse are insensitive to the divergent direction,
     which only tightens the c-sector Schur complement toward its limit.
+    One DEBUG record on the ``qpe_bounds.fim`` logger gives the levels
+    run, the panels evaluated and settled, the finest panel count and the
+    final relative change.
     """
-    prev = None
-    panels = 8
-    while panels <= _MAX_PANELS:
-        edges = np.linspace(0.0, 1.0, panels // 2 + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        x = mid[:, None] + half * _gl_nodes[None, :]
-        dens = 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
-        blocks = _ht_blocks_weighted(
-            spectrum, T * mid, half * _gl_weights * dens, offsets=T * half * _gl_nodes
-        )
-        if prev is not None:
-            new = blocks.theta_theta
-            scale = np.max(np.abs(new)) + 1e-300
-            rel = np.max(np.abs(new - prev.theta_theta)) / scale
-            if rel < _QUAD_REL_TOL:
-                return blocks
-        prev = blocks
-        panels *= 2
-    raise ArithmeticError("time-average quadrature did not converge")
+    L = spectrum.L
+    panels, half = 8, 1.0 / 8
+    lefts = np.arange(panels // 2) * (2.0 * half)
+    _, rest, diag, _ = _qmegs_level(spectrum, T, lefts, half)
+    F = np.zeros((2 * L, 2 * L))
+    levels, evaluated, settled = 1, lefts.size, 0
+    while True:
+        if 2 * panels > _MAX_PANELS:
+            raise ArithmeticError("time-average quadrature did not converge")
+        panels, half = 2 * panels, 0.5 * half
+        kids = np.stack([lefts, lefts + 2.0 * half], axis=1).ravel()
+        tt = rest[:L, :L]
+        # a parent, of width 4 half, may move by its share of the tolerance
+        allowance = _QUAD_REL_TOL * (np.max(np.abs(F[:L, :L] + tt)) + 1e-300) * 4.0 * half
+        done_F, rest, kid_diag, done = _qmegs_level(spectrum, T, kids, half, diag, allowance)
+        levels, evaluated = levels + 1, evaluated + kids.size
+        level = done_F[:L, :L] + rest[:L, :L]
+        rel = np.max(np.abs(level - tt)) / (np.max(np.abs(F[:L, :L] + level)) + 1e-300)
+        if rel < _QUAD_REL_TOL:
+            F += done_F + rest
+            break
+        if done.all():
+            # settling them all would end the doubling short of the stop
+            done_F, rest, done = 0.0 * F, done_F + rest, np.zeros_like(done)
+        F += done_F
+        settled += int(done.sum())
+        keep = np.repeat(~done, 2)
+        lefts, diag = kids[keep], kid_diag[keep]
+    _log.debug(
+        "qmegs time average, T=%g: %d levels, %d panels evaluated, %d settled, "
+        "finest %d panels, relative change %.3g",
+        T, levels, evaluated, settled, panels, rel,
+    )
+    return BlockFim(F)
 
 
 def total_fim(spectrum, kind, T, N_t, N_s):

@@ -61,6 +61,14 @@ def _count(name, value):
     return value
 
 
+def _as_float(value):
+    """float(value), or inf where value lies past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf
+
+
 def _require_power_of_two(T):
     T = _whole("T", T, RpeRequiresPowerOfTwo)
     if T < 1 or (T & (T - 1)) != 0:
@@ -79,15 +87,19 @@ def register_width(T):
 def _point(kind, T, N_t, N_s=1):
     """(kind, T, N_t, N_s) checked, with kind a ProtocolKind and the counts ints.
 
-    A QMEGS or QCELS horizon is a finite real above 0; a CSQPE one is a
-    count, an RPE one a power of two and a QFT-QPE one 2^n - 1, all ints.
-    QFT-QPE and RPE take N_t = 1.
+    A QMEGS or QCELS horizon is a real above 0 that is finite as a float,
+    and the campaign's cost bound 2 T N_t N_s (both circuits of every
+    pair at |t| <= T) is finite too; a CSQPE horizon is a count, an RPE
+    one a power of two and a QFT-QPE one 2^n - 1, all ints.  QFT-QPE and
+    RPE take N_t = 1.
     """
     kind = ProtocolKind(kind)
     N_t, N_s = _count("N_t", N_t), _count("N_s", N_s)
     if kind in (ProtocolKind.QMEGS, ProtocolKind.QCELS):
-        if isinstance(T, bool) or not isinstance(T, Real) or not 0 < T < np.inf:
+        if isinstance(T, bool) or not isinstance(T, Real) or not 0 < _as_float(T) < np.inf:
             raise ValueError(f"T={T!r} must be a finite number above 0")
+        if 2.0 * float(T) * _as_float(N_t) * _as_float(N_s) == np.inf:
+            raise ValueError(f"the cost bound 2 T N_t N_s of T={T!r}, N_t={N_t}, N_s={N_s} overflows")
     elif kind == ProtocolKind.CSQPE:
         T = _count("T", T)
     elif kind == ProtocolKind.RPE:

@@ -94,6 +94,7 @@ def sample_ht(spectrum, schedule, N_s, seed=0):
 
 def sample_ht_exact(spectrum, schedule, N_s=1):
     """Noise-free variant: counters set to their exact expectations."""
+    N_s = _count("N_s", N_s)
     t = schedule.times
     C, S = ht_expectations(spectrum, t)
     n_re0 = N_s * (1.0 + C) / 2.0

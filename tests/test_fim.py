@@ -1,9 +1,11 @@
 """Fisher matrices: oracles, singular limits, schedule totals."""
 
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from helpers import fd_fisher, ht_outcome_probs, qft_outcome_probs, random_spectrum
 from qpe_bounds import (
@@ -265,6 +267,100 @@ def test_qmegs_quadrature_panel_cap_edge(monkeypatch):
 def test_qmegs_quadrature_converges_with_a_phase_near_zero():
     s = Spectrum([1e-6, 2.0], [0.5, 0.5])
     assert np.all(np.isfinite(_qmegs_expected_blocks(s, 12).theta_theta))
+
+
+def _fine_level(s, T, panels=4096):
+    # the folded time average at one fixed level of `panels` on [-1, 1],
+    # summed directly: panels / 2 Gauss-Legendre panels on x in [0, 1]
+    g, gw = np.polynomial.legendre.leggauss(32)
+    half = 1.0 / panels
+    mid = (2.0 * np.arange(panels // 2) + 1.0) * half
+    x = mid[:, None] + half * g
+    dens = 2.0 * np.exp(-0.5 * x**2) / (erf(1.0 / np.sqrt(2.0)) * np.sqrt(2.0 * np.pi))
+    return _ht_blocks_weighted(s, T * mid, half * gw * dens, offsets=T * half * g)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.8])
+def test_settled_panels_keep_the_time_average_at_the_fine_level(alpha):
+    # the doubling converged at 1024 panels (alpha 0.2) and 128 (alpha 0.8);
+    # 4096 uniform panels are a reference far below the 1e-6 stop
+    s = make_spectrum("uniform", 20, alpha)
+    got = _qmegs_expected_blocks(s, 400).theta_theta
+    want = _fine_level(s, 400).theta_theta
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _settled_pairs(monkeypatch, s, T):
+    # (left edge, half-width) of each pair of children whose parent settled
+    pairs = []
+    level = fim_module._qmegs_level
+
+    def spy(spectrum, T, lefts, half, *args):
+        out = level(spectrum, T, lefts, half, *args)
+        pairs.extend((lefts[2 * j], half) for j in np.flatnonzero(out[3]))
+        return out
+
+    monkeypatch.setattr(fim_module, "_qmegs_level", spy)
+    _qmegs_expected_blocks(s, T)
+    return pairs
+
+
+def test_a_panel_whose_children_dip_below_the_floor_never_settles(monkeypatch):
+    s = make_spectrum("uniform", 20, 0.4)
+    g = np.polynomial.legendre.leggauss(32)[0]
+
+    def dip(pair):
+        # least min(1 - C^2, 1 - S^2) over the two children's nodes
+        left, half = pair
+        x = np.concatenate([left + half + half * g, left + 3.0 * half + half * g])
+        C, S = ht_expectations(s, 400 * x)
+        return np.min(np.minimum(1.0 - C**2, 1.0 - S**2))
+
+    # the settled panel whose children come closest to |C| or |S| = 1
+    pair = min(_settled_pairs(monkeypatch, s, 400), key=dip)
+    edge = dip(pair)
+    assert edge >= fim_module._DIP_FLOOR
+    monkeypatch.setattr(fim_module, "_DIP_FLOOR", edge * (1.0 - 1e-9))
+    assert pair in _settled_pairs(monkeypatch, s, 400)
+    monkeypatch.setattr(fim_module, "_DIP_FLOOR", edge * (1.0 + 1e-9))
+    assert pair not in _settled_pairs(monkeypatch, s, 400)
+
+
+def test_a_level_that_would_settle_every_panel_settles_none(monkeypatch, caplog):
+    # settling them all would end the doubling before the theta-theta stop;
+    # forced at every level, the average is plain doubling's finest level
+    s = make_spectrum("uniform", 20, 0.4)
+    level = fim_module._qmegs_level
+
+    def settle_all(spectrum, T, lefts, half, *parents):
+        done_F, rest, diag, done = level(spectrum, T, lefts, half, *parents)
+        if parents:
+            return done_F + rest, 0.0 * rest, diag, np.ones_like(done)
+        return done_F, rest, diag, done
+
+    monkeypatch.setattr(fim_module, "_qmegs_level", settle_all)
+    with caplog.at_level(logging.DEBUG, logger="qpe_bounds.fim"):
+        got = _qmegs_expected_blocks(s, 400).full()
+    (record,) = [r for r in caplog.records if r.name == "qpe_bounds.fim"]
+    _, levels, _, settled, finest, _ = record.args
+    assert settled == 0 and levels > 2
+    want = _fine_level(s, 400, finest).full()
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_time_average_reports_its_work_in_one_debug_record(caplog):
+    s = make_spectrum("uniform", 20, 0.4)
+    with caplog.at_level(logging.DEBUG, logger="qpe_bounds.fim"):
+        _qmegs_expected_blocks(s, 400)
+    (record,) = [r for r in caplog.records if r.name == "qpe_bounds.fim"]
+    assert record.levelno == logging.DEBUG
+    T, levels, evaluated, settled, finest, rel = record.args
+    assert T == 400 and finest == 8 * 2 ** (levels - 1) <= fim_module._MAX_PANELS
+    # settled panels left the doubling: fewer than the 4 (2^levels - 1)
+    # half-line panels that uniform doubling evaluates
+    assert 0 < 2 * settled < evaluated < 4 * (2**levels - 1)
+    assert rel < fim_module._QUAD_REL_TOL
+    assert f"{levels} levels, {evaluated} panels evaluated, {settled} settled" in record.getMessage()
 
 
 def test_ht_blocks_are_additive_across_chunk_boundaries():

@@ -215,7 +215,8 @@ def test_counts_and_horizons_below_one_are_rejected(call):
 
 # points that one entry point refused and another took, or that no entry
 # point checked: a QFT-QPE depth off 2^n - 1, N_t != 1 for QFT-QPE or RPE,
-# a horizon that is not finite, a bool or a string, a negative shot count.
+# a horizon that is not finite (as a float, or in the cost bound
+# 2 T N_t N_s), a bool or a string, a negative shot count.
 # Each raises the rule's own message, before any work starts.
 _HORIZON = "must be a finite number above 0"
 _OUTSIDE_THE_RULES = {
@@ -227,6 +228,12 @@ _OUTSIDE_THE_RULES = {
     "t_total-qmegs-T=nan": (lambda: t_total("qmegs", np.nan, 1, 1), f"T=nan {_HORIZON}"),
     "t_total-qmegs-T=True": (lambda: t_total("qmegs", True, 1, 1), f"T=True {_HORIZON}"),
     "t_total-qcels-T='8'": (lambda: t_total("qcels", "8", 2, 1), f"T='8' {_HORIZON}"),
+    "t_total-qmegs-T=1e308-N_t=2": (
+        lambda: t_total("qmegs", 1e308, 2, 1),
+        "the cost bound 2 T N_t N_s of T=1e+308, N_t=2, N_s=1 overflows",
+    ),
+    "t_total-qmegs-T=10**400": (lambda: t_total("qmegs", 10**400, 1, 1), f"T={10**400} {_HORIZON}"),
+    "config-qmegs-T=10**400": (lambda: ProtocolSpec("qmegs", 10**400), f"T={10**400} {_HORIZON}"),
     "g_i-qcels-T=inf": (lambda: g_i(_S, "qcels", np.inf, 3, 1), f"T=inf {_HORIZON}"),
     "g_i-qmegs-T=nan": (lambda: g_i(_S, "qmegs", np.nan, 3, 1), f"T=nan {_HORIZON}"),
     "bound-qcels-T=nan": (

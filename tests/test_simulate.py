@@ -221,3 +221,14 @@ def test_fractional_shot_counts_are_rejected_not_truncated():
         with pytest.raises(ValueError, match="N_s=2.5 is not a whole number"):
             call(2.5)
         assert np.array_equal(call(4.0), call(4)), name
+
+
+@pytest.mark.parametrize("N_s", [-3, 0, 2.5, np.nan], ids=["-3", "0", "2.5", "nan"])
+def test_exact_ht_sample_refuses_what_sample_ht_refuses(N_s):
+    # it returned negative or NaN counters for these shot counts
+    s = Spectrum([0.3, -0.5], [0.6, 0.4])
+    sched = realize("qcels", 10, 2)
+    with pytest.raises(ValueError, match=f"N_s={N_s}"):
+        sample_ht(s, sched, N_s)
+    with pytest.raises(ValueError, match=f"N_s={N_s}"):
+        sample_ht_exact(s, sched, N_s)
