@@ -8,16 +8,27 @@ is the diagonal-approximation quality factor (1 when parameters decouple).
 
 import numpy as np
 
-# cho_factor is no longer called here; the per-layer trace in
-# perfbench/tracing.py counts its calls by name in this module
-from scipy.linalg import cho_factor  # noqa: F401
-
 from .errors import SingularFim
 from .fim import f_i_max
 from .schedules import _point
 
 
 _COND_CAP = 1e12
+
+
+def __getattr__(name):
+    """``cho_factor`` from scipy.linalg, resolved only when it is asked for.
+
+    No code in the package calls it; the per-layer trace in
+    perfbench/tracing.py counts its calls by name in this module, so the
+    name resolves on demand and importing the module loads no scipy.  Any
+    other missing name raises AttributeError.
+    """
+    if name == "cho_factor":
+        from scipy.linalg import cho_factor
+
+        return cho_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _inverse_entry(full, pos):

@@ -12,13 +12,17 @@ midpoint grid of (-pi, pi] with one type-1 NUFFT, at any time layout,
 and ``_polish`` refines the winning cell by safeguarded Newton ascent on
 |G|^2.  QMEGS is one ``_peak``; QCELS is one ``_peak`` and one
 ``_polish`` per later level; CSQPE is one ``_peak`` per greedy pick.
+
+scipy is imported where it is called, so that importing the package does
+not load it: ``_scan`` takes ``next_fast_len`` from ``scipy.fft``, and the
+histogram fit's NNLS goes through the module-level ``nnls`` wrapper, which
+imports ``scipy.optimize`` on call and which the per-layer trace in
+perfbench/tracing.py counts by name in this module.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.optimize import nnls
 
 # dirichlet and dirichlet_derivative are no longer called here; the
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
@@ -77,6 +81,8 @@ def _scan(z, times, K):
     the sum, and dividing by the Gaussian's own, sqrt(tau / pi)
     exp(-m^2 tau), recovers G at every m, to ~1e-12 of mean |z_k|.
     """
+    from scipy.fft import next_fast_len
+
     M = next_fast_len(2 * K)
     R = M / K
     centre = K // 2
@@ -153,14 +159,26 @@ def _peak(z, times, step, taken=()):
 
 
 def estimate_qmegs(data, T):
-    """Peak of |G(x)| by ``_peak`` at spacing <= 0.5/T, fine enough to resolve the main lobe."""
+    """Peak of |G(x)| by ``_peak`` at spacing <= 0.5/T, fine enough to resolve the main lobe.
+
+    The diagnostics carry the peak height |G(theta_hat)| and the residual
+    sum|z|^2 - N |G|^2 of the single-exponential fit (see estimate_qcels_ml).
+    """
     T = _point("qmegs", T, 1)[1]
-    if data.times.size == 0:
+    z = data.z_hat
+    if z.size == 0:
         raise EmptyData("no measurement records")
-    x, _, evals, K = _peak(data.z_hat, data.times, 0.5 / T)
+    x, g, evals, K = _peak(z, data.times, 0.5 / T)
+    peak = float(abs(g))
     return Estimate(
         float(_wrap(x)),
-        diagnostics={"grid_step": _TWO_PI / K, "grid_points": K, "polish_evals": evals},
+        diagnostics={
+            "grid_step": _TWO_PI / K,
+            "grid_points": K,
+            "polish_evals": evals,
+            "peak": peak,
+            "residual": float(np.sum(np.abs(z) ** 2) - z.size * peak**2),
+        },
     )
 
 
@@ -258,6 +276,13 @@ def estimate_csqpe(data, sparsity):
             "polish_evals": evals,
         },
     )
+
+
+def nnls(A, b):
+    """scipy.optimize.nnls(A, b): (x, rnorm) with x >= 0 minimizing |A x - b|."""
+    from scipy.optimize import nnls
+
+    return nnls(A, b)
 
 
 def _kernel_fit(p_hat, M, thetas):

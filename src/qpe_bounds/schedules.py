@@ -8,12 +8,12 @@ constant (t_total = gamma * N_s * N_t * T), and chi, the normalized
 second moment E[t^2]/T^2.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from .errors import NoLinearCostForm, RpeRequiresPowerOfTwo
 
@@ -27,7 +27,7 @@ class ProtocolKind(Enum):
 
 
 # normalization of the standard normal truncated to [-1, 1]
-_C = float(erf(1.0 / np.sqrt(2.0)))
+_C = math.erf(1.0 / math.sqrt(2.0))
 # the widest transform-readout register
 _MAX_N = 26
 
@@ -122,6 +122,8 @@ def realize(kind, T, N_t, seed=0):
     rpe = ProtocolKind(kind) == ProtocolKind.RPE
     kind, T, N_t, _ = _point(kind, T, 1 if rpe else N_t)
     if kind == ProtocolKind.QMEGS:
+        from scipy.special import erfinv
+
         u = np.random.default_rng(seed).random(N_t)
         times = T * np.sqrt(2.0) * erfinv(_C * (2.0 * u - 1.0))
     elif kind == ProtocolKind.CSQPE:

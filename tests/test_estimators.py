@@ -59,6 +59,16 @@ def test_qmegs_grid_controls():
     assert diag["grid_points"] == int(np.ceil(4.0 * np.pi * T))
 
 
+def test_qmegs_reports_peak_and_residual():
+    # one mode: z_k = exp(i theta t_k) exactly, so |G| peaks at 1 and the
+    # single-exponential fit leaves nothing
+    N = 400
+    data = sample_ht_exact(Spectrum([THETA0], [1.0]), realize("qmegs", 80, N, seed=2))
+    diag = estimate_qmegs(data, 80).diagnostics
+    assert abs(diag["peak"] - 1.0) < 1e-9
+    assert abs(diag["residual"]) < 1e-9 * N
+
+
 def test_peak_masks_the_taken_centers():
     # noiseless two-tone signal: the strong tone wins the scan; once it is
     # taken, the weak one does, polished to within a quarter cell.  The mask
