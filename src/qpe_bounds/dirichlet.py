@@ -9,6 +9,9 @@ by the reduction is (-1)^((M-1) k).
 On the M-point grid x = theta - 2 pi y / M every numerator is +-sin(M theta/2),
 so one scalar sine per theta and a half-angle table give the squared kernel
 (``squared_kernel_grid``); every register reader walks it by ``register_chunks``.
+
+``cis`` is the unit-circle kernel for the Hadamard-test data: cos and sin
+of a whole array from one tangent of the half angle.
 """
 
 import functools
@@ -28,6 +31,36 @@ _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 _TABLE_BINS = 1 << 20
 # bins (in fim, Hadamard-test times) per (2L, chunk) stack
 _CHUNK = 1 << 15
+
+
+def cis(x):
+    """(cos x, sin x) of a float array x, from one tangent of the half angle.
+
+    With tau = tan(x/2), cos x = (1 - tau^2) / (1 + tau^2) and
+    sin x = 2 tau / (1 + tau^2), formed in place: three arrays in all.
+    numpy dispatches float64 tan to SIMD where the CPU has it, several
+    times faster than its scalar sin and cos; elsewhere this is one libm
+    call in place of two, or of a complex exp.  Both parts stay within
+    2.3e-16 absolute of np.cos and np.sin over |x| <= 1e7, next to every
+    multiple of pi/2 included, sin keeps relative precision near 0, and
+    neither exceeds 1 in magnitude.  NaN gives NaN.
+
+    The precision is absolute: 1 - tau^2 cancels, so cos is not accurate
+    relative to itself next to odd multiples of pi/2.  That is why
+    ``_reduced_sincos`` keeps np.sin and np.cos (its half-angle table
+    needs both parts to full relative precision), and so does the Fisher
+    walk ``fim._ht_walk``, whose cancellation-free 1 - C^2 rests on the
+    same kind of small values and whose sums are the accounting columns.
+    """
+    tau = np.multiply(x, 0.5)
+    np.tan(tau, out=tau)
+    q = np.multiply(tau, tau)
+    cos = np.subtract(1.0, q)
+    q += 1.0
+    cos /= q
+    tau += tau
+    tau /= q
+    return cos, tau
 
 
 def _reduce(x):

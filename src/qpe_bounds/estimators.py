@@ -12,6 +12,7 @@ midpoint grid of (-pi, pi] with one type-1 NUFFT, at any time layout,
 and ``_polish`` refines the winning cell by safeguarded Newton ascent on
 |G|^2.  QMEGS is one ``_peak``; QCELS is one ``_peak`` and one
 ``_polish`` per later level; CSQPE is one ``_peak`` per greedy pick.
+Every exp(i x t) at the data times comes from one ``dirichlet.cis``.
 
 scipy is imported where it is called, so that importing the package does
 not load it: ``_scan`` takes ``next_fast_len`` from ``scipy.fft``, and the
@@ -28,11 +29,13 @@ import numpy as np
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
     _TWO_PI,
+    cis,
     dirichlet,
     dirichlet_derivative,
     squared_kernel_grid,
 )
 from .errors import EmptyData, NoPeaksDetected, ScheduleMismatch
+from .fim import _CHUNK_NODES
 from .schedules import _count, _point, _whole
 
 # half-width, in fine-grid cells, of the Gaussian that _scan spreads each
@@ -80,6 +83,12 @@ def _scan(z, times, K):
     Gaussian exp(-s^2 / 4 tau), one FFT gives the Fourier coefficients of
     the sum, and dividing by the Gaussian's own, sqrt(tau / pi)
     exp(-m^2 tau), recovers G at every m, to ~1e-12 of mean |z_k|.
+
+    The records go _CHUNK_NODES at a time, their phase ramp from one
+    ``cis``, onto the M cells padded by _SPREAD - 1 in front and _SPREAD
+    behind, so a record needs one reduction mod M; the padding cells are
+    added onto the M cells at the end, each at its cell mod M, which wraps
+    more than once when M < 2 _SPREAD.
     """
     from scipy.fft import next_fast_len
 
@@ -87,24 +96,41 @@ def _scan(z, times, K):
     R = M / K
     centre = K // 2
     tau = np.pi * _SPREAD / (K * K * R * (R - 0.5))
-    c = z * np.exp(-1j * (-np.pi + (centre + 0.5) * (_TWO_PI / K)) * times) / times.size
-    u = times * R
-    base = np.floor(u)
-    offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
+    x_c = -np.pi + (centre + 0.5) * (_TWO_PI / K)
     # exp(-s^2 / 4 tau) at s = 2 pi d / M, d the fine-cell distance u - node
-    gauss = np.exp(-(np.pi * (R - 0.5) / (R * _SPREAD)) * ((u - base)[:, None] - offsets) ** 2)
-    cells = (((base.astype(np.intp) % M)[:, None] + offsets) % M).ravel()
-    fine = np.bincount(cells, (c.real[:, None] * gauss).ravel(), M) + 1j * np.bincount(
-        cells, (c.imag[:, None] * gauss).ravel(), M
-    )
-    m = np.arange(K) - centre
-    return np.fft.fft(fine)[m % M] * (np.sqrt(np.pi / tau) / M) * np.exp(tau * m * m)
+    width = np.pi * (R - 0.5) / (R * _SPREAD)
+    # one row per spread cell, one column per record: numpy runs the long
+    # axis innermost; padded cell p holds fine cell (p - _SPREAD + 1) mod M
+    offsets = np.arange(1 - _SPREAD, _SPREAD + 1, dtype=float)[:, None]
+    pads = np.arange(2 * _SPREAD)[:, None]
+    grid = np.zeros(M + 2 * _SPREAD - 1, dtype=complex)
+    for lo in range(0, times.size, _CHUNK_NODES):
+        t = times[lo : lo + _CHUNK_NODES]
+        cos, sin = cis(x_c * t)
+        c = z[lo : lo + _CHUNK_NODES] * (cos - 1j * sin)
+        u = t * R
+        base = np.floor(u)
+        u -= base
+        d = u - offsets
+        d *= d
+        d *= -width
+        gauss = np.exp(d, out=d)
+        cells = base.astype(np.intp) % M + pads
+        np.add.at(grid, cells.ravel(), (c * gauss).ravel())
+    fine = grid[_SPREAD - 1 : _SPREAD - 1 + M]
+    pad = np.r_[: _SPREAD - 1, _SPREAD - 1 + M : grid.size]
+    np.add.at(fine, (pad - _SPREAD + 1) % M, grid[pad])
+    # the coefficient of m = -centre .. K - 1 - centre sits at FFT bin m mod M
+    f = np.fft.fft(fine)
+    m = np.arange(-centre, K - centre, dtype=float)
+    scale = np.sqrt(np.pi / tau) / (M * times.size)
+    return np.concatenate((f[M - centre :], f[: K - centre])) * scale * np.exp(tau * m * m)
 
 
 def _polish(z, times, x, lo, hi):
     """Safeguarded Newton ascent on f = |G|^2 from x, inside [lo, hi].
 
-    Each evaluation is one exp(-i x t) and three dot products, for G,
+    Each evaluation is one ``cis`` of x t and three dot products, for G,
     G' = G[-i t z] and G'' = G[-t^2 z]; then f' = 2 Re(conj(G) G') and
     f'' = 2 (|G'|^2 + Re(conj(G) G'')).  Where f is concave the step is
     Newton's, elsewhere it runs to the bracket end uphill; either is clipped
@@ -117,7 +143,8 @@ def _polish(z, times, x, lo, hi):
     reach = np.max(np.abs(times))
 
     def evaluate(x):
-        g, g1, g2 = w @ np.exp(-1j * x * times)
+        cos, sin = cis(x * times)
+        g, g1, g2 = w @ (cos - 1j * sin)
         gc = g.conjugate()
         return g, abs(g) ** 2, 2.0 * (gc * g1).real, 2.0 * (abs(g1) ** 2 + (gc * g2).real)
 
@@ -140,6 +167,12 @@ def _polish(z, times, x, lo, hi):
     return float(x), g, evals
 
 
+def _near(xs, cell, s):
+    """Indices of the xs with |_wrap(xs - s)| < 2 cell, tried on s's cell and three either side."""
+    near = (int(np.floor((_wrap(s) + np.pi) / cell)) + np.arange(-3, 4)) % xs.size
+    return near[np.abs(_wrap(xs[near] - s)) < 2.0 * cell]
+
+
 def _peak(z, times, step, taken=()):
     """Polished maximum of |G| over (-pi, pi], away from the ``taken`` centers.
 
@@ -153,7 +186,7 @@ def _peak(z, times, step, taken=()):
     xs = -np.pi + (np.arange(K) + 0.5) * cell
     corr = np.abs(_scan(z, times, K))
     for s in taken:
-        corr[np.abs(_wrap(xs - s)) < 2.0 * cell] = -1.0
+        corr[_near(xs, cell, s)] = -1.0
     x0 = float(xs[np.argmax(corr)])
     return *_polish(z, times, x0, x0 - cell, x0 + cell), K
 
@@ -219,7 +252,8 @@ def estimate_qcels_ml(levels):
         theta, r, n = _polish(lvl.z_hat, lvl.times, theta, theta - b, theta + b)
         evals += n
     last = levels[-1]
-    resid = float(np.sum(np.abs(last.z_hat - r * np.exp(1j * theta * last.times)) ** 2))
+    cos, sin = cis(theta * last.times)
+    resid = float(np.sum(np.abs(last.z_hat - r * (cos + 1j * sin)) ** 2))
     return Estimate(
         float(_wrap(theta)),
         amplitudes=np.array([r]),
@@ -245,7 +279,8 @@ def estimate_csqpe(data, sparsity):
         x0, _, n, grid = _peak(residual, times, np.pi / (2.0 * T), selected)
         evals += n
         selected.append(x0)
-        B = np.exp(1j * np.outer(times, np.array(selected)))
+        cos, sin = cis(np.outer(times, selected))
+        B = cos + 1j * sin
         amps = np.linalg.lstsq(B, z, rcond=None)[0]
         residual = z - B @ amps
 
@@ -260,7 +295,8 @@ def estimate_csqpe(data, sparsity):
                 selected[m] - 0.5 * cell, selected[m] + 0.5 * cell,
             )
             evals += n
-            B[:, m] = np.exp(1j * selected[m] * times)
+            cos, sin = cis(selected[m] * times)
+            B[:, m] = cos + 1j * sin
         amps = np.linalg.lstsq(B, z, rcond=None)[0]
     residual = z - B @ amps
 

@@ -18,6 +18,7 @@ import numpy as np
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
     _TWO_PI,
+    cis,
     dirichlet,
     dirichlet_derivative,
     register_chunks,
@@ -27,7 +28,9 @@ from .schedules import _C, ProtocolKind, _point, realize, register_width
 from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
-# nodes per chunk of _ht_blocks_weighted: its (2L, chunk) arrays stay in cache
+# nodes (times, records) per chunk of every per-time walk: the Fisher walk's
+# (2L, chunk) stacks, ht_expectations' (chunk, L) angles and _scan's
+# (2 _SPREAD, chunk) spread stay in cache
 _CHUNK_NODES = 1024
 _TRUNC_NORM = _C * np.sqrt(_TWO_PI)
 
@@ -68,11 +71,17 @@ class BlockFim:
 def ht_expectations(spectrum, t):
     """(C, S) = (sum_l c_l cos(t theta_l), sum_l c_l sin(t theta_l)).
 
-    A scalar t gives two floats; an array of times gives two arrays.
+    A scalar t gives two floats; an array of times gives two arrays, one
+    value per time in flattened order.  The times are walked
+    _CHUNK_NODES at a time, so the (chunk, L) angles stay in cache, and
+    each chunk's cos and sin come from one ``cis``.
     """
-    arg = np.outer(t, spectrum.phases)
-    C = np.cos(arg) @ spectrum.overlaps
-    S = np.sin(arg) @ spectrum.overlaps
+    times = np.ravel(np.asarray(t, dtype=float))
+    C, S = np.empty(times.size), np.empty(times.size)
+    for lo in range(0, times.size, _CHUNK_NODES):
+        cos, sin = cis(np.outer(times[lo : lo + _CHUNK_NODES], spectrum.phases))
+        np.matmul(cos, spectrum.overlaps, out=C[lo : lo + _CHUNK_NODES])
+        np.matmul(sin, spectrum.overlaps, out=S[lo : lo + _CHUNK_NODES])
     if np.ndim(t) == 0:
         return float(C[0]), float(S[0])
     return C, S

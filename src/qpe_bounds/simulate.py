@@ -81,14 +81,29 @@ def sample_qft(spectrum, n, N_s, seed=0):
     return QftSample(int(n), outcomes)
 
 
+def _ht_probabilities(spectrum, times):
+    """(1 + C) / 2 and (1 + S) / 2, clipped into [0, 1] in place.
+
+    Overlaps that sum to 1 within the spectrum's tolerance can put |C| or
+    |S| a rounding above 1 at an aligned time; the clip keeps both
+    outcomes of each measurement a probability.
+    """
+    p = ht_expectations(spectrum, times)
+    for q in p:
+        q += 1.0
+        q *= 0.5
+        np.clip(q, 0.0, 1.0, out=q)
+    return p
+
+
 def sample_ht(spectrum, schedule, N_s, seed=0):
     """Binomial counts of the Hadamard-test pair at every scheduled time."""
     N_s = _count("N_s", N_s)
     t = schedule.times
-    C, S = ht_expectations(spectrum, t)
+    p_re, p_im = _ht_probabilities(spectrum, t)
     rng = np.random.default_rng(seed)
-    n_re0 = rng.binomial(N_s, (1.0 + C) / 2.0).astype(float)
-    n_im0 = rng.binomial(N_s, (1.0 + S) / 2.0).astype(float)
+    n_re0 = rng.binomial(N_s, p_re).astype(float)
+    n_im0 = rng.binomial(N_s, p_im).astype(float)
     return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s))
 
 
@@ -96,9 +111,9 @@ def sample_ht_exact(spectrum, schedule, N_s=1):
     """Noise-free variant: counters set to their exact expectations."""
     N_s = _count("N_s", N_s)
     t = schedule.times
-    C, S = ht_expectations(spectrum, t)
-    n_re0 = N_s * (1.0 + C) / 2.0
-    n_im0 = N_s * (1.0 + S) / 2.0
+    p_re, p_im = _ht_probabilities(spectrum, t)
+    n_re0 = N_s * p_re
+    n_im0 = N_s * p_im
     return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s))
 
 

@@ -1,6 +1,7 @@
 """Kernel evaluation: limits, identities, and the derivative oracle."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpe_bounds.dirichlet import (
+    cis,
     dirichlet,
     dirichlet_derivative,
     squared_derivative_sum,
@@ -201,3 +203,42 @@ def test_squared_kernel_grid_cache_is_bounded():
     y = np.arange(50062, 50070)
     want = dirichlet(M, 0.3 - 2.0 * np.pi * y / M) ** 2 / M**2
     assert np.allclose(got, want, rtol=1e-6, atol=1e-15)
+
+
+def _cis_cases():
+    rng = np.random.default_rng(19)
+    k = np.arange(-200_000, 200_001) * (0.5 * np.pi)
+    return {
+        "random |x| <= 1e4": rng.uniform(-1e4, 1e4, 1_000_000),
+        "float neighbours of k pi/2": np.concatenate(
+            [np.nextafter(k, -np.inf), k, np.nextafter(k, np.inf)]
+        ),
+        "random |x| <= 1e7": rng.uniform(-1e7, 1e7, 1_000_000),
+        "|x| from 1e4 to 1e7": np.geomspace(1e4, 1e7, 200_000) * np.tile([1.0, -1.0], 100_000),
+    }
+
+
+@pytest.mark.parametrize("case", list(_cis_cases()))
+def test_cis_matches_libm_and_stays_on_the_unit_circle(case):
+    x = _cis_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cos, sin = cis(x)
+    assert np.max(np.abs(cos - np.cos(x))) <= 2.3e-16
+    assert np.max(np.abs(sin - np.sin(x))) <= 2.3e-16
+    assert np.max(np.abs(cos)) <= 1.0 and np.max(np.abs(sin)) <= 1.0
+
+
+def test_cis_sine_keeps_relative_precision_near_zero():
+    x = np.geomspace(1e-300, 1e-3, 100_000)
+    x = np.concatenate([-x, x])
+    cos, sin = cis(x)
+    assert np.max(np.abs(sin / np.sin(x) - 1.0)) <= 5e-16
+    assert np.max(np.abs(cos - np.cos(x))) <= 1.2e-16
+
+
+def test_cis_passes_nan_through():
+    cos, sin = cis(np.array([np.nan, 0.0, 1.0, np.nan]))
+    assert np.array_equal(np.isnan(cos), [True, False, False, True])
+    assert np.array_equal(np.isnan(sin), [True, False, False, True])
+    assert cos[1] == 1.0 and sin[1] == 0.0

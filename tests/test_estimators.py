@@ -22,7 +22,7 @@ from qpe_bounds import (
 )
 from qpe_bounds.bench import qcels_levels
 from qpe_bounds.errors import EmptyData, NoPeaksDetected, ScheduleMismatch
-from qpe_bounds.estimators import _filtered, _peak, _scan
+from qpe_bounds.estimators import _filtered, _near, _peak, _scan, _wrap
 from qpe_bounds.simulate import HtSample
 
 
@@ -231,9 +231,32 @@ def test_scan_matches_direct_sum(layout, T):
         "arithmetic": np.arange(1, N + 1) * T / N,
     }[layout]
     z = np.exp(1j * 0.7 * times) + 0.3 * (rng.normal(size=N) + 1j * rng.normal(size=N))
-    for K in (4 * T, 4 * T + 1, int(np.ceil(4.0 * np.pi * T))):  # even, odd, QMEGS
+    # even, odd, QMEGS; below 2 _SPREAD cells the padded grid folds onto
+    # the fine one more than once
+    for K in (4 * T, 4 * T + 1, int(np.ceil(4.0 * np.pi * T)), 1, 2, 3, 7):
         xs = -np.pi + (np.arange(K) + 0.5) * (2.0 * np.pi / K)
         assert np.max(np.abs(_scan(z, times, K) - _filtered(z, times, xs))) <= 1e-11
+
+
+def test_taken_cells_by_index_match_the_full_grid():
+    # _peak masks the cells near each taken centre from a window around the
+    # centre's own cell; the mask must be the full-grid one, at every K
+    rng = np.random.default_rng(23)
+    for K in (1, 2, 3, 6, 7, 8, 101, 4000, 12567):
+        cell = 2.0 * np.pi / K
+        xs = -np.pi + (np.arange(K) + 0.5) * cell
+        centres = [
+            rng.uniform(-np.pi - cell, np.pi + cell, 200),
+            [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)],
+            np.pi - rng.uniform(0.0, 3.0 * cell, 20),
+            -np.pi + rng.uniform(0.0, 3.0 * cell, 20),
+            xs[:: max(1, K // 50)],
+            xs[:: max(1, K // 50)] + 2.0 * cell,
+            xs[:: max(1, K // 50)] - 0.5 * cell,
+        ]
+        for s in np.concatenate(centres).tolist():
+            want = np.flatnonzero(np.abs(_wrap(xs - s)) < 2.0 * cell)
+            assert np.array_equal(np.unique(_near(xs, cell, s)), want), (K, s)
 
 
 def test_polish_evaluations_are_reported():

@@ -72,6 +72,18 @@ _times = st.one_of(
 )
 
 
+@st.composite
+def _time_arrays(draw):
+    # short arrays of drawn times, or long seeded ones that span several
+    # _CHUNK_NODES chunks, aligned times mixed in
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(_times, max_size=20)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.uniform(-1e4, 1e4, draw(st.integers(1, 3000)))
+    t[rng.random(t.size) < 0.1] = 2**_M * rng.integers(-100, 100)
+    return t
+
+
 def _assert_psd(full):
     lam = np.linalg.eigvalsh(full)
     assert lam[0] >= -1e-9 * max(lam[-1], 1.0)
@@ -86,6 +98,20 @@ def test_ht_blocks_are_symmetric_psd_and_even_in_t(s, t):
     _assert_psd(full)
     G = ht_fim_single(s, -t)
     assert np.allclose(G.full(), full, rtol=1e-12, atol=1e-12 * np.max(np.abs(full)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spectra(), _time_arrays())
+def test_ht_expectations_are_the_direct_sums(s, t):
+    C, S = ht_expectations(s, t)
+    assert C.shape == S.shape == t.shape
+    arg = np.outer(t, s.phases)
+    assert np.max(np.abs(C - np.cos(arg) @ s.overlaps), initial=0.0) <= 1e-15
+    assert np.max(np.abs(S - np.sin(arg) @ s.overlaps), initial=0.0) <= 1e-15
+    if t.size:
+        one = ht_expectations(s, t[0])
+        assert all(type(v) is float for v in one)
+        assert np.max(np.abs(np.subtract(one, (C[0], S[0])))) <= 1e-15
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import qft_outcome_probs, random_spectrum
 from qpe_bounds import (
+    Schedule,
     Spectrum,
     make_spectrum,
     qft_fim,
@@ -232,3 +233,19 @@ def test_exact_ht_sample_refuses_what_sample_ht_refuses(N_s):
         sample_ht(s, sched, N_s)
     with pytest.raises(ValueError, match=f"N_s={N_s}"):
         sample_ht_exact(s, sched, N_s)
+
+
+def test_ht_samplers_take_overlaps_that_sum_a_rounding_above_one():
+    # the spectrum accepts these overlaps, yet their sum C(0) is
+    # 1.0000000000000004, so (1 + C) / 2 passes 1 before it is clipped
+    s = Spectrum(
+        np.linspace(-0.9, 0.9, 5),
+        [0.4712589073634205, 0.030878859857482194, 0.09406175771971499,
+         0.28218527315914493, 0.12161520190023756],
+    )
+    assert ht_expectations(s, 0.0)[0] > 1.0
+    sched = Schedule("qmegs", 1.0, 1, np.array([0.0]))
+    for sample in (sample_ht(s, sched, 7, seed=1), sample_ht_exact(s, sched, 7)):
+        counts = np.array([sample.n_re0, sample.n_re1, sample.n_im0, sample.n_im1])
+        assert np.all(counts >= 0.0) and np.all(counts <= 7.0)
+    assert sample_ht(s, sched, 7, seed=1).n_re0[0] == 7.0
