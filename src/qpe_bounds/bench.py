@@ -330,24 +330,26 @@ def emit_samples(config, out_path):
     """Write raw sample CSVs, one file per grid point; returns the paths.
 
     Each trial is the ``_draw`` that ``run_campaign`` estimates; a QCELS
-    file holds the last level of its ladder, the one at T.
+    file holds the last level of its ladder, the one at T.  Two points
+    that would share a file, the same (kind, alpha, T), are refused before
+    any file is written.
     """
     stem, ext = os.path.splitext(out_path)
     ext = ext or ".csv"
     header = f"# qpe-bounds v{__version__} seed={config.seed}"
-    written = []
     points = _grid(config)
-    for idx, (alpha, pspec, T) in enumerate(points):
+    paths = [
+        out_path if len(points) == 1 else f"{stem}_{p.kind.value}_a{alpha}_T{T}{ext}"
+        for alpha, p, T in points
+    ]
+    clash = sorted({path for path in paths if paths.count(path) > 1})
+    if clash:
+        raise ValueError(f"grid points with the same (kind, alpha, T) share {', '.join(clash)}")
+    for idx, ((alpha, pspec, T), path) in enumerate(zip(points, paths)):
         s = make_spectrum(config.spectrum, config.L, alpha)
-        path = (
-            out_path
-            if len(points) == 1
-            else f"{stem}_{pspec.kind.value}_a{alpha}_T{T}{ext}"
-        )
         samples = [
             _draw(s, pspec, T, config.seed, idx, k)[-1] for k in range(config.trials)
         ]
         qft = pspec.kind == ProtocolKind.QFT_QPE
         (write_qft_csv if qft else write_ht_csv)(samples, path, header)
-        written.append(path)
-    return written
+    return paths

@@ -98,10 +98,12 @@ def _second_moment(spectrum):
 def _ht_walk(spectrum, times, weights, offsets):
     """The nodes ``times[:, None] + offsets[None, :]``, about _CHUNK_NODES at a time.
 
-    Yields per chunk of whole rows (t, w, gC, gS, wC, wS, badC, badS, dC,
-    dS): the node times and weights, the (2L, nodes) gradients of C and S
-    over (theta, c), dC = 1 - C^2 and dS = 1 - S^2, the masks where they
-    fall below _SINGULAR_TOL, and wC = w / dC and wS = w / dS (0 there).
+    Yields per chunk of whole rows (gC, gS, wC, wS, dip): the (2L, nodes)
+    gradients of C and S over (theta, c), the weights w / (1 - C^2) and
+    w / (1 - S^2), and dip = min(1 - C^2, 1 - S^2).  A measurement with
+    1 - C^2 (or 1 - S^2) below _SINGULAR_TOL is deterministic: its column
+    becomes its limit, (t c theta, 0) over sum_l c_l theta_l^2, so every
+    Gram product counts it alike.  dip is taken before that.
     """
     th = spectrum.phases
     c = spectrum.overlaps
@@ -132,10 +134,7 @@ def _ht_walk(spectrum, times, weights, offsets):
         CH = (tab @ to_cos).reshape(L, tj.size)
         dC = (c @ (2.0 * SH**2)) * (c @ (2.0 * CH**2))
         dS = (c @ (SH - CH) ** 2) * (c @ (SH + CH) ** 2)
-        badC = dC < _SINGULAR_TOL
-        badS = dS < _SINGULAR_TOL
-        wC = np.where(badC, 0.0, wj / np.where(badC, 1.0, dC))
-        wS = np.where(badS, 0.0, wj / np.where(badS, 1.0, dS))
+        dip = np.minimum(dC, dS)
 
         # d C / d(theta, c) = (-c t sin, cos), d S / d(theta, c) = (c t cos,
         # sin), written in place: stacking copies made QMEGS at T = 400 ~10% slower
@@ -147,13 +146,15 @@ def _ht_walk(spectrum, times, weights, offsets):
         ct = c[:, None] * tj
         np.multiply(-ct, sin, out=gC[:L])
         np.multiply(ct, cos, out=gS[:L])
-        yield tj, wj, gC, gS, wC, wS, badC, badS, dC, dS
-
-
-def _aligned_limit(spectrum, wt2):
-    """theta-theta limit of the measurements at |C| or |S| = 1; wt2 is their sum of w t^2."""
-    v = spectrum.overlaps * spectrum.phases
-    return wt2 * np.outer(v, v) / _second_moment(spectrum)
+        # a deterministic measurement becomes its limit column; its c-sector
+        # information diverges and is left out (zero-weight times in every schedule)
+        for g, d in ((gC, dC), (gS, dS)):
+            bad = d < _SINGULAR_TOL
+            if bad.any():
+                g[:L, bad] = np.outer(c * th, tj[bad])
+                g[L:, bad] = 0.0
+                d[bad] = _second_moment(spectrum)
+        yield gC, gS, wj / dC, wj / dS, dip
 
 
 def _gram(gC, gS, wC, wS):
@@ -167,11 +168,10 @@ def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
     success probabilities (1+C)/2 and (1+S)/2, so each time adds
     grad C grad C^T / (1 - C^2) + grad S grad S^T / (1 - S^2), the
     gradients taken over (theta, c).  At times where |C| or |S|
-    reaches 1 that measurement's theta-theta term takes its finite limit
-    c_i c_j t^2 theta_i theta_j / sum_l c_l theta_l^2, and its partner
-    (then |S| or |C| = 0) is counted as at any other time; the c-sector
-    information of the degenerate measurement diverges there and is
-    omitted (such times carry zero weight in every schedule expectation).
+    reaches 1 that measurement counts as its limit column from
+    ``_ht_walk``: theta-theta term c_i c_j t^2 theta_i theta_j /
+    sum_l c_l theta_l^2 and no c-sector term.  Its partner (then |S| or
+    |C| = 0) is counted as at any other time.
 
     The nodes are the outer sum ``times[:, None] + offsets[None, :]`` of
     two 1-D arrays, in row-major order, and ``weights`` has that shape or
@@ -181,19 +181,11 @@ def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
     of the nodes.  With the default single offset 0 (sin b = 0, cos b = 1)
     they are exactly the sin and cos of the times.  The nodes are walked
     in whole rows, about _CHUNK_NODES at a time (``_ht_walk``), so the
-    (2L, chunk) stacks stay in cache.
+    (2L, chunk) stacks stay in cache; the sum is one Gram product a chunk.
     """
-    L = spectrum.L
-    F = np.zeros((2 * L, 2 * L))
-    wt2 = 0.0
-    for tj, wj, gC, gS, wC, wS, badC, badS, _, _ in _ht_walk(spectrum, times, weights, offsets):
+    F = np.zeros((2 * spectrum.L, 2 * spectrum.L))
+    for gC, gS, wC, wS, _ in _ht_walk(spectrum, times, weights, offsets):
         F += _gram(gC, gS, wC, wS)
-        if badC.any() or badS.any():
-            wt2 += np.sum(wj[badC] * tj[badC] ** 2)
-            wt2 += np.sum(wj[badS] * tj[badS] ** 2)
-
-    if wt2:
-        F[:L, :L] += _aligned_limit(spectrum, wt2)
     return BlockFim(0.5 * (F + F.T))
 
 
@@ -273,9 +265,10 @@ def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
     ``allowance`` and no node of it has min(1 - C^2, 1 - S^2) below
     _DIP_FLOOR.  The decision is taken chunk by chunk inside one walk, so
     the settled panels' blocks are summed apart from the others with no
-    second pass.  Returns (settled, rest, diag, done): the full blocks of
-    the settled pairs and of the others, the (panels, L) theta-theta
-    diagonal of each panel, and per pair whether it settled.
+    second pass; an aligned node counts as ``_ht_walk``'s limit column in
+    both.  Returns (settled, rest, diag, done): the full blocks of the
+    settled pairs and of the others, the (panels, L) theta-theta diagonal
+    of each panel, and per pair whether it settled.
     """
     L = spectrum.L
     nb = _PANEL_NODES
@@ -283,24 +276,19 @@ def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
     x = mid[:, None] + half * _gl_nodes[None, :]
     w = half * _gl_weights * 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
     blocks = np.zeros((2, 2 * L, 2 * L))
-    wt2 = np.zeros(2)
     diag, done = [], []
     pair = 0
-    for tj, wj, gC, gS, wC, wS, badC, badS, dC, dS in _ht_walk(spectrum, T * mid, w, T * half * _gl_nodes):
+    for gC, gS, wC, wS, dip in _ht_walk(spectrum, T * mid, w, T * half * _gl_nodes):
         # a chunk is _CHUNK_NODES // nb = 32 whole panels, so no pair is split
-        rows = tj.size // nb
-        # per panel, the w t^2 of its measurements at |C| or |S| = 1
-        at_limit = (wj * tj**2 * (badC.astype(float) + badS)).reshape(rows, nb).sum(axis=1)
+        rows = dip.size // nb
         gCt, gSt = gC[:L].reshape(L, rows, nb), gS[:L].reshape(L, rows, nb)
         d = np.einsum("lrk,lrk,rk->rl", gCt, gCt, wC.reshape(rows, nb))
         d += np.einsum("lrk,lrk,rk->rl", gSt, gSt, wS.reshape(rows, nb))
-        if at_limit.any():
-            d += np.outer(at_limit, np.diag(_aligned_limit(spectrum, 1.0)))
         ok = np.zeros(rows // 2, dtype=bool)
         if parents is not None:
             moved = d.reshape(-1, 2, L).sum(axis=1) - parents[pair : pair + rows // 2]
-            dip = np.minimum(dC, dS).reshape(-1, 2 * nb).min(axis=1)
-            ok = (np.max(np.abs(moved), axis=1) <= allowance) & (dip >= _DIP_FLOOR)
+            low = dip.reshape(-1, 2 * nb).min(axis=1)
+            ok = (np.max(np.abs(moved), axis=1) <= allowance) & (low >= _DIP_FLOOR)
         pair += rows // 2
         diag.append(d)
         done.append(ok)
@@ -310,12 +298,8 @@ def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
         for p0, p1 in zip(cuts[:-1], cuts[1:]):
             k, cols = int(not ok[p0]), slice(2 * nb * p0, 2 * nb * p1)
             blocks[k] += _gram(gC[:, cols], gS[:, cols], wC[cols], wS[cols])
-            wt2[k] += at_limit[2 * p0 : 2 * p1].sum()
 
-    for k in range(2):
-        if wt2[k]:
-            blocks[k][:L, :L] += _aligned_limit(spectrum, wt2[k])
-        blocks[k] = 0.5 * (blocks[k] + blocks[k].T)
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
     return blocks[0], blocks[1], np.concatenate(diag), np.concatenate(done)
 
 

@@ -352,6 +352,23 @@ def test_emit_samples_file_naming(tmp_path):
     assert out == [str(tmp_path / "only.csv")]
 
 
+@pytest.mark.parametrize("over", [
+    {"protocols": [{"kind": "qmegs", "T": [100], "N_t": 5},
+                   {"kind": "qmegs", "T": [100], "N_t": 7}]},
+    {"alphas": [0.4, 0.4]},
+])
+def test_sample_files_that_would_clash_are_a_config_error(tmp_path, capsys, over):
+    # two points with the same (kind, alpha, T) would write one file name;
+    # the second would overwrite the first, so nothing is written
+    cfg = _write_config(tmp_path, _config_dict(trials=2, **over))
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "raw.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: grid points with the same (kind, alpha, T)")
+    assert str(tmp_path / "raw_qmegs_a0.4_T") in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_emit_samples_writes_the_draws_bench_estimates(tmp_path, monkeypatch):
     cfg = CampaignConfig.from_dict(
         _config_dict(

@@ -160,6 +160,17 @@ def test_f_i_max_zero_second_moment():
         f_i(Spectrum([0.0], [1.0]), 0, 2.0)
 
 
+def test_zero_second_moment_raises_at_every_aligned_time():
+    # with sum_l c_l theta_l^2 = 0 every time is aligned (C = 1) and the
+    # limit column is undefined; t = 0, whose column would be 0, is no exception
+    s = Spectrum([0.0], [1.0])
+    for t in (0.0, 2.0):
+        with pytest.raises(ZeroSecondMoment):
+            ht_fim_single(s, t)
+    with pytest.raises(ZeroSecondMoment):
+        total_fim(s, "csqpe", 10, 1, 1)
+
+
 def test_f_i_needs_a_nonzero_overlap():
     with pytest.raises(ValueError):
         f_i(Spectrum([0.5, -0.5], [1.0, 0.0]), 1, 2.0)
@@ -267,6 +278,33 @@ def test_qmegs_quadrature_panel_cap_edge(monkeypatch):
 def test_qmegs_quadrature_converges_with_a_phase_near_zero():
     s = Spectrum([1e-6, 2.0], [0.5, 0.5])
     assert np.all(np.isfinite(_qmegs_expected_blocks(s, 12).theta_theta))
+
+
+def test_qmegs_level_counts_an_aligned_node_by_its_limit():
+    # dyadic phases align at t = 8 pi; T puts node 5 of the panel [0.25, 0.5]
+    # there, so that node's C = 1 and its real part takes the limit column
+    s = Spectrum([0.25, -0.5, 0.75], [0.5, 0.3, 0.2])
+    lefts, half, g = np.array([0.0, 0.25, 0.5, 0.75]), 1.0 / 8, fim_module._gl_nodes
+    T = (2.0 * np.pi / 0.25) / (0.25 + half + half * g[5])
+
+    def dip(T):
+        nodes = fim_module._ht_walk(s, T * (lefts + half), np.ones((4, 32)), T * half * g)
+        return min(np.min(d) for *_, d in nodes)
+
+    def level(T):
+        settled, rest, diag, _ = fim_module._qmegs_level(s, T, lefts, half)
+        return (settled + rest)[:3, :3], diag
+
+    block, diag = level(T)
+    assert dip(T) < fim_module._SINGULAR_TOL
+    # (a) the per-panel diagonals that decide settling count it as the block does
+    assert np.allclose(diag.sum(axis=0), np.diag(block), rtol=1e-12, atol=0.0)
+    # (b) the limit is continuous: a shift that takes the node out of the
+    # singular band (at 1 + 1e-9 it stays inside) barely moves the block;
+    # with the aligned measurement dropped it moves by about 6e-4
+    assert dip(T * (1.0 + 1e-9)) < fim_module._SINGULAR_TOL <= dip(T * (1.0 + 1e-7))
+    moved = level(T * (1.0 + 1e-7))[0] - block
+    assert np.max(np.abs(moved)) < 1e-5 * np.max(np.abs(block))
 
 
 def _fine_level(s, T, panels=4096):

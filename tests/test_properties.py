@@ -7,7 +7,7 @@ random values with multiples of 2^m, where every dyadic phase aligns
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qpe_bounds import (
@@ -27,6 +27,7 @@ from qpe_bounds import (
     fit_qft_histogram,
     ht_expectations,
     ht_fim_single,
+    qft_fim,
     qft_probabilities,
     read_ht_csv,
     read_qft_csv,
@@ -40,6 +41,7 @@ from qpe_bounds import (
     write_qft_csv,
 )
 from qpe_bounds.bench import accounting, qcels_levels
+from qpe_bounds.dirichlet import register_chunks
 from qpe_bounds.estimators import _filtered, _polish, _wrap
 from qpe_bounds.fim import _ht_blocks_weighted
 
@@ -281,6 +283,34 @@ def test_qft_csv_round_trips_any_multi_trial_sample(tmp_path_factory, n, data):
     assert len(back) == len(trials)
     for orig, rec in zip(trials, back):
         assert rec.n == n and np.array_equal(orig.outcomes, rec.outcomes)
+
+
+
+# The register walk across its chunk boundaries: n = 16 is the first width
+# past one _CHUNK (2^15 bins) and n = 20 the first past the cached
+# half-angle table (_TABLE_BINS).  n = 26, the cap, takes about 20 s for
+# three phases on a 2-core host, so it stays out of this suite.
+@settings(max_examples=8, deadline=None)
+@given(st.integers(13, 22), st.integers(0, 2**32 - 1), st.sampled_from([1e-12, -1e-12]),
+       st.sampled_from([np.pi, -np.pi]))
+@example(16, 0, 1e-12, np.pi)
+@example(20, 1, -1e-12, -np.pi)
+def test_register_walk_keeps_the_kernel_identities_across_chunks(n, seed, nudge, edge):
+    # a random phase, one next to a bin centre, and the edge of (-pi, pi]
+    M = 2**n
+    rng = np.random.default_rng(seed)
+    bin_centre = 2.0 * np.pi * rng.integers(-M // 2 + 1, M // 2 + 1) / M
+    thetas = np.array([rng.uniform(-np.pi, np.pi), bin_centre + nudge, edge])
+    total, slope = np.zeros(3), np.zeros(3)
+    for K, dK in register_chunks(n, thetas, derivative=True):
+        total += K.sum(axis=1)
+        slope += dK.sum(axis=1)
+    assert np.all(np.abs(total - 1.0) <= 1e-12)
+    assert np.all(np.abs(slope) <= 1e-13 * M)
+    # one mode: sum_y K'^2 / K = (M^2 - 1) / 3, at the phase moved into (-pi, pi]
+    for theta in np.pi - (np.pi - thetas) % (2.0 * np.pi):
+        got = qft_fim(Spectrum([theta], [1.0]), n).theta_theta[0, 0]
+        assert abs(got / ((4.0**n - 1.0) / 3.0) - 1.0) <= 1e-12
 
 
 # Newton polish and estimator symmetry on the three Hadamard-test layouts:
