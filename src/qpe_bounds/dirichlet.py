@@ -11,7 +11,9 @@ so one scalar sine per theta and a half-angle table give the squared kernel
 (``squared_kernel_grid``); every register reader walks it by ``register_chunks``.
 
 ``cis`` is the unit-circle kernel for the Hadamard-test data: cos and sin
-of a whole array from one tangent of the half angle.
+of a whole array from one tangent of the half angle.  The Fisher walk
+``fim._ht_walk`` reads its cancellation-free 1 -+ cos and 1 -+ sin from the
+same tangent.
 """
 
 import functools
@@ -29,7 +31,7 @@ _PI_HI = math.ldexp(round(math.ldexp(math.pi, 24)), -24)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 # the cached half-angle table holds 2M bins; larger grids build their slice
 _TABLE_BINS = 1 << 20
-# bins (in fim, Hadamard-test times) per (2L, chunk) stack
+# bins per (L, chunk) kernel stack of the register walk ``register_chunks``
 _CHUNK = 1 << 15
 
 
@@ -47,10 +49,8 @@ def cis(x):
 
     The precision is absolute: 1 - tau^2 cancels, so cos is not accurate
     relative to itself next to odd multiples of pi/2.  That is why
-    ``_reduced_sincos`` keeps np.sin and np.cos (its half-angle table
-    needs both parts to full relative precision), and so does the Fisher
-    walk ``fim._ht_walk``, whose cancellation-free 1 - C^2 rests on the
-    same kind of small values and whose sums are the accounting columns.
+    ``_reduced_sincos`` keeps np.sin and np.cos: its half-angle table
+    needs both parts to full relative precision.
     """
     tau = np.multiply(x, 0.5)
     np.tan(tau, out=tau)

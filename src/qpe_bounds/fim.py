@@ -29,8 +29,8 @@ from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
 # nodes (times, records) per chunk of every per-time walk: the Fisher walk's
-# (2L, chunk) stacks, ht_expectations' (chunk, L) angles and _scan's
-# (2 _SPREAD, chunk) spread stay in cache
+# (L, chunk) tangents and (2L, chunk) stacks, ht_expectations' (chunk, L)
+# angles and _scan's (2 _SPREAD, chunk) spread stay in cache
 _CHUNK_NODES = 1024
 _TRUNC_NORM = _C * np.sqrt(_TWO_PI)
 
@@ -95,45 +95,33 @@ def _second_moment(spectrum):
     return sm
 
 
-def _ht_walk(spectrum, times, weights, offsets):
-    """The nodes ``times[:, None] + offsets[None, :]``, about _CHUNK_NODES at a time.
+def _ht_walk(spectrum, times, weights):
+    """The node times, flattened, walked _CHUNK_NODES at a time.
 
-    Yields per chunk of whole rows (gC, gS, wC, wS, dip): the (2L, nodes)
-    gradients of C and S over (theta, c), the weights w / (1 - C^2) and
-    w / (1 - S^2), and dip = min(1 - C^2, 1 - S^2).  A measurement with
-    1 - C^2 (or 1 - S^2) below _SINGULAR_TOL is deterministic: its column
-    becomes its limit, (t c theta, 0) over sum_l c_l theta_l^2, so every
-    Gram product counts it alike.  dip is taken before that.
+    Yields per chunk (gC, gS, wC, wS, dip): the (2L, nodes) gradients of
+    C and S over (theta, c), the weights w / (1 - C^2) and w / (1 - S^2),
+    and dip = min(1 - C^2, 1 - S^2).  A measurement with 1 - C^2 (or
+    1 - S^2) below _SINGULAR_TOL is deterministic: its column becomes its
+    limit, (t c theta, 0) over sum_l c_l theta_l^2, so every Gram product
+    counts it alike.  dip is taken before that.
     """
     th = spectrum.phases
     c = spectrum.overlaps
-    a = np.asarray(times, dtype=float)
-    b = np.asarray(offsets, dtype=float)
-    w = np.asarray(weights, dtype=float).reshape(a.size, b.size)
+    t = np.ravel(np.asarray(times, dtype=float))
+    w = np.ravel(np.asarray(weights, dtype=float))
     L = th.size
-    # sin(x + y) = (sin x, cos x) . (cos y, sin y) and
-    # cos(x + y) = (sin x, cos x) . (-sin y, cos y): per phase, one
-    # (rows, 2) by (2, offsets) product each, about ten times faster than
-    # the same sums broadcast elementwise
-    hb = np.outer(th, 0.5 * b)
-    sb, cb = np.sin(hb), np.cos(hb)
-    to_sin = np.stack([cb, sb], axis=1)
-    to_cos = np.stack([-sb, cb], axis=1)
-
-    rows = max(1, _CHUNK_NODES // b.size)
-    for start in range(0, a.size, rows):
-        aj = a[start : start + rows]
-        tj = (aj[:, None] + b).ravel()
-        wj = w[start : start + rows].ravel()
-        ha = np.outer(th, 0.5 * aj)
-        tab = np.stack([np.sin(ha), np.cos(ha)], axis=2)
-        # half-angle forms keep 1 -|C| and 1 -|S| as sums of nonnegative
-        # terms; the naive 1 - C^2 cancels catastrophically near the
-        # alignment times and poisons quadrature at large T
-        SH = (tab @ to_sin).reshape(L, tj.size)
-        CH = (tab @ to_cos).reshape(L, tj.size)
-        dC = (c @ (2.0 * SH**2)) * (c @ (2.0 * CH**2))
-        dS = (c @ (SH - CH) ** 2) * (c @ (SH + CH) ** 2)
+    for lo in range(0, t.size, _CHUNK_NODES):
+        tj = t[lo : lo + _CHUNK_NODES]
+        # with tau = tan(theta t / 2) and q = 1 / (1 + tau^2), 1 - cos = 2 tau^2 q,
+        # 1 + cos = 2 q and 1 -+ sin = (tau -+ 1)^2 q are sums of nonnegative
+        # terms, so 1 - C^2 = (1 - C)(1 + C) does not cancel; the naive
+        # 1 - C^2 cancels catastrophically near the alignment times and
+        # poisons quadrature at large T
+        tau = np.tan(np.outer(0.5 * th, tj))
+        t2 = tau * tau
+        q = 1.0 / (1.0 + t2)
+        dC = 4.0 * (c @ (t2 * q)) * (c @ q)
+        dS = (c @ ((tau - 1.0) ** 2 * q)) * (c @ ((tau + 1.0) ** 2 * q))
         dip = np.minimum(dC, dS)
 
         # d C / d(theta, c) = (-c t sin, cos), d S / d(theta, c) = (c t cos,
@@ -141,8 +129,8 @@ def _ht_walk(spectrum, times, weights, offsets):
         gC = np.empty((2 * L, tj.size))
         gS = np.empty((2 * L, tj.size))
         sin, cos = gS[L:], gC[L:]
-        np.multiply(2.0 * SH, CH, out=sin)
-        np.subtract(1.0, 2.0 * SH**2, out=cos)
+        np.multiply(2.0 * tau, q, out=sin)
+        np.multiply(1.0 - t2, q, out=cos)
         ct = c[:, None] * tj
         np.multiply(-ct, sin, out=gC[:L])
         np.multiply(ct, cos, out=gS[:L])
@@ -154,6 +142,7 @@ def _ht_walk(spectrum, times, weights, offsets):
                 g[:L, bad] = np.outer(c * th, tj[bad])
                 g[L:, bad] = 0.0
                 d[bad] = _second_moment(spectrum)
+        wj = w[lo : lo + _CHUNK_NODES]
         yield gC, gS, wj / dC, wj / dS, dip
 
 
@@ -161,7 +150,7 @@ def _gram(gC, gS, wC, wS):
     return (gC * wC) @ gC.T + (gS * wS) @ gS.T
 
 
-def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
+def _ht_blocks_weighted(spectrum, times, weights):
     """Weighted sum over times of the per-time Hadamard-test Fisher matrix.
 
     The real and imaginary measurements are independent Bernoullis with
@@ -173,18 +162,12 @@ def _ht_blocks_weighted(spectrum, times, weights, offsets=(0.0,)):
     sum_l c_l theta_l^2 and no c-sector term.  Its partner (then |S| or
     |C| = 0) is counted as at any other time.
 
-    The nodes are the outer sum ``times[:, None] + offsets[None, :]`` of
-    two 1-D arrays, in row-major order, and ``weights`` has that shape or
-    its flattened one.  The half angles theta (a + b) / 2 come by angle
-    addition from two small sin/cos tables, one over the offsets b and
-    one per chunk over the times a, so sin and cos run on 1/offsets.size
-    of the nodes.  With the default single offset 0 (sin b = 0, cos b = 1)
-    they are exactly the sin and cos of the times.  The nodes are walked
-    in whole rows, about _CHUNK_NODES at a time (``_ht_walk``), so the
-    (2L, chunk) stacks stay in cache; the sum is one Gram product a chunk.
+    ``times`` and ``weights`` have one shape, read flattened.  The times
+    are walked _CHUNK_NODES at a time (``_ht_walk``), so the (2L, chunk)
+    stacks stay in cache; the sum is one Gram product a chunk.
     """
     F = np.zeros((2 * spectrum.L, 2 * spectrum.L))
-    for gC, gS, wC, wS, _ in _ht_walk(spectrum, times, weights, offsets):
+    for gC, gS, wC, wS, _ in _ht_walk(spectrum, times, weights):
         F += _gram(gC, gS, wC, wS)
     return BlockFim(0.5 * (F + F.T))
 
@@ -272,13 +255,12 @@ def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
     """
     L = spectrum.L
     nb = _PANEL_NODES
-    mid = lefts + half
-    x = mid[:, None] + half * _gl_nodes[None, :]
+    x = (lefts + half)[:, None] + half * _gl_nodes[None, :]
     w = half * _gl_weights * 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
     blocks = np.zeros((2, 2 * L, 2 * L))
     diag, done = [], []
     pair = 0
-    for gC, gS, wC, wS, dip in _ht_walk(spectrum, T * mid, w, T * half * _gl_nodes):
+    for gC, gS, wC, wS, dip in _ht_walk(spectrum, T * x, w):
         # a chunk is _CHUNK_NODES // nb = 32 whole panels, so no pair is split
         rows = dip.size // nb
         gCt, gSt = gC[:L].reshape(L, rows, nb), gS[:L].reshape(L, rows, nb)

@@ -288,7 +288,7 @@ def test_qmegs_level_counts_an_aligned_node_by_its_limit():
     T = (2.0 * np.pi / 0.25) / (0.25 + half + half * g[5])
 
     def dip(T):
-        nodes = fim_module._ht_walk(s, T * (lefts + half), np.ones((4, 32)), T * half * g)
+        nodes = fim_module._ht_walk(s, T * ((lefts + half)[:, None] + half * g), np.ones((4, 32)))
         return min(np.min(d) for *_, d in nodes)
 
     def level(T):
@@ -315,7 +315,7 @@ def _fine_level(s, T, panels=4096):
     mid = (2.0 * np.arange(panels // 2) + 1.0) * half
     x = mid[:, None] + half * g
     dens = 2.0 * np.exp(-0.5 * x**2) / (erf(1.0 / np.sqrt(2.0)) * np.sqrt(2.0 * np.pi))
-    return _ht_blocks_weighted(s, T * mid, half * gw * dens, offsets=T * half * g)
+    return _ht_blocks_weighted(s, T * x, half * gw * dens)
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.8])
@@ -410,17 +410,62 @@ def test_ht_blocks_are_additive_across_chunk_boundaries():
     halves = (_ht_blocks_weighted(s, t[:1500], w[:1500])
               + _ht_blocks_weighted(s, t[1500:], w[1500:])).full()
     assert np.allclose(whole, halves, rtol=0.0, atol=1e-13 * np.max(np.abs(whole)))
-    # three offsets do not divide the chunk, so each chunk takes whole rows
-    # of the (times, offsets) weights
-    a, b = t[:1000], np.array([0.0, 0.25, -0.4])
-    W = np.outer(w[:1000], [1.0, 2.0, 3.0])
-    outer = _ht_blocks_weighted(s, a, W, offsets=b).full()
-    flat = _ht_blocks_weighted(s, (a[:, None] + b).ravel(), W.ravel()).full()
-    split = (_ht_blocks_weighted(s, a[:500], W[:500], offsets=b)
-             + _ht_blocks_weighted(s, a[500:], W[500:], offsets=b)).full()
-    scale = np.max(np.abs(flat))
-    assert np.allclose(outer, flat, rtol=0.0, atol=1e-13 * scale)
-    assert np.allclose(outer, split, rtol=0.0, atol=1e-13 * scale)
+
+
+def _exact_gaps(s, times):
+    # (sum c)^2 - C^2 and (sum c)^2 - S^2 to 50 digits at the walk's own
+    # float64 half angles 0.5 theta t, so the rounding of theta t drops out;
+    # the walk's 1 is the overlaps' sum, which can differ from 1 by an ulp
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(v) for v in s.overlaps]
+        one = mpmath.fsum(c)
+        for t in times:
+            h = [2 * mpmath.mpf(v) for v in 0.5 * s.phases * t]
+            C = mpmath.fsum(ci * mpmath.cos(hi) for ci, hi in zip(c, h))
+            S = mpmath.fsum(ci * mpmath.sin(hi) for ci, hi in zip(c, h))
+            out.append([float((one - C) * (one + C)), float((one - S) * (one + S))])
+    return np.array(out).T
+
+
+def test_walk_weights_are_relatively_precise_at_its_own_angles(monkeypatch):
+    # with the limit column switched off, 1 / wC and 1 / wS are the walk's
+    # own 1 - C^2 and 1 - S^2, aligned neighbours included
+    monkeypatch.setattr(fim_module, "_SINGULAR_TOL", 0.0)
+    rng = np.random.default_rng(21)
+    dyadic = Spectrum([0.25, -0.5, 0.75], [0.5, 0.3, 0.2])
+    eps = 10.0 ** -np.arange(5.0, 10.0)
+    # dyadic phases align at every multiple of 8 pi
+    near = 8.0 * np.pi * np.outer(np.arange(1.0, 4.0), np.concatenate([1.0 + eps, 1.0 - eps]))
+    cases = [
+        (dyadic, near.ravel()),
+        (make_spectrum("uniform", 20, 0.4), rng.uniform(0.0, 3000.0, 40)),
+        (make_spectrum("uniform", 5, 0.8), rng.uniform(0.0, 3000.0, 40)),
+        (dyadic, 10.0 ** rng.uniform(6.0, 9.0, 8) / 0.75),
+    ]
+    for s, times in cases:
+        (_, _, wC, wS, _), = fim_module._ht_walk(s, times, np.ones_like(times))
+        want = _exact_gaps(s, times)
+        err = np.abs(np.array([1.0 / wC, 1.0 / wS]) - want) / want
+        assert np.max(err) <= 1e-11
+    # the naive 1 - C^2 must fail this: next to alignment it misses by up to 100%
+    C, _ = ht_expectations(dyadic, near.ravel())
+    want = _exact_gaps(dyadic, near.ravel())[0]
+    assert np.max(np.abs(1.0 - C**2 - want) / want) > 1e-6
+
+
+@pytest.mark.parametrize("family, alpha, T",
+                         [("uniform", 0.4, 400), ("uniform", 0.8, 2000), ("head_dense", 0.2, 100)])
+def test_time_average_does_not_depend_on_the_chunk_size(monkeypatch, family, alpha, T):
+    # the walk takes flat node times; a chunk must hold whole panel pairs,
+    # and 64 nodes is exactly one pair
+    s = make_spectrum(family, 20, alpha)
+    want = _qmegs_expected_blocks(s, T).full()
+    for nodes in (64, 4096):
+        monkeypatch.setattr(fim_module, "_CHUNK_NODES", nodes)
+        got = _qmegs_expected_blocks(s, T).full()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_total_fim_qft_scales_with_shots():

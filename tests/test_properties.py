@@ -133,33 +133,6 @@ def test_ht_blocks_are_additive_over_times(s, times):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * (np.max(np.abs(want)) + 1.0))
 
 
-_offsets = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4)
-# relative to the largest entry; the worst of 26000 draws was 1.2e-12
-_OFFSET_TOL = 1e-11
-
-
-@settings(max_examples=200, deadline=None)
-@given(_spectra(), st.lists(_times, min_size=1, max_size=5), _offsets, st.data())
-def test_offset_times_are_the_flat_outer_sum(s, base, offsets, data):
-    # base time 0 and offset 0 are always in: the node t = 0 and every
-    # aligned base time take the singular-time limits
-    a = np.array([0.0, *base])
-    b = np.array([0.0, *offsets])
-    W = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=a.size * b.size,
-                                    max_size=a.size * b.size))).reshape(a.size, b.size)
-    flat = (a[:, None] + b).ravel()
-    # the two paths round the half angle differently (~1e-16 of it), and
-    # near an aligned time, not at it, 1/(1 - C^2) magnifies that into the
-    # largest entries; such draws, and those at the masking threshold, are
-    # left out
-    C, S = ht_expectations(s, flat)
-    gap = np.minimum(1.0 - C**2, 1.0 - S**2)
-    assume(np.all((gap < 1e-14) | (gap > 1e-4)))
-    got = _ht_blocks_weighted(s, a, W, offsets=b).full()
-    want = _ht_blocks_weighted(s, flat, W.ravel()).full()
-    assert np.allclose(got, want, rtol=0.0, atol=_OFFSET_TOL * np.max(np.abs(want)))
-
-
 # (kind, T, N_t); the qcels, rpe and csqpe times include multiples of 2^_M
 _CAMPAIGNS = [("qcels", 64, 8), ("qcels", 24, 6), ("rpe", 32, 1), ("csqpe", 20, 4),
               ("qmegs", 12, 3), ("qft", 31, 1)]
