@@ -31,8 +31,13 @@ _PI_HI = math.ldexp(round(math.ldexp(math.pi, 24)), -24)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
 # the cached half-angle table holds 2M bins; larger grids build their slice
 _TABLE_BINS = 1 << 20
-# bins per (L, chunk) kernel stack of the register walk ``register_chunks``
+# bins per (L, chunk) kernel stack of the register walk ``register_chunks``;
+# the derivative walk, which ``fim.qft_fim`` stacks into a (2L, chunk) Gram
+# factor, takes fewer so that stack stays in a 2 MB L2.  The walks without
+# derivative keep the larger chunk: ``simulate.sample_qft`` binary-searches
+# every draw in every chunk
 _CHUNK = 1 << 15
+_DERIVATIVE_CHUNK = 1 << 12
 
 
 def cis(x):
@@ -200,12 +205,16 @@ def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
 
 
 def register_chunks(n, theta, derivative=False):
-    """``squared_kernel_grid`` on the 2^n bins, _CHUNK at a time; n is checked at the call."""
+    """``squared_kernel_grid`` on the 2^n bins, _CHUNK at a time; n is checked at the call.
+
+    With ``derivative`` the walk takes _DERIVATIVE_CHUNK bins at a time.
+    """
     n = _whole("n", n)
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be between 1 and {_MAX_N}")
     M = 2**n
+    step = _DERIVATIVE_CHUNK if derivative else _CHUNK
     return (
-        squared_kernel_grid(M, theta, lo, min(lo + _CHUNK, M), derivative)
-        for lo in range(0, M, _CHUNK)
+        squared_kernel_grid(M, theta, lo, min(lo + step, M), derivative)
+        for lo in range(0, M, step)
     )

@@ -2,11 +2,14 @@
 
 Parameters are the 2L reals (theta_1..theta_L, c_1..c_L) with the overlaps
 treated as free coordinates.  Both families build the matrix the same way,
-sum over outcomes of grad p grad p^T / p, from one stack of gradients.  All
-builders return a BlockFim; information is additive, so repeated shots
-scale it and independent times sum it.  ``total_fim`` checks its campaign
-point by ``schedules._point``; ``bench.accounting`` turns the matrix into
-g0 and the cost bound.
+sum over outcomes of grad p grad p^T / p: each chunk of outcomes is one
+stack A of gradient columns scaled by the square roots of their weights,
+and adds A A^T, which BLAS forms as a symmetric rank-k update, so the sum
+is exactly symmetric with no symmetrization.  All builders return a
+BlockFim; information is additive, so repeated shots scale it and
+independent times sum it.  ``total_fim`` checks its campaign point by
+``schedules._point``; ``bench.accounting`` turns the matrix into g0 and
+the cost bound.
 """
 
 import logging
@@ -98,56 +101,89 @@ def _second_moment(spectrum):
 def _ht_walk(spectrum, times, weights):
     """The node times, flattened, walked _CHUNK_NODES at a time.
 
-    Yields per chunk (gC, gS, wC, wS, dip): the (2L, nodes) gradients of
-    C and S over (theta, c), the weights w / (1 - C^2) and w / (1 - S^2),
-    and dip = min(1 - C^2, 1 - S^2).  A measurement with 1 - C^2 (or
-    1 - S^2) below _SINGULAR_TOL is deterministic: its column becomes its
-    limit, (t c theta, 0) over sum_l c_l theta_l^2, so every Gram product
-    counts it alike.  dip is taken before that.
+    Yields per chunk (aC, aS, dC, dS): the (2L, nodes) gradients of C and
+    S over (theta, c), each column scaled by sqrt(w / (1 - C^2)) and
+    sqrt(w / (1 - S^2)), so the chunk's Fisher sum is
+    aC aC^T + aS aS^T; and the walk's own 1 - C^2 and 1 - S^2 per node.
+    A measurement with 1 - C^2 (or 1 - S^2) below _SINGULAR_TOL is
+    deterministic: its column becomes its limit, (t c theta, 0) over
+    sum_l c_l theta_l^2 before the scaling, so every Gram product counts
+    it alike.  dC and dS are taken before that.
+
+    The four arrays are views of one workspace allocated per walk: the
+    next chunk overwrites them, so a caller takes what it needs from a
+    chunk before it asks for the next.
     """
     th = spectrum.phases
     c = spectrum.overlaps
     t = np.ravel(np.asarray(times, dtype=float))
     w = np.ravel(np.asarray(weights, dtype=float))
-    L = th.size
-    for lo in range(0, t.size, _CHUNK_NODES):
-        tj = t[lo : lo + _CHUNK_NODES]
+    L, n = th.size, min(t.size, _CHUNK_NODES)
+    half, cc = 0.5 * th[:, None], c[:, None]
+    tau_, t2_, q_, u_ = np.empty((4, L, n))
+    aC_, aS_ = np.empty((2, 2 * L, n))
+    dC_, dS_, sC_, sS_ = np.empty((4, n))
+    for lo in range(0, t.size, n):
+        tj, wj = t[lo : lo + n], w[lo : lo + n]
+        m = tj.size
+        tau, t2, q, u = tau_[:, :m], t2_[:, :m], q_[:, :m], u_[:, :m]
+        aC, aS, dC, dS = aC_[:, :m], aS_[:, :m], dC_[:m], dS_[:m]
+        sC, sS = sC_[:m], sS_[:m]
         # with tau = tan(theta t / 2) and q = 1 / (1 + tau^2), 1 - cos = 2 tau^2 q,
         # 1 + cos = 2 q and 1 -+ sin = (tau -+ 1)^2 q are sums of nonnegative
         # terms, so 1 - C^2 = (1 - C)(1 + C) does not cancel; the naive
         # 1 - C^2 cancels catastrophically near the alignment times and
         # poisons quadrature at large T
-        tau = np.tan(np.outer(0.5 * th, tj))
-        t2 = tau * tau
-        q = 1.0 / (1.0 + t2)
-        dC = 4.0 * (c @ (t2 * q)) * (c @ q)
-        dS = (c @ ((tau - 1.0) ** 2 * q)) * (c @ ((tau + 1.0) ** 2 * q))
-        dip = np.minimum(dC, dS)
+        np.multiply(half, tj, out=tau)
+        np.tan(tau, out=tau)
+        np.multiply(tau, tau, out=t2)
+        np.add(1.0, t2, out=q)
+        np.divide(1.0, q, out=q)
+        np.multiply(t2, q, out=u)
+        np.matmul(c, u, out=dC)
+        dC *= 4.0
+        dC *= c @ q
+        np.subtract(tau, 1.0, out=u)
+        u *= u
+        u *= q
+        np.matmul(c, u, out=dS)
+        np.add(tau, 1.0, out=u)
+        u *= u
+        u *= q
+        dS *= c @ u
+
+        # the column scales; a deterministic measurement becomes its limit
+        # column, whose c-sector information diverges and is left out
+        # (zero-weight times in every schedule)
+        bad = (dC < _SINGULAR_TOL, dS < _SINGULAR_TOL)
+        for d, s, b in zip((dC, dS), (sC, sS), bad):
+            np.divide(wj, d, out=s, where=~b)
+            if b.any():
+                s[b] = wj[b] / _second_moment(spectrum)
+            np.sqrt(s, out=s)
 
         # d C / d(theta, c) = (-c t sin, cos), d S / d(theta, c) = (c t cos,
-        # sin), written in place: stacking copies made QMEGS at T = 400 ~10% slower
-        gC = np.empty((2 * L, tj.size))
-        gS = np.empty((2 * L, tj.size))
-        sin, cos = gS[L:], gC[L:]
-        np.multiply(2.0 * tau, q, out=sin)
-        np.multiply(1.0 - t2, q, out=cos)
-        ct = c[:, None] * tj
-        np.multiply(-ct, sin, out=gC[:L])
-        np.multiply(ct, cos, out=gS[:L])
-        # a deterministic measurement becomes its limit column; its c-sector
-        # information diverges and is left out (zero-weight times in every schedule)
-        for g, d in ((gC, dC), (gS, dS)):
-            bad = d < _SINGULAR_TOL
-            if bad.any():
-                g[:L, bad] = np.outer(c * th, tj[bad])
-                g[L:, bad] = 0.0
-                d[bad] = _second_moment(spectrum)
-        wj = w[lo : lo + _CHUNK_NODES]
-        yield gC, gS, wj / dC, wj / dS, dip
+        # sin); the 2 of sin = 2 tau q rides on the column scales
+        half_sin = np.multiply(tau, q, out=u)
+        cos = np.multiply(np.subtract(1.0, t2, out=t2), q, out=t2)
+        np.multiply(cos, sC, out=aC[L:])
+        np.multiply(half_sin, 2.0 * sS, out=aS[L:])
+        np.multiply(half_sin, -2.0 * tj * sC, out=aC[:L])
+        np.multiply(cos, tj * sS, out=aS[:L])
+        aC[:L] *= cc
+        aS[:L] *= cc
+        for a, s, b in zip((aC, aS), (sC, sS), bad):
+            if b.any():
+                a[:L, b] = np.outer(c * th, tj[b] * s[b])
+                a[L:, b] = 0.0
+        yield aC, aS, dC, dS
 
 
-def _gram(gC, gS, wC, wS):
-    return (gC * wC) @ gC.T + (gS * wS) @ gS.T
+def _gram(aC, aS):
+    """aC aC^T + aS aS^T: numpy takes BLAS's symmetric rank-k path for a
+    same-buffer A A^T, so each product costs half a general one and is
+    exactly symmetric."""
+    return aC @ aC.T + aS @ aS.T
 
 
 def _ht_blocks_weighted(spectrum, times, weights):
@@ -164,12 +200,13 @@ def _ht_blocks_weighted(spectrum, times, weights):
 
     ``times`` and ``weights`` have one shape, read flattened.  The times
     are walked _CHUNK_NODES at a time (``_ht_walk``), so the (2L, chunk)
-    stacks stay in cache; the sum is one Gram product a chunk.
+    stacks stay in cache; the sum is one symmetric Gram product of the
+    weight-scaled columns a chunk.
     """
     F = np.zeros((2 * spectrum.L, 2 * spectrum.L))
-    for gC, gS, wC, wS, _ in _ht_walk(spectrum, times, weights):
-        F += _gram(gC, gS, wC, wS)
-    return BlockFim(0.5 * (F + F.T))
+    for aC, aS, _, _ in _ht_walk(spectrum, times, weights):
+        F += _gram(aC, aS)
+    return BlockFim(F)
 
 
 def ht_fim_single(spectrum, t):
@@ -215,17 +252,29 @@ def qft_fim(spectrum, n):
 
     Outcome y has probability sum_l c_l D_M(theta_l - 2 pi y / M)^2 / M^2
     with M = 2^n; derivatives of the kernel are analytic, and the matrix,
-    sum_y grad p(y) grad p(y)^T / p(y), is summed along ``register_chunks``.
+    sum_y grad p(y) grad p(y)^T / p(y), is summed along ``register_chunks``
+    (its derivative walk, _DERIVATIVE_CHUNK bins at a time) as one
+    symmetric product A A^T a chunk, A = grad p / sqrt(p) built in one
+    (2L, chunk) buffer.
     """
     c = spectrum.overlaps
-    F = np.zeros((2 * c.size, 2 * c.size))
+    L = c.size
+    F = np.zeros((2 * L, 2 * L))
+    buf = None
     for v, dK in register_chunks(n, spectrum.phases, derivative=True):  # v = d p(y) / d c_l
         p = c @ v
         if np.min(p) < 1e-300:
             raise DegenerateDistribution("an outcome probability underflowed")
-        D = np.vstack([c[:, None] * dK, v])  # d p(y) / d(theta, c)
-        F += (D / p) @ D.T
-    return BlockFim(0.5 * (F + F.T))
+        if buf is None:  # the first chunk is the widest
+            buf = np.empty((2 * L, p.size))
+        A = buf[:, : p.size]
+        r = 1.0 / np.sqrt(p)
+        # d p(y) / d(theta, c), each column over sqrt(p(y))
+        np.multiply(dK, r, out=A[:L])
+        A[:L] *= c[:, None]
+        np.multiply(v, r, out=A[L:])
+        F += A @ A.T
+    return BlockFim(F)
 
 
 _PANEL_NODES = 32
@@ -260,16 +309,16 @@ def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
     blocks = np.zeros((2, 2 * L, 2 * L))
     diag, done = [], []
     pair = 0
-    for gC, gS, wC, wS, dip in _ht_walk(spectrum, T * x, w):
+    for aC, aS, dC, dS in _ht_walk(spectrum, T * x, w):
         # a chunk is _CHUNK_NODES // nb = 32 whole panels, so no pair is split
-        rows = dip.size // nb
-        gCt, gSt = gC[:L].reshape(L, rows, nb), gS[:L].reshape(L, rows, nb)
-        d = np.einsum("lrk,lrk,rk->rl", gCt, gCt, wC.reshape(rows, nb))
-        d += np.einsum("lrk,lrk,rk->rl", gSt, gSt, wS.reshape(rows, nb))
+        rows = dC.size // nb
+        aCt, aSt = aC[:L].reshape(L, rows, nb), aS[:L].reshape(L, rows, nb)
+        d = np.einsum("lrk,lrk->rl", aCt, aCt)
+        d += np.einsum("lrk,lrk->rl", aSt, aSt)
         ok = np.zeros(rows // 2, dtype=bool)
         if parents is not None:
             moved = d.reshape(-1, 2, L).sum(axis=1) - parents[pair : pair + rows // 2]
-            low = dip.reshape(-1, 2 * nb).min(axis=1)
+            low = np.minimum(dC, dS).reshape(-1, 2 * nb).min(axis=1)
             ok = (np.max(np.abs(moved), axis=1) <= allowance) & (low >= _DIP_FLOOR)
         pair += rows // 2
         diag.append(d)
@@ -279,9 +328,7 @@ def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
         cuts = [0, *(np.flatnonzero(ok[1:] != ok[:-1]) + 1), ok.size]
         for p0, p1 in zip(cuts[:-1], cuts[1:]):
             k, cols = int(not ok[p0]), slice(2 * nb * p0, 2 * nb * p1)
-            blocks[k] += _gram(gC[:, cols], gS[:, cols], wC[cols], wS[cols])
-
-    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+            blocks[k] += _gram(aC[:, cols], aS[:, cols])
     return blocks[0], blocks[1], np.concatenate(diag), np.concatenate(done)
 
 

@@ -289,7 +289,7 @@ def test_qmegs_level_counts_an_aligned_node_by_its_limit():
 
     def dip(T):
         nodes = fim_module._ht_walk(s, T * ((lefts + half)[:, None] + half * g), np.ones((4, 32)))
-        return min(np.min(d) for *_, d in nodes)
+        return min(min(np.min(dC), np.min(dS)) for *_, dC, dS in nodes)
 
     def level(T):
         settled, rest, diag, _ = fim_module._qmegs_level(s, T, lefts, half)
@@ -412,6 +412,20 @@ def test_ht_blocks_are_additive_across_chunk_boundaries():
     assert np.allclose(whole, halves, rtol=0.0, atol=1e-13 * np.max(np.abs(whole)))
 
 
+def test_fisher_sums_are_exactly_symmetric():
+    # every chunk adds A A^T of one buffer, which BLAS fills symmetrically,
+    # so no builder symmetrizes; each case walks several chunks
+    rng = np.random.default_rng(22)
+    s = make_spectrum("uniform", 20, 0.4)
+    t = rng.uniform(0.0, 3000.0, 5000)
+    for F in (
+        _ht_blocks_weighted(s, t, rng.uniform(0.5, 1.5, t.size)).full(),
+        _qmegs_expected_blocks(s, 400).full(),
+        qft_fim(s, 14).full(),
+    ):
+        assert np.array_equal(F, F.T)
+
+
 def _exact_gaps(s, times):
     # (sum c)^2 - C^2 and (sum c)^2 - S^2 to 50 digits at the walk's own
     # float64 half angles 0.5 theta t, so the rounding of theta t drops out;
@@ -430,8 +444,8 @@ def _exact_gaps(s, times):
 
 
 def test_walk_weights_are_relatively_precise_at_its_own_angles(monkeypatch):
-    # with the limit column switched off, 1 / wC and 1 / wS are the walk's
-    # own 1 - C^2 and 1 - S^2, aligned neighbours included
+    # with the limit column switched off, the yielded dC and dS are the
+    # walk's own 1 - C^2 and 1 - S^2, aligned neighbours included
     monkeypatch.setattr(fim_module, "_SINGULAR_TOL", 0.0)
     rng = np.random.default_rng(21)
     dyadic = Spectrum([0.25, -0.5, 0.75], [0.5, 0.3, 0.2])
@@ -445,9 +459,9 @@ def test_walk_weights_are_relatively_precise_at_its_own_angles(monkeypatch):
         (dyadic, 10.0 ** rng.uniform(6.0, 9.0, 8) / 0.75),
     ]
     for s, times in cases:
-        (_, _, wC, wS, _), = fim_module._ht_walk(s, times, np.ones_like(times))
+        (_, _, dC, dS), = fim_module._ht_walk(s, times, np.ones_like(times))
         want = _exact_gaps(s, times)
-        err = np.abs(np.array([1.0 / wC, 1.0 / wS]) - want) / want
+        err = np.abs(np.array([dC, dS]) - want) / want
         assert np.max(err) <= 1e-11
     # the naive 1 - C^2 must fail this: next to alignment it misses by up to 100%
     C, _ = ht_expectations(dyadic, near.ravel())

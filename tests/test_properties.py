@@ -259,9 +259,11 @@ def test_qft_csv_round_trips_any_multi_trial_sample(tmp_path_factory, n, data):
 
 
 
-# The register walk across its chunk boundaries: n = 16 is the first width
-# past one _CHUNK (2^15 bins) and n = 20 the first past the cached
-# half-angle table (_TABLE_BINS).  n = 26, the cap, takes about 20 s for
+# The register walk across its chunk boundaries: the derivative walk below
+# takes _DERIVATIVE_CHUNK (2^12) bins a chunk, so every width from n = 13 spans
+# several; n = 16 is the first width past one _CHUNK (2^15 bins, the walk
+# without derivative) and n = 20 the first past the cached half-angle
+# table (_TABLE_BINS).  n = 26, the cap, takes about 20 s for
 # three phases on a 2-core host, so it stays out of this suite.
 @settings(max_examples=8, deadline=None)
 @given(st.integers(13, 22), st.integers(0, 2**32 - 1), st.sampled_from([1e-12, -1e-12]),

@@ -93,8 +93,11 @@ def test_sample_qft_chunked_walk_matches_one_chunk(monkeypatch):
         (sample_qft(s, n, N_s, seed=7).outcomes, qft_probabilities(s, n), qft_fim(s, n).full())
         for s in spectra
     ]
-    # the module, not the kernel function the package exports under its name
-    monkeypatch.setattr(importlib.import_module("qpe_bounds.dirichlet"), "_CHUNK", 64)
+    # the module, not the kernel function the package exports under its name;
+    # qft_fim walks the derivative chunks, the other two the plain ones
+    dirichlet_module = importlib.import_module("qpe_bounds.dirichlet")
+    monkeypatch.setattr(dirichlet_module, "_CHUNK", 64)
+    monkeypatch.setattr(dirichlet_module, "_DERIVATIVE_CHUNK", 64)
     for s, (draw, p, F) in zip(spectra, whole):
         assert np.array_equal(sample_qft(s, n, N_s, seed=7).outcomes, draw)
         assert np.array_equal(qft_probabilities(s, n), p)
