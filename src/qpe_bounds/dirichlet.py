@@ -34,8 +34,8 @@ _TABLE_BINS = 1 << 20
 # bins per (L, chunk) kernel stack of the register walk ``register_chunks``;
 # the derivative walk, which ``fim.qft_fim`` stacks into a (2L, chunk) Gram
 # factor, takes fewer so that stack stays in a 2 MB L2.  The walks without
-# derivative keep the larger chunk: ``simulate.sample_qft`` binary-searches
-# every draw in every chunk
+# derivative keep the larger chunk: ``simulate.sample_qft`` builds a guide
+# table for every chunk and looks every draw up in each
 _CHUNK = 1 << 15
 _DERIVATIVE_CHUNK = 1 << 12
 
@@ -176,9 +176,8 @@ def _kernel_row(m, theta, lo, hi, derivative):
         return K
     c = cd * ct + sd * st
     dK = (0.5 * m * math.sin(m * theta) * s - sh2 * c) / (m * m * s2 * s)
-    if aligned:
-        dK[at] = 2.0 * dn * dirichlet_derivative(m, 2.0 * d) / m
-    return K, dK
+    # the aligned bin's dK is left for the caller to fill from (at, d, dn)
+    return K, dK, (at, d, dn) if aligned else None
 
 
 def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
@@ -191,7 +190,8 @@ def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
     vector transcendental is evaluated per theta (grids above 2^19 bins
     build their slice of the table per call).  The one bin nearest
     theta, where s can vanish, takes the scalar ratio (limit 1) and the
-    series of ``dirichlet_derivative``.  ``hi`` defaults to M.  The result
+    series of ``dirichlet_derivative``, one call for all such bins of the
+    grid.  ``hi`` defaults to M.  The result
     has shape theta.shape + (hi - lo,); with ``derivative`` it is the pair
     (K, dK/dtheta).
     """
@@ -201,7 +201,13 @@ def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
     shape = theta.shape + (hi - lo,)
     if not derivative:
         return np.array(rows).reshape(shape)
-    return tuple(np.array(part).reshape(shape) for part in zip(*rows))
+    K, dK, fills = zip(*rows)
+    dK = np.array(dK)
+    hits = [(i, *fill) for i, fill in enumerate(fills) if fill]
+    if hits:
+        i, at, d, dn = (np.array(part) for part in zip(*hits))
+        dK[i, at] = 2.0 * dn * dirichlet_derivative(m, 2.0 * d) / m
+    return np.array(K).reshape(shape), dK.reshape(shape)
 
 
 def register_chunks(n, theta, derivative=False):

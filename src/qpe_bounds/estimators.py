@@ -50,6 +50,8 @@ _LAM_START = 1e-3
 _LAM_FACTOR = 10.0
 _LAM_MAX = 1e12
 _FIT_STEP_TOL = 1e-9
+# the least offset, in bins, at which _fit_start puts a peak from its bin
+_START_FLOOR = 1e-3
 # the widest register the histogram fit takes: its K and dK over all 2^n bins
 # cost about 67 B per (peak, bin), 2.6 GiB at ten peaks and n = 22
 _FIT_MAX_N = 22
@@ -369,13 +371,32 @@ def _fit_width(n):
     return n
 
 
+def _fit_start(p_hat, peaks):
+    """Start of each peak's center from its bin j and its larger neighbour nb.
+
+    One mode at theta = 2 pi (j + f) / M has the same numerator in every
+    bin, so with h = pi / M and r = sqrt(p[nb] / p[j]) its half-angle
+    offset is a = f h = arctan2(r sin h, 1 + r cos h), exact for a single
+    mode.  r <= 1 at a local maximum, so f lies in [0, 1/2]; it is kept
+    at or above _START_FLOOR bin, because a center exactly on a bin is
+    stationary (every dK vanishes there).
+    """
+    M = p_hat.size
+    h = np.pi / M
+    right = (peaks + 1) % M
+    up = p_hat[right] >= p_hat[peaks - 1]
+    nb = np.where(up, right, peaks - 1)
+    r = np.sqrt(p_hat[nb] / p_hat[peaks])
+    f = np.maximum(np.arctan2(r * np.sin(h), 1.0 + r * np.cos(h)) / h, _START_FLOOR)
+    return _wrap(_TWO_PI * (peaks + np.where(up, f, -f)) / M)
+
+
 def fit_qft_histogram(p_hat, n, n_shots=None):
     """Fit the readout histogram with a small sum of squared kernels.
 
     Peaks are circular local maxima above max(3/n_shots, 1% of the top
     bin), thinned to a >= 2 bin separation, at most ten kept.  Each starts
-    half a bin toward its larger neighbour (a center exactly on a bin is
-    stationary: every dK vanishes there), and ``_kernel_fit`` moves all
+    at ``_fit_start``'s two-bin estimate, and ``_kernel_fit`` moves all
     centers jointly; theta_hat is the center of the largest amplitude.
     """
     M = 2 ** _fit_width(n)
@@ -399,8 +420,7 @@ def fit_qft_histogram(p_hat, n, n_shots=None):
         if len(kept) == 10:
             break
     kept = np.array(kept)
-    toward = np.where(p_hat[(kept + 1) % M] >= p_hat[kept - 1], 0.5, -0.5)
-    thetas, amps, resid, evals = _kernel_fit(p_hat, M, _wrap(_TWO_PI * (kept + toward) / M))
+    thetas, amps, resid, evals = _kernel_fit(p_hat, M, _fit_start(p_hat, kept))
     order = np.argsort(-amps, kind="stable")
     return Estimate(
         float(_wrap(thetas[order[0]])),

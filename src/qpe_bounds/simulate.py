@@ -18,6 +18,11 @@ from .errors import NormalizationFailure
 from .fim import ht_expectations
 from .schedules import _count
 
+# draws per block of ``_inverse_cdf``: its 32 KB temporaries are reused from
+# block to block, where whole-array ones (800 KB at N_s = 1e5) were paged in
+# afresh on every call
+_DRAW_BLOCK = 1 << 12
+
 
 @dataclass
 class QftSample:
@@ -54,6 +59,29 @@ def qft_probabilities(spectrum, n):
     return p
 
 
+def _inverse_cdf(cdf, u, out):
+    """Add np.searchsorted(cdf, u, side="right") to ``out``, for draws u in [0, 1).
+
+    A guide table splits [0, 1) into G cells, G the power of two at or
+    above cdf.size, so k / G and u G are exact.  ``below[k]`` counts the
+    entries at or below k / G and ``under[k]`` those below (k + 1) / G; a
+    draw in cell k has its count between the two, and only where they
+    differ is it searched (Chen & Asau 1974; Devroye 1986, III.2.4).  The
+    draws go _DRAW_BLOCK at a time, so the temporaries stay small.
+    """
+    G = 1 << (cdf.size - 1).bit_length()
+    edges = np.arange(G + 1) / G
+    below = np.searchsorted(cdf, edges[:-1], side="right")
+    under = np.searchsorted(cdf, edges[1:], side="left")
+    for lo in range(0, u.size, _DRAW_BLOCK):
+        v = u[lo : lo + _DRAW_BLOCK]
+        k = (v * G).astype(np.intp)
+        count = below[k]
+        unsure = np.flatnonzero(under[k] != count)
+        count[unsure] = np.searchsorted(cdf, v[unsure], side="right")
+        out[lo : lo + _DRAW_BLOCK] += count
+
+
 def sample_qft(spectrum, n, N_s, seed=0):
     """Draw N_s transform-readout outcomes by inverse CDF.
 
@@ -61,8 +89,9 @@ def sample_qft(spectrum, n, N_s, seed=0):
     up to the widest register.  Each chunk's first probability carries the
     running total, so the chunk CDFs are exactly the global cumulative sum,
     and a draw's bin is the number of its entries at or below the draw,
-    counted chunk by chunk.  Draws at or above the final total, which
-    rounding may leave just below 1, fall in the last bin.
+    counted chunk by chunk by ``_inverse_cdf``: a draw outside a chunk's
+    span is counted from its guide table alone.  Draws at or above the
+    final total, which rounding may leave just below 1, fall in the last bin.
     """
     chunks = register_chunks(n, spectrum.phases)
     N_s = _count("N_s", N_s)
@@ -73,7 +102,7 @@ def sample_qft(spectrum, n, N_s, seed=0):
         p = spectrum.overlaps @ K
         p[0] += total
         cdf = np.cumsum(p)
-        outcomes += np.searchsorted(cdf, u, side="right")
+        _inverse_cdf(cdf, u, outcomes)
         total = float(cdf[-1])
     if abs(total - 1.0) > 1e-9:
         raise NormalizationFailure(f"probabilities sum to {total!r}")

@@ -22,7 +22,7 @@ from qpe_bounds import (
 )
 from qpe_bounds.bench import qcels_levels
 from qpe_bounds.errors import EmptyData, NoPeaksDetected, ScheduleMismatch
-from qpe_bounds.estimators import _filtered, _near, _peak, _scan, _wrap
+from qpe_bounds.estimators import _filtered, _fit_start, _near, _peak, _scan, _wrap
 from qpe_bounds.simulate import HtSample
 
 
@@ -179,6 +179,26 @@ def test_histogram_fit_recovers_exact_three_mode_mixtures():
             est = fit_qft_histogram(qft_probabilities(s, n), n)
             assert abs(est.theta_hat - dominant) <= 1e-9, (phases, n)
             assert est.diagnostics["residual"] <= 1e-20, (phases, n)
+
+
+def test_fit_start_is_exact_on_a_single_mode():
+    # one mode at 2 pi (j + f) / M: the two-bin start is its center, so the
+    # fit only confirms it; a mode on a bin starts _START_FLOOR off, where
+    # dK does not vanish, and still converges
+    for n in (4, 8, 12):
+        M = 2**n
+        for j in (0, 5, M // 2 - 1, M - 1):
+            for f in (-0.49, -0.25, -0.01, 0.0, 0.01, 0.3, 0.49):
+                theta = np.pi - (np.pi - 2.0 * np.pi * (j + f) / M) % (2.0 * np.pi)
+                p = qft_probabilities(Spectrum([theta], [1.0]), n)
+                est = fit_qft_histogram(p, n)
+                if f == 0.0:
+                    assert abs(_wrap(est.theta_hat - theta)) <= 1e-8 * 2.0 * np.pi / M
+                    continue
+                start = _fit_start(p, np.array([np.argmax(p)]))[0]
+                assert abs(_wrap(start - theta)) <= 1e-12, (n, j, f)
+                assert abs(_wrap(est.theta_hat - theta)) <= 1e-12, (n, j, f)
+                assert est.diagnostics["fit_evals"] <= 3, (n, j, f)
 
 
 def test_histogram_fit_validation():
