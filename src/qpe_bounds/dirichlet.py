@@ -153,31 +153,53 @@ def _half_angles(m, start, stop):
     return _reduced_sincos(m, np.arange(start, stop))
 
 
-def _kernel_row(m, theta, lo, hi, derivative):
+def _kernel_row(m, theta, lo, hi, K, dK, work):
     # theta/2 = pi j / M + d with |d| <= pi / 2M; bin y then sits at half
-    # angle d - pi (y - j) / M, and only bin j can be near-aligned
+    # angle d - pi (y - j) / M, and only bin j can be near-aligned.  The
+    # row goes into K (and dK); work holds three rows of scratch
     j = round(theta * m / _TWO_PI)
     d = (0.5 * theta - j * _PI_HI / m) - j * _PI_LO / m
     j %= m
     sd, cd = math.sin(d), math.cos(d)
     st, ct = _half_angles(m, m - j + lo, m - j + hi)
-    s = sd * ct - cd * st
+    s, s2, c = work
+    np.multiply(ct, sd, out=s)
+    s -= np.multiply(st, cd, out=s2)
     at = j - lo
     aligned = 0 <= at < hi - lo
     if aligned:
         s[at] = 1.0  # placeholder, the bin is filled from the scalar form below
         dn = math.sin(m * d) / (m * math.sin(d)) if d else 1.0  # D_M(2d) / M
     sh2 = math.sin(0.5 * m * theta) ** 2
-    s2 = s * s
-    K = (sh2 / (m * m)) / s2
+    np.multiply(s, s, out=s2)
+    np.divide(sh2 / (m * m), s2, out=K)
     if aligned:
         K[at] = dn * dn
-    if not derivative:
-        return K
-    c = cd * ct + sd * st
-    dK = (0.5 * m * math.sin(m * theta) * s - sh2 * c) / (m * m * s2 * s)
+    if dK is None:
+        return None
+    # dK = [(M/2) sin(M theta) s - sh2 c] / (M^2 s2 s), c = cd ct + sd st
+    np.multiply(ct, cd, out=c)
+    c += np.multiply(st, sd, out=dK)
+    c *= sh2
+    np.multiply(s, 0.5 * m * math.sin(m * theta), out=dK)
+    dK -= c
+    s2 *= m * m
+    s2 *= s
+    dK /= s2
     # the aligned bin's dK is left for the caller to fill from (at, d, dn)
-    return K, dK, (at, d, dn) if aligned else None
+    return (at, d, dn) if aligned else None
+
+
+def _kernel_rows(m, thetas, lo, hi, K, dK, work):
+    """Fill row i of K (and of dK, unless None) with the kernel of thetas[i]."""
+    hits = []
+    for i, t in enumerate(thetas):
+        fill = _kernel_row(m, t, lo, hi, K[i], None if dK is None else dK[i], work)
+        if fill:
+            hits.append((i, *fill))
+    if hits:
+        i, at, d, dn = (np.array(part) for part in zip(*hits))
+        dK[i, at] = 2.0 * dn * dirichlet_derivative(m, 2.0 * d) / m
 
 
 def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
@@ -197,30 +219,39 @@ def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
     """
     hi = m if hi is None else hi
     theta = np.asarray(theta, dtype=float)
-    rows = [_kernel_row(m, t, lo, hi, derivative) for t in theta.ravel().tolist()]
     shape = theta.shape + (hi - lo,)
+    K = np.empty((theta.size, hi - lo))
+    dK = np.empty_like(K) if derivative else None
+    _kernel_rows(m, theta.ravel().tolist(), lo, hi, K, dK, np.empty((3, hi - lo)))
     if not derivative:
-        return np.array(rows).reshape(shape)
-    K, dK, fills = zip(*rows)
-    dK = np.array(dK)
-    hits = [(i, *fill) for i, fill in enumerate(fills) if fill]
-    if hits:
-        i, at, d, dn = (np.array(part) for part in zip(*hits))
-        dK[i, at] = 2.0 * dn * dirichlet_derivative(m, 2.0 * d) / m
-    return np.array(K).reshape(shape), dK.reshape(shape)
+        return K.reshape(shape)
+    return K.reshape(shape), dK.reshape(shape)
 
 
 def register_chunks(n, theta, derivative=False):
     """``squared_kernel_grid`` on the 2^n bins, _CHUNK at a time; n is checked at the call.
 
     With ``derivative`` the walk takes _DERIVATIVE_CHUNK bins at a time.
+    Each chunk is written into one K (and dK) workspace allocated per
+    walk: the next chunk overwrites it, so a caller takes what it needs
+    from a chunk before it asks for the next.
     """
     n = _whole("n", n)
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be between 1 and {_MAX_N}")
     M = 2**n
-    step = _DERIVATIVE_CHUNK if derivative else _CHUNK
-    return (
-        squared_kernel_grid(M, theta, lo, min(lo + step, M), derivative)
-        for lo in range(0, M, step)
-    )
+    theta = np.asarray(theta, dtype=float)
+    # M and the chunk are powers of two, so every chunk has one width
+    width = min(_DERIVATIVE_CHUNK if derivative else _CHUNK, M)
+    shape = theta.shape + (width,)
+
+    def walk():
+        thetas = theta.ravel().tolist()
+        K = np.empty((len(thetas), width))
+        dK = np.empty_like(K) if derivative else None
+        work = np.empty((3, width))
+        for lo in range(0, M, width):
+            _kernel_rows(M, thetas, lo, lo + width, K, dK, work)
+            yield (K.reshape(shape), dK.reshape(shape)) if derivative else K.reshape(shape)
+
+    return walk()

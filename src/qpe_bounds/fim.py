@@ -282,78 +282,109 @@ _PANEL_NODES = 32
 _QUAD_REL_TOL = 1e-6
 # the finest panel count on [-1, 1]; a level that would pass it raises
 _MAX_PANELS = 65536
-# a panel settles only if min(1 - C^2, 1 - S^2) stays above this on its children's nodes
+# a panel settles only if min(1 - C^2, 1 - S^2) stays above this on its nodes
 _DIP_FLOOR = 1e-2
+# the part of a panel's share of the stop that its error estimate may take
+_SETTLE_SHARE = 0.1
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+# rows k = 0..3 and 28..31 of the discrete Legendre transform on the panel
+# nodes: a row times the samples is the k-th Legendre coefficient of any
+# polynomial of degree below 32, since Gauss-Legendre is exact to degree 63
+_LEGENDRE_ROWS = (
+    (np.arange(_PANEL_NODES)[:, None] + 0.5)
+    * _gl_weights
+    * np.polynomial.legendre.legvander(_gl_nodes, _PANEL_NODES - 1).T
+)[np.r_[0:4, -4:0]]
 _log = logging.getLogger(__name__)
 
 
-def _qmegs_level(spectrum, T, lefts, half, parents=None, allowance=0.0):
+def _panel_error(trace, half):
+    """Error estimate of each panel's integral from its own node traces.
+
+    ``trace`` is (panels, _PANEL_NODES), the theta-theta trace of each
+    node's weighted Fisher term, so a row sums to its panel's integral.
+    With head and tail the largest of the first four and of the last four
+    Legendre coefficients of the integrand on the panel, the estimate is
+    2 half tail min(tail / head, 1): the tail scaled by how fast the
+    coefficients fall.
+    """
+    coef = np.abs((trace / (half * _gl_weights)) @ _LEGENDRE_ROWS.T)
+    head, tail = coef[:, :4].max(axis=1), coef[:, 4:].max(axis=1)
+    return 2.0 * half * np.minimum(tail, tail * tail / (head + 1e-300))
+
+
+def _qmegs_level(spectrum, T, lefts, half, allowance=None):
     """One level of the time average: the panels [l, l + 2 half] of x in [0, 1].
 
-    The panels come in sibling pairs, and ``parents`` holds the
-    theta-theta diagonal of each pair's parent (None: no pair settles).
-    A pair settles when its two diagonals add up to its parent's within
-    ``allowance`` and no node of it has min(1 - C^2, 1 - S^2) below
-    _DIP_FLOOR.  The decision is taken chunk by chunk inside one walk, so
-    the settled panels' blocks are summed apart from the others with no
-    second pass; an aligned node counts as ``_ht_walk``'s limit column in
-    both.  Returns (settled, rest, diag, done): the full blocks of the
-    settled pairs and of the others, the (panels, L) theta-theta diagonal
-    of each panel, and per pair whether it settled.
+    A panel settles on its own nodes: when ``_panel_error`` is at most
+    _SETTLE_SHARE of its share of the stop, ``allowance`` (_QUAD_REL_TOL
+    times the largest theta-theta entry at the level before) times its
+    width 2 half, and no node of it has min(1 - C^2, 1 - S^2) below
+    _DIP_FLOOR.  ``allowance`` None settles nothing.  The error reads the
+    theta-theta trace at each node, sum_l (aC_l^2 + aS_l^2): every mode
+    shares the 1 - C^2 and 1 - S^2 denominators, so the trace sees each
+    mode's resolution.  The decision is taken chunk by chunk inside one
+    walk, so the settled panels' blocks are summed apart from the others
+    with no second pass; an aligned node counts as ``_ht_walk``'s limit
+    column in both.  Returns (settled, rest, done): the full blocks of
+    the settled panels and of the others, and per panel whether it
+    settled.
     """
     L = spectrum.L
     nb = _PANEL_NODES
     x = (lefts + half)[:, None] + half * _gl_nodes[None, :]
     w = half * _gl_weights * 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
     blocks = np.zeros((2, 2 * L, 2 * L))
-    diag, done = [], []
-    pair = 0
+    done = []
     for aC, aS, dC, dS in _ht_walk(spectrum, T * x, w):
-        # a chunk is _CHUNK_NODES // nb = 32 whole panels, so no pair is split
+        # a chunk is _CHUNK_NODES // nb = 32 whole panels
         rows = dC.size // nb
-        aCt, aSt = aC[:L].reshape(L, rows, nb), aS[:L].reshape(L, rows, nb)
-        d = np.einsum("lrk,lrk->rl", aCt, aCt)
-        d += np.einsum("lrk,lrk->rl", aSt, aSt)
-        ok = np.zeros(rows // 2, dtype=bool)
-        if parents is not None:
-            moved = d.reshape(-1, 2, L).sum(axis=1) - parents[pair : pair + rows // 2]
-            low = np.minimum(dC, dS).reshape(-1, 2 * nb).min(axis=1)
-            ok = (np.max(np.abs(moved), axis=1) <= allowance) & (low >= _DIP_FLOOR)
-        pair += rows // 2
-        diag.append(d)
+        ok = np.zeros(rows, dtype=bool)
+        if allowance is not None:
+            trace = np.einsum("ln,ln->n", aC[:L], aC[:L])
+            trace += np.einsum("ln,ln->n", aS[:L], aS[:L])
+            err = _panel_error(trace.reshape(rows, nb), half)
+            low = np.minimum(dC, dS).reshape(rows, nb).min(axis=1)
+            ok = (err <= _SETTLE_SHARE * allowance * 2.0 * half) & (low >= _DIP_FLOOR)
         done.append(ok)
         # one product per run of equal verdicts, on views: gathering the
         # columns cost more than the products
         cuts = [0, *(np.flatnonzero(ok[1:] != ok[:-1]) + 1), ok.size]
         for p0, p1 in zip(cuts[:-1], cuts[1:]):
-            k, cols = int(not ok[p0]), slice(2 * nb * p0, 2 * nb * p1)
+            k, cols = int(not ok[p0]), slice(nb * p0, nb * p1)
             blocks[k] += _gram(aC[:, cols], aS[:, cols])
-    return blocks[0], blocks[1], np.concatenate(diag), np.concatenate(done)
+    return blocks[0], blocks[1], np.concatenate(done)
 
 
 def _qmegs_expected_blocks(spectrum, T):
     """E[Fisher matrix] under the truncated-normal time density, width T.
 
-    Composite Gauss-Legendre on t = T x, from 8 panels on x in [-1, 1],
-    each level halving every panel still in play, until successive levels
-    agree on the whole theta-theta block to _QUAD_REL_TOL of its largest
-    entry.  The per-time matrix is even in t (C is even, S odd but
-    squared), so the line folds onto x in [0, 1]: the positive half of the
-    same nodes, twice the density.  A panel settles, and leaves the
-    doubling, once its two children's theta-theta diagonal differs from
-    its own by at most _QUAD_REL_TOL times the block's largest entry at
-    the level before (known before the walk, so each chunk decides its
-    pairs) times the panel's share of [0, 1], and no node of the
-    children has min(1 - C^2, 1 - S^2) below _DIP_FLOOR: near |C| or
+    Composite Gauss-Legendre on t = T x, from
+    max(8, 2^ceil(log2(T max|theta| / 8))) panels on x in [-1, 1], about
+    one per 8 radians of the fastest phase, each level halving every
+    panel still in play, until successive levels agree on the whole
+    theta-theta block to _QUAD_REL_TOL of its largest entry.  The
+    per-time matrix is even in t (C is even, S odd but squared), so the
+    line folds onto x in [0, 1]: the positive half of the same nodes,
+    twice the density.
+    From the second level on, a panel settles on its own nodes and
+    leaves the doubling, its own block summed into the average
+    (``_qmegs_level``): when the decay of its Legendre coefficients puts
+    its error within a tenth of _QUAD_REL_TOL times the block's largest
+    entry at the level before (known before the walk, so each chunk
+    decides its panels) times the panel's share of [0, 1], and no node
+    of it has min(1 - C^2, 1 - S^2) below _DIP_FLOOR: near |C| or
     |S| = 1 the integrand can carry spikes narrower than the node
-    spacing, which a settled panel would never see.  Its children are then summed once in
-    full (``_qmegs_level``).  A level in which every panel would settle
-    settles none, so the only way out is the theta-theta stop.
-    _MAX_PANELS caps the finest level's panel count on [-1, 1].  The
-    integrand oscillates on the O(1) scale of the phase gaps regardless
-    of T, so that count grows linearly with T where the integrand still
-    moves; the cap accommodates T up to a few 10^4.
+    spacing, which a settled panel would never see.  The first level
+    settles nothing, since the block's scale is not known before it.  A
+    level in which every panel would settle settles none, so the only
+    way out is the theta-theta stop.
+    _MAX_PANELS caps the finest level's panel count on [-1, 1]; a start
+    whose next level already passes it raises before any node is walked,
+    since the first level alone cannot stop.  The integrand oscillates
+    on the O(1) scale of the phase gaps regardless of T, so that count
+    grows linearly with T where the integrand still moves; the cap
+    accommodates T up to a few 10^4.
     Convergence is judged on theta-theta alone because it is the
     only block that is an ordinary convergent integral: at times where all
     cos(t theta_l) align (t = 0 always; interior times too when the phases
@@ -363,26 +394,32 @@ def _qmegs_expected_blocks(spectrum, T):
     returned at the stopping resolution as regularized surrogates; the
     theta rows of the inverse are insensitive to the divergent direction,
     which only tightens the c-sector Schur complement toward its limit.
-    One DEBUG record on the ``qpe_bounds.fim`` logger gives the levels
-    run, the panels evaluated and settled, the finest panel count and the
-    final relative change.
+    One DEBUG record on the ``qpe_bounds.fim`` logger gives the start
+    panel count, the levels run, the panels evaluated and settled, the
+    finest panel count and the final relative change.
     """
     L = spectrum.L
-    panels, half = 8, 1.0 / 8
+    # the start: about one panel per 8 radians of the fastest phase
+    reach = T / 8.0 * float(np.max(np.abs(spectrum.phases)))
+    if not reach <= _MAX_PANELS // 2:
+        raise ArithmeticError("time-average quadrature did not converge")
+    start = 8
+    while start < reach:
+        start *= 2
+    panels, half = start, 1.0 / start
     lefts = np.arange(panels // 2) * (2.0 * half)
-    _, rest, diag, _ = _qmegs_level(spectrum, T, lefts, half)
+    _, rest, _ = _qmegs_level(spectrum, T, lefts, half)
     F = np.zeros((2 * L, 2 * L))
     levels, evaluated, settled = 1, lefts.size, 0
     while True:
         if 2 * panels > _MAX_PANELS:
             raise ArithmeticError("time-average quadrature did not converge")
         panels, half = 2 * panels, 0.5 * half
-        kids = np.stack([lefts, lefts + 2.0 * half], axis=1).ravel()
+        lefts = np.stack([lefts, lefts + 2.0 * half], axis=1).ravel()
         tt = rest[:L, :L]
-        # a parent, of width 4 half, may move by its share of the tolerance
-        allowance = _QUAD_REL_TOL * (np.max(np.abs(F[:L, :L] + tt)) + 1e-300) * 4.0 * half
-        done_F, rest, kid_diag, done = _qmegs_level(spectrum, T, kids, half, diag, allowance)
-        levels, evaluated = levels + 1, evaluated + kids.size
+        allowance = _QUAD_REL_TOL * (np.max(np.abs(F[:L, :L] + tt)) + 1e-300)
+        done_F, rest, done = _qmegs_level(spectrum, T, lefts, half, allowance)
+        levels, evaluated = levels + 1, evaluated + lefts.size
         level = done_F[:L, :L] + rest[:L, :L]
         rel = np.max(np.abs(level - tt)) / (np.max(np.abs(F[:L, :L] + level)) + 1e-300)
         if rel < _QUAD_REL_TOL:
@@ -393,12 +430,11 @@ def _qmegs_expected_blocks(spectrum, T):
             done_F, rest, done = 0.0 * F, done_F + rest, np.zeros_like(done)
         F += done_F
         settled += int(done.sum())
-        keep = np.repeat(~done, 2)
-        lefts, diag = kids[keep], kid_diag[keep]
+        lefts = lefts[~done]
     _log.debug(
-        "qmegs time average, T=%g: %d levels, %d panels evaluated, %d settled, "
-        "finest %d panels, relative change %.3g",
-        T, levels, evaluated, settled, panels, rel,
+        "qmegs time average, T=%g: start %d panels, %d levels, %d panels evaluated, "
+        "%d settled, finest %d panels, relative change %.3g",
+        T, start, levels, evaluated, settled, panels, rel,
     )
     return BlockFim(F)
 

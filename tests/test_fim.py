@@ -280,30 +280,38 @@ def test_qmegs_quadrature_converges_with_a_phase_near_zero():
     assert np.all(np.isfinite(_qmegs_expected_blocks(s, 12).theta_theta))
 
 
-def test_qmegs_level_counts_an_aligned_node_by_its_limit():
+def test_qmegs_level_counts_an_aligned_node_by_its_limit(monkeypatch):
     # dyadic phases align at t = 8 pi; T puts node 5 of the panel [0.25, 0.5]
     # there, so that node's C = 1 and its real part takes the limit column
     s = Spectrum([0.25, -0.5, 0.75], [0.5, 0.3, 0.2])
     lefts, half, g = np.array([0.0, 0.25, 0.5, 0.75]), 1.0 / 8, fim_module._gl_nodes
     T = (2.0 * np.pi / 0.25) / (0.25 + half + half * g[5])
+    traces = []
+    error = fim_module._panel_error
+
+    def spy(trace, half):
+        traces.append(trace.copy())
+        return error(trace, half)
+
+    monkeypatch.setattr(fim_module, "_panel_error", spy)
 
     def dip(T):
         nodes = fim_module._ht_walk(s, T * ((lefts + half)[:, None] + half * g), np.ones((4, 32)))
         return min(min(np.min(dC), np.min(dS)) for *_, dC, dS in nodes)
 
     def level(T):
-        settled, rest, diag, _ = fim_module._qmegs_level(s, T, lefts, half)
-        return (settled + rest)[:3, :3], diag
+        settled, rest, _ = fim_module._qmegs_level(s, T, lefts, half, allowance=1.0)
+        return (settled + rest)[:3, :3]
 
-    block, diag = level(T)
+    block = level(T)
     assert dip(T) < fim_module._SINGULAR_TOL
-    # (a) the per-panel diagonals that decide settling count it as the block does
-    assert np.allclose(diag.sum(axis=0), np.diag(block), rtol=1e-12, atol=0.0)
+    # (a) the node traces that decide settling count it as the block does
+    assert np.isclose(np.concatenate(traces).sum(), np.trace(block), rtol=1e-12, atol=0.0)
     # (b) the limit is continuous: a shift that takes the node out of the
     # singular band (at 1 + 1e-9 it stays inside) barely moves the block;
     # with the aligned measurement dropped it moves by about 6e-4
     assert dip(T * (1.0 + 1e-9)) < fim_module._SINGULAR_TOL <= dip(T * (1.0 + 1e-7))
-    moved = level(T * (1.0 + 1e-7))[0] - block
+    moved = level(T * (1.0 + 1e-7)) - block
     assert np.max(np.abs(moved)) < 1e-5 * np.max(np.abs(block))
 
 
@@ -328,40 +336,60 @@ def test_settled_panels_keep_the_time_average_at_the_fine_level(alpha):
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-def _settled_pairs(monkeypatch, s, T):
-    # (left edge, half-width) of each pair of children whose parent settled
-    pairs = []
-    level = fim_module._qmegs_level
+def _settled_panels(monkeypatch, s, T):
+    # (left edge, half-width, error ratio) of each panel that settled; the
+    # ratio is its error estimate over its share of the stop, allowance
+    # times its width, which settling holds at or below _SETTLE_SHARE
+    panels, errors = [], []
+    level, error = fim_module._qmegs_level, fim_module._panel_error
 
-    def spy(spectrum, T, lefts, half, *args):
-        out = level(spectrum, T, lefts, half, *args)
-        pairs.extend((lefts[2 * j], half) for j in np.flatnonzero(out[3]))
+    def spy_error(trace, half):
+        errors.append(error(trace, half))
+        return errors[-1]
+
+    def spy(spectrum, T, lefts, half, allowance=None):
+        errors.clear()
+        out = level(spectrum, T, lefts, half, allowance)
+        if allowance is not None:
+            ratio = np.concatenate(errors) / (allowance * 2.0 * half)
+            panels.extend((lefts[j], half, ratio[j]) for j in np.flatnonzero(out[2]))
         return out
 
+    monkeypatch.setattr(fim_module, "_panel_error", spy_error)
     monkeypatch.setattr(fim_module, "_qmegs_level", spy)
     _qmegs_expected_blocks(s, T)
-    return pairs
+    return panels
 
 
-def test_a_panel_whose_children_dip_below_the_floor_never_settles(monkeypatch):
+def test_a_panel_that_dips_below_the_floor_never_settles(monkeypatch):
     s = make_spectrum("uniform", 20, 0.4)
     g = np.polynomial.legendre.leggauss(32)[0]
 
-    def dip(pair):
-        # least min(1 - C^2, 1 - S^2) over the two children's nodes
-        left, half = pair
-        x = np.concatenate([left + half + half * g, left + 3.0 * half + half * g])
-        C, S = ht_expectations(s, 400 * x)
+    def dip(panel):
+        # least min(1 - C^2, 1 - S^2) over the panel's own nodes
+        left, half, _ = panel
+        C, S = ht_expectations(s, 400 * (left + half + half * g))
         return np.min(np.minimum(1.0 - C**2, 1.0 - S**2))
 
-    # the settled panel whose children come closest to |C| or |S| = 1
-    pair = min(_settled_pairs(monkeypatch, s, 400), key=dip)
-    edge = dip(pair)
+    # the settled panel that comes closest to |C| or |S| = 1
+    left, half, _ = panel = min(_settled_panels(monkeypatch, s, 400), key=dip)
+    edge = dip(panel)
     assert edge >= fim_module._DIP_FLOOR
     monkeypatch.setattr(fim_module, "_DIP_FLOOR", edge * (1.0 - 1e-9))
-    assert pair in _settled_pairs(monkeypatch, s, 400)
+    assert (left, half) in [p[:2] for p in _settled_panels(monkeypatch, s, 400)]
     monkeypatch.setattr(fim_module, "_DIP_FLOOR", edge * (1.0 + 1e-9))
-    assert pair not in _settled_pairs(monkeypatch, s, 400)
+    assert (left, half) not in [p[:2] for p in _settled_panels(monkeypatch, s, 400)]
+
+
+def test_a_panel_settles_only_within_its_tenth_of_the_stop(monkeypatch):
+    s = make_spectrum("uniform", 20, 0.4)
+    # the settled panel whose error comes closest to its share of the stop
+    left, half, ratio = max(_settled_panels(monkeypatch, s, 400), key=lambda p: p[2])
+    assert 0.0 < ratio <= fim_module._SETTLE_SHARE
+    monkeypatch.setattr(fim_module, "_SETTLE_SHARE", ratio * (1.0 + 1e-9))
+    assert (left, half) in [p[:2] for p in _settled_panels(monkeypatch, s, 400)]
+    monkeypatch.setattr(fim_module, "_SETTLE_SHARE", ratio * (1.0 - 1e-9))
+    assert (left, half) not in [p[:2] for p in _settled_panels(monkeypatch, s, 400)]
 
 
 def test_a_level_that_would_settle_every_panel_settles_none(monkeypatch, caplog):
@@ -370,17 +398,17 @@ def test_a_level_that_would_settle_every_panel_settles_none(monkeypatch, caplog)
     s = make_spectrum("uniform", 20, 0.4)
     level = fim_module._qmegs_level
 
-    def settle_all(spectrum, T, lefts, half, *parents):
-        done_F, rest, diag, done = level(spectrum, T, lefts, half, *parents)
-        if parents:
-            return done_F + rest, 0.0 * rest, diag, np.ones_like(done)
-        return done_F, rest, diag, done
+    def settle_all(spectrum, T, lefts, half, allowance=None):
+        done_F, rest, done = level(spectrum, T, lefts, half, allowance)
+        if allowance is not None:
+            return done_F + rest, 0.0 * rest, np.ones_like(done)
+        return done_F, rest, done
 
     monkeypatch.setattr(fim_module, "_qmegs_level", settle_all)
     with caplog.at_level(logging.DEBUG, logger="qpe_bounds.fim"):
         got = _qmegs_expected_blocks(s, 400).full()
     (record,) = [r for r in caplog.records if r.name == "qpe_bounds.fim"]
-    _, levels, _, settled, finest, _ = record.args
+    _, _, levels, _, settled, finest, _ = record.args
     assert settled == 0 and levels > 2
     want = _fine_level(s, 400, finest).full()
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
@@ -392,13 +420,33 @@ def test_time_average_reports_its_work_in_one_debug_record(caplog):
         _qmegs_expected_blocks(s, 400)
     (record,) = [r for r in caplog.records if r.name == "qpe_bounds.fim"]
     assert record.levelno == logging.DEBUG
-    T, levels, evaluated, settled, finest, rel = record.args
-    assert T == 400 and finest == 8 * 2 ** (levels - 1) <= fim_module._MAX_PANELS
-    # settled panels left the doubling: fewer than the 4 (2^levels - 1)
+    T, start, levels, evaluated, settled, finest, rel = record.args
+    # 2^ceil(log2(400 * 0.95 / 8)) = 64
+    assert T == 400 and start == 64
+    assert finest == start * 2 ** (levels - 1) <= fim_module._MAX_PANELS
+    # settled panels left the doubling: fewer than the start / 2 (2^levels - 1)
     # half-line panels that uniform doubling evaluates
-    assert 0 < 2 * settled < evaluated < 4 * (2**levels - 1)
+    assert 0 < settled < evaluated < start // 2 * (2**levels - 1)
     assert rel < fim_module._QUAD_REL_TOL
-    assert f"{levels} levels, {evaluated} panels evaluated, {settled} settled" in record.getMessage()
+    assert (f"start {start} panels, {levels} levels, {evaluated} panels evaluated, "
+            f"{settled} settled") in record.getMessage()
+
+
+def test_time_average_past_the_cap_raises_before_walking_a_node(monkeypatch):
+    # head_dense has max |theta| = 1, so T = 2^18 starts at 2^15 panels,
+    # whose next level is the cap, and T = 2^18 + 8 starts at 2^16; the
+    # first level settles nothing and cannot stop, so that one is refused
+    s = make_spectrum("head_dense", 20, 0.4)
+
+    def walk(*args):
+        raise RuntimeError("walked a node")
+
+    monkeypatch.setattr(fim_module, "_ht_walk", walk)
+    with pytest.raises(RuntimeError, match="walked a node"):
+        _qmegs_expected_blocks(s, 2**18)
+    for T in (2**18 + 8, 1e6, np.finfo(float).max):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _qmegs_expected_blocks(s, T)
 
 
 def test_ht_blocks_are_additive_across_chunk_boundaries():
@@ -472,8 +520,8 @@ def test_walk_weights_are_relatively_precise_at_its_own_angles(monkeypatch):
 @pytest.mark.parametrize("family, alpha, T",
                          [("uniform", 0.4, 400), ("uniform", 0.8, 2000), ("head_dense", 0.2, 100)])
 def test_time_average_does_not_depend_on_the_chunk_size(monkeypatch, family, alpha, T):
-    # the walk takes flat node times; a chunk must hold whole panel pairs,
-    # and 64 nodes is exactly one pair
+    # the walk takes flat node times; a chunk must hold whole panels, and
+    # 64 nodes is two
     s = make_spectrum(family, 20, alpha)
     want = _qmegs_expected_blocks(s, T).full()
     for nodes in (64, 4096):

@@ -45,7 +45,7 @@ from qpe_bounds import (
 from qpe_bounds.bench import accounting, qcels_levels
 from qpe_bounds.dirichlet import register_chunks
 from qpe_bounds.estimators import _filtered, _polish, _wrap
-from qpe_bounds.fim import _ht_blocks_weighted
+from qpe_bounds.fim import _LEGENDRE_ROWS, _gl_nodes, _ht_blocks_weighted
 from qpe_bounds.simulate import _DRAW_BLOCK, _inverse_cdf, sample_qft
 
 _M = 3  # dyadic phases 2 pi k / 2^_M; every multiple of 2^_M is aligned
@@ -293,6 +293,18 @@ def _cdfs_and_draws(draw):
         pick = rng.random(N) < 0.15
         u[pick] = rng.choice(pool, int(pick.sum()))
     return cdf, np.minimum(u, np.nextafter(1.0, 0.0))
+
+
+# The quadrature judges a panel by the head and tail of its integrand's
+# Legendre series on the panel's 32 Gauss nodes; the rows must read them off
+# exactly for every polynomial the nodes can represent.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=32))
+def test_legendre_rows_recover_the_head_and_tail_coefficients(coef):
+    a = np.zeros(32)
+    a[: len(coef)] = coef
+    got = _LEGENDRE_ROWS @ np.polynomial.legendre.legval(_gl_nodes, a)
+    assert np.allclose(got, a[np.r_[0:4, 28:32]], rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
