@@ -34,8 +34,9 @@ _TABLE_BINS = 1 << 20
 # bins per (L, chunk) kernel stack of the register walk ``register_chunks``;
 # the derivative walk, which ``fim.qft_fim`` stacks into a (2L, chunk) Gram
 # factor, takes fewer so that stack stays in a 2 MB L2.  The walks without
-# derivative keep the larger chunk: ``simulate.sample_qft`` builds a guide
-# table for every chunk and looks every draw up in each
+# derivative keep the larger chunk, which makes fewer row calls (one per
+# phase per chunk) and fewer binomial and multinomial calls in
+# ``simulate.sample_qft``
 _CHUNK = 1 << 15
 _DERIVATIVE_CHUNK = 1 << 12
 

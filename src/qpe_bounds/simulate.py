@@ -1,7 +1,8 @@
 """Sampling measurement outcomes from the closed-form distributions.
 
-No state vectors are involved: transform-readout outcomes follow the
-kernel mixture over 2^n bins, Hadamard-test outcomes are Bernoulli pairs.
+No state vectors are involved, and both samplers draw counts, never
+single shots: a register trial is one multinomial over the 2^n bins of
+the kernel mixture, a Hadamard-test trial a binomial pair at every time.
 ``write_csv`` writes every CSV of the package, tables and samples alike;
 the sample readers share one row reader and round-trip multi-trial datasets.
 """
@@ -17,12 +18,6 @@ from .dirichlet import dirichlet, register_chunks  # noqa: F401
 from .errors import NormalizationFailure
 from .fim import ht_expectations
 from .schedules import _count
-
-# draws per block of ``_inverse_cdf``: its 32 KB temporaries are reused from
-# block to block, where whole-array ones (800 KB at N_s = 1e5) were paged in
-# afresh on every call
-_DRAW_BLOCK = 1 << 12
-
 
 @dataclass
 class QftSample:
@@ -59,55 +54,42 @@ def qft_probabilities(spectrum, n):
     return p
 
 
-def _inverse_cdf(cdf, u, out):
-    """Add np.searchsorted(cdf, u, side="right") to ``out``, for draws u in [0, 1).
-
-    A guide table splits [0, 1) into G cells, G the power of two at or
-    above cdf.size, so k / G and u G are exact.  ``below[k]`` counts the
-    entries at or below k / G and ``under[k]`` those below (k + 1) / G; a
-    draw in cell k has its count between the two, and only where they
-    differ is it searched (Chen & Asau 1974; Devroye 1986, III.2.4).  The
-    draws go _DRAW_BLOCK at a time, so the temporaries stay small.
-    """
-    G = 1 << (cdf.size - 1).bit_length()
-    edges = np.arange(G + 1) / G
-    below = np.searchsorted(cdf, edges[:-1], side="right")
-    under = np.searchsorted(cdf, edges[1:], side="left")
-    for lo in range(0, u.size, _DRAW_BLOCK):
-        v = u[lo : lo + _DRAW_BLOCK]
-        k = (v * G).astype(np.intp)
-        count = below[k]
-        unsure = np.flatnonzero(under[k] != count)
-        count[unsure] = np.searchsorted(cdf, v[unsure], side="right")
-        out[lo : lo + _DRAW_BLOCK] += count
-
-
 def sample_qft(spectrum, n, N_s, seed=0):
-    """Draw N_s transform-readout outcomes by inverse CDF.
+    """Draw the histogram of N_s transform-readout shots as one multinomial.
 
-    The CDF is walked once along ``register_chunks``, so memory stays flat
-    up to the widest register.  Each chunk's first probability carries the
-    running total, so the chunk CDFs are exactly the global cumulative sum,
-    and a draw's bin is the number of its entries at or below the draw,
-    counted chunk by chunk by ``_inverse_cdf``: a draw outside a chunk's
-    span is counted from its guide table alone.  Draws at or above the
-    final total, which rounding may leave just below 1, fall in the last bin.
+    The multinomial is walked once along ``register_chunks``, so memory
+    stays flat up to the widest register.  Each chunk takes a binomial
+    share of the shots not yet placed, at its mass over the mass not yet
+    walked, and spreads it over its bins by one multinomial: the
+    conditional-binomial method (Devroye, Non-Uniform Random Variate
+    Generation, 1986).  The last chunk takes every shot left, so a
+    register of one chunk is exactly ``multinomial(N_s, p / p.sum())``.
+    A chunk with no shots left or no mass draws nothing; shots left past
+    the last chunk with mass, which a total rounding below 1 may leave,
+    fall in the last bin.  ``outcomes`` lists the shots sorted by bin.
     """
     chunks = register_chunks(n, spectrum.phases)
     N_s = _count("N_s", N_s)
-    u = np.random.default_rng(seed).random(N_s)
-    outcomes = np.zeros(N_s, dtype=np.int64)
-    total = 0.0
+    rng = np.random.default_rng(seed)
+    M = 2 ** int(n)
+    pieces, left, total, lo = [], N_s, 0.0, 0
     for K in chunks:
         p = spectrum.overlaps @ K
-        p[0] += total
-        cdf = np.cumsum(p)
-        _inverse_cdf(cdf, u, outcomes)
-        total = float(cdf[-1])
+        mass = float(p.sum())
+        if left and mass > 0.0:
+            rest = 1.0 - total
+            if lo + p.size == M:
+                share = left
+            else:
+                share = int(rng.binomial(left, mass / rest if mass < rest else 1.0))
+            pieces.append(np.repeat(np.arange(lo, lo + p.size), rng.multinomial(share, p / mass)))
+            left -= share
+        total += mass
+        lo += p.size
     if abs(total - 1.0) > 1e-9:
         raise NormalizationFailure(f"probabilities sum to {total!r}")
-    np.minimum(outcomes, 2 ** int(n) - 1, out=outcomes)
-    return QftSample(int(n), outcomes)
+    pieces.append(np.full(left, M - 1))
+    return QftSample(int(n), np.concatenate(pieces).astype(np.int64, copy=False))
 
 
 def _ht_probabilities(spectrum, times):

@@ -5,8 +5,6 @@ random values with multiples of 2^m, where every dyadic phase aligns
 (C = 1) and the blocks take their singular-time limits.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -46,7 +44,7 @@ from qpe_bounds.bench import accounting, qcels_levels
 from qpe_bounds.dirichlet import register_chunks
 from qpe_bounds.estimators import _filtered, _polish, _wrap
 from qpe_bounds.fim import _LEGENDRE_ROWS, _gl_nodes, _ht_blocks_weighted
-from qpe_bounds.simulate import _DRAW_BLOCK, _inverse_cdf, sample_qft
+from qpe_bounds.simulate import sample_qft
 
 _M = 3  # dyadic phases 2 pi k / 2^_M; every multiple of 2^_M is aligned
 
@@ -262,39 +260,6 @@ def test_qft_csv_round_trips_any_multi_trial_sample(tmp_path_factory, n, data):
 
 
 
-# The sampler's guide table against a plain binary search.  CDFs have
-# zero-probability bins (ties), entries snapped onto edges, a carry from
-# earlier chunks, and a total at or a rounding below 1; draws fall on the
-# table's edges k / G, on the entries, a rounding either side of them and
-# above the total
-@st.composite
-def _cdfs_and_draws(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = draw(st.integers(1, 300))
-    G = 1 << (size - 1).bit_length()
-    p = rng.random(size)
-    p[rng.random(size) < draw(st.floats(0.0, 0.9))] = 0.0
-    assume(p.sum() > 0.0)
-    carry = draw(st.sampled_from([0.0, 0.0, 0.5, 0.75, rng.random()]))
-    cdf = carry + (1.0 - carry) * np.cumsum(p / p.sum())
-    # entries on k / G, or on k / size, where a table of cdf.size cells
-    # would misplace a draw a rounding below them unless size is G
-    cells = draw(st.sampled_from([G, size]))
-    snap = rng.random(size) < draw(st.floats(0.0, 0.5))
-    cdf[snap] = np.floor(cdf[snap] * cells) / cells
-    total = draw(st.sampled_from([1.0, np.nextafter(1.0, 0.0), 1.0 - 3 * 2.0**-53, 1.0 - 1e-12]))
-    cdf = np.minimum(np.maximum.accumulate(cdf), total)
-    cdf[-1] = total
-    N = draw(st.sampled_from([0, 1, 50, 3 * _DRAW_BLOCK + 7]))
-    u = rng.random(N)
-    for pool in (rng.integers(0, G, G + 1) / G, cdf, np.nextafter(cdf, 2.0),
-                 np.nextafter(total, 0.0) + (1.0 - total) * rng.random(4),
-                 np.nextafter(np.arange(1, cells + 1) / cells, 0.0)):
-        pick = rng.random(N) < 0.15
-        u[pick] = rng.choice(pool, int(pick.sum()))
-    return cdf, np.minimum(u, np.nextafter(1.0, 0.0))
-
-
 # The quadrature judges a panel by the head and tail of its integrand's
 # Legendre series on the panel's 32 Gauss nodes; the rows must read them off
 # exactly for every polynomial the nodes can represent.
@@ -307,27 +272,15 @@ def test_legendre_rows_recover_the_head_and_tail_coefficients(coef):
     assert np.allclose(got, a[np.r_[0:4, 28:32]], rtol=0.0, atol=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_cdfs_and_draws(), st.integers(0, 2**32 - 1))
-def test_guide_table_is_the_binary_search(case, seed):
-    cdf, u = case
-    start = np.random.default_rng(seed).integers(0, 1000, u.size)
-    out = start.copy()
-    _inverse_cdf(cdf, u, out)
-    assert np.array_equal(out, start + np.searchsorted(cdf, u, side="right"))
-
-
 @settings(max_examples=40, deadline=None)
-@given(_spectra(), st.integers(1, 10), st.integers(0, 2**32 - 1))
-def test_chunked_sampler_is_the_inverse_of_the_global_cdf(s, n, seed):
-    # 64-bin chunks: up to sixteen chunk CDFs, each carrying the running total
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("qpe_bounds.dirichlet"), "_CHUNK", 64)
-        got = sample_qft(s, n, 2000, seed=seed).outcomes
-        cdf = np.cumsum(qft_probabilities(s, n))
-    u = np.random.default_rng(seed).random(2000)
-    want = np.minimum(np.searchsorted(cdf, u, side="right"), 2**n - 1)
-    assert np.array_equal(got, want)
+@given(_spectra(), st.integers(1, 15), st.integers(0, 2**32 - 1))
+def test_a_register_of_one_chunk_is_one_multinomial(s, n, seed):
+    # up to _CHUNK (2^15) bins the walk is one chunk: the counts are numpy's
+    # multinomial over the whole distribution, the outcomes sorted by bin
+    p = qft_probabilities(s, n)
+    want = np.random.default_rng(seed).multinomial(2000, p / p.sum())
+    got = sample_qft(s, n, 2000, seed=seed).outcomes
+    assert np.array_equal(got, np.repeat(np.arange(2**n), want))
 
 
 # The register walk across its chunk boundaries: the derivative walk below

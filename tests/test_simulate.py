@@ -1,9 +1,11 @@
 """Outcome sampling and dataset round-trips."""
 
+import contextlib
 import importlib
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from helpers import qft_outcome_probs, random_spectrum
 from qpe_bounds import (
@@ -24,6 +26,7 @@ from qpe_bounds import (
     write_ht_csv,
     write_qft_csv,
 )
+from qpe_bounds.errors import NormalizationFailure
 
 
 def test_qft_probabilities_normalized_and_match_oracle():
@@ -82,27 +85,90 @@ def test_sample_qft_frequencies_track_distribution():
     assert np.all(np.abs(counts - N_s * p) <= 5.0 * sd + 3.0)
 
 
-def test_sample_qft_chunked_walk_matches_one_chunk(monkeypatch):
-    # the chunk CDFs carry the running total, so they are the global
-    # cumulative sum and a chunked draw equals the one-chunk draw exactly;
-    # the distribution is the same bins concatenated, and the Fisher
-    # matrix the same sum in another order
-    n, N_s = 12, 100_000
-    spectra = [make_spectrum("uniform", 20, alpha) for alpha in (0.2, 0.4, 0.8)]
-    whole = [
-        (sample_qft(s, n, N_s, seed=7).outcomes, qft_probabilities(s, n), qft_fim(s, n).full())
-        for s in spectra
-    ]
+def _small_chunks(monkeypatch):
     # the module, not the kernel function the package exports under its name;
-    # qft_fim walks the derivative chunks, the other two the plain ones
+    # qft_fim walks the derivative chunks, qft_probabilities and sample_qft
+    # the plain ones
     dirichlet_module = importlib.import_module("qpe_bounds.dirichlet")
     monkeypatch.setattr(dirichlet_module, "_CHUNK", 64)
     monkeypatch.setattr(dirichlet_module, "_DERIVATIVE_CHUNK", 64)
-    for s, (draw, p, F) in zip(spectra, whole):
-        assert np.array_equal(sample_qft(s, n, N_s, seed=7).outcomes, draw)
+
+
+def test_sample_qft_chunked_walk_matches_one_chunk(monkeypatch):
+    # the distribution is the same bins concatenated, and the Fisher
+    # matrix the same sum in another order
+    n = 12
+    spectra = [make_spectrum("uniform", 20, alpha) for alpha in (0.2, 0.4, 0.8)]
+    whole = [(qft_probabilities(s, n), qft_fim(s, n).full()) for s in spectra]
+    _small_chunks(monkeypatch)
+    for s, (p, F) in zip(spectra, whole):
         assert np.array_equal(qft_probabilities(s, n), p)
         chunked = qft_fim(s, n).full()
         assert np.max(np.abs(chunked - F)) <= 1e-14 * np.max(np.abs(F))
+
+
+def test_sample_qft_chunked_walk_draws_the_register_law(monkeypatch):
+    # 16 chunks of 64 bins: each takes a binomial share of the shots left,
+    # so the draws differ from the one-chunk multinomial but keep its law.
+    # Pearson's chi^2 pools 20 seeds' histograms (cells expecting fewer than
+    # 5 shots merged into one) and must not fall in either 1e-6 tail of its
+    # law; the 16 chunk totals, averaged over 200 seeds, must sit within 5
+    # standard errors (two-sided 5.7e-7 each).  A correct sampler fails this
+    # test with probability below 3e-5 over the choice of seeds
+    n, N_s = 10, 200_000
+    _small_chunks(monkeypatch)
+    for s in (make_spectrum("uniform", 20, 0.4), Spectrum([0.7, -1.3], [0.6, 0.4])):
+        p = qft_probabilities(s, n)
+        hists = np.array([
+            np.bincount(sample_qft(s, n, N_s, seed=k).outcomes, minlength=2**n)
+            for k in range(200)
+        ])
+        big = N_s * p >= 5.0
+        expect = N_s * np.append(p[big], p[~big].sum())
+        seen = np.column_stack([hists[:20, big], hists[:20, ~big].sum(axis=1)])
+        x2, dof = np.sum((seen - expect) ** 2 / expect), 20 * (expect.size - 1)
+        assert chi2.cdf(x2, dof) > 1e-6 and chi2.sf(x2, dof) > 1e-6, x2 / dof
+        mass = p.reshape(-1, 64).sum(axis=1)
+        totals = hists.reshape(200, -1, 64).sum(axis=2).mean(axis=0)
+        z = (totals - N_s * mass) / np.sqrt(N_s * mass * (1.0 - mass) / 200)
+        assert np.max(np.abs(z)) <= 5.0, z
+
+
+def _scaled_register(monkeypatch, factor):
+    # every register chunk the samplers read, times factor
+    simulate = importlib.import_module("qpe_bounds.simulate")
+    walk = simulate.register_chunks
+    monkeypatch.setattr(simulate, "register_chunks",
+                        lambda n, theta: (factor * K for K in walk(n, theta)))
+
+
+@pytest.mark.parametrize("factor", [1 + 2e-9, 1 - 2e-9, 1 + 5e-10, 1 - 5e-10])
+def test_register_probabilities_must_sum_to_one_within_1e9(monkeypatch, factor):
+    s = make_spectrum("uniform", 20, 0.4)
+    _small_chunks(monkeypatch)
+    _scaled_register(monkeypatch, factor)
+    for call in (lambda: qft_probabilities(s, 10), lambda: sample_qft(s, 10, 1000, seed=1)):
+        with (pytest.raises(NormalizationFailure, match="probabilities sum to")
+              if abs(factor - 1.0) > 1e-9 else contextlib.nullcontext()):
+            call()
+
+
+class _HalfShare(np.random.Generator):
+    """A generator whose binomial places half the shots, whatever the mass."""
+
+    def binomial(self, n, p):
+        return n // 2
+
+
+def test_shots_left_at_a_zero_mass_last_chunk_fall_in_the_last_bin(monkeypatch):
+    # phase 0 puts all mass on bin 0 and exactly none on the second chunk.
+    # A total a rounding below 1 leaves shots unplaced at such a chunk only
+    # rarely, so the first chunk's share is forced to half
+    s = Spectrum([0.0], [1.0])
+    _small_chunks(monkeypatch)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _HalfShare(np.random.PCG64(seed)))
+    out = sample_qft(s, 7, 9, seed=2).outcomes
+    assert out.tolist() == [0] * 4 + [127] * 5
 
 
 def test_sample_qft_chunked_path_matches_eigenstate():
@@ -111,6 +177,54 @@ def test_sample_qft_chunked_path_matches_eigenstate():
     s = Spectrum([2.0 * np.pi * y0 / 2**n], [1.0])
     out = sample_qft(s, n, 64, seed=3).outcomes
     assert np.all(out == y0)
+
+
+# Both samplers against their Fisher matrices (the Bartlett identities): over
+# seeded samples at the true spectrum the theta score has mean 0 and
+# covariance N_s I_theta_theta.  The overlaps are free coordinates, so the
+# register's c score has mean N_s, not 0, and only the theta rows are tested.
+# The probability gradients come from the oracles, not the library's walks
+_BARTLETT = Spectrum([0.7, -1.3], [0.6, 0.4])
+
+
+def _assert_bartlett(scores, fisher):
+    mean, cov = scores.mean(axis=0), np.cov(scores, rowvar=False)
+    se = np.sqrt(np.diag(cov) / scores.shape[0])
+    assert np.all(np.abs(mean) <= 4.0 * se), (mean, se)
+    assert np.max(np.abs(cov - fisher)) <= 0.1 * np.max(np.abs(fisher)), (cov, fisher)
+
+
+def test_register_score_has_the_register_information():
+    s, n, N_s = _BARTLETT, 6, 50
+    p = qft_outcome_probs(s.phases, s.overlaps, n)
+    h = 1e-6
+    grad = np.array([
+        (qft_outcome_probs(s.phases + h * e, s.overlaps, n)
+         - qft_outcome_probs(s.phases - h * e, s.overlaps, n)) / (2.0 * h)
+        for e in np.eye(s.L)
+    ])
+    scores = np.array([
+        grad @ (np.bincount(sample_qft(s, n, N_s, seed=k).outcomes, minlength=2**n) / p)
+        for k in range(4000)
+    ])
+    _assert_bartlett(scores, N_s * qft_fim(s, n).theta_theta)
+
+
+def test_hadamard_test_score_has_the_schedule_information():
+    s, T, N_t, N_s = _BARTLETT, 8, 8, 20
+    sched = realize("qcels", T, N_t)
+    t = sched.times
+    C, S = ht_expectations(s, t)
+    phase = np.outer(s.phases, t)
+    dC = -s.overlaps[:, None] * t * np.sin(phase)
+    dS = s.overlaps[:, None] * t * np.cos(phase)
+    scores = []
+    for k in range(4000):
+        sample = sample_ht(s, sched, N_s, seed=k)
+        wC = 2.0 * (sample.n_re0 - N_s * (1.0 + C) / 2.0) / (1.0 - C**2)
+        wS = 2.0 * (sample.n_im0 - N_s * (1.0 + S) / 2.0) / (1.0 - S**2)
+        scores.append(dC @ wC + dS @ wS)
+    _assert_bartlett(np.array(scores), total_fim(s, "qcels", T, N_t, N_s).theta_theta)
 
 
 def test_exact_ht_sample_reproduces_expectations():
