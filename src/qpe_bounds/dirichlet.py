@@ -10,10 +10,11 @@ On the M-point grid x = theta - 2 pi y / M every numerator is +-sin(M theta/2),
 so one scalar sine per theta and a half-angle table give the squared kernel
 (``squared_kernel_grid``); every register reader walks it by ``register_chunks``.
 
-``cis`` is the unit-circle kernel for the Hadamard-test data: cos and sin
-of a whole array from one tangent of the half angle.  The Fisher walk
-``fim._ht_walk`` reads its cancellation-free 1 -+ cos and 1 -+ sin from the
-same tangent.
+``cis`` is the unit-circle kernel for the Hadamard-test estimators: cos
+and sin of a whole array from one tangent of the half angle.  The
+Hadamard-test model reads the same tangent itself: ``fim.ht_expectations``
+sums C and S from it, and the Fisher walk ``fim._ht_walk`` its
+cancellation-free 1 -+ cos and 1 -+ sin.
 """
 
 import functools

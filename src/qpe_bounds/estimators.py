@@ -8,19 +8,22 @@ kernel model.  All return an Estimate; estimators never see the truth.
 
 The three Hadamard-test estimators share one peak step, ``_peak``, on the
 statistic G(x) = mean_k z_k exp(-i x t_k): ``_scan`` evaluates G on a
-midpoint grid of (-pi, pi] with one type-1 NUFFT, at any time layout,
-and ``_polish`` refines the winning cell by safeguarded Newton ascent on
+midpoint grid of (-pi, pi], by one exact length-K FFT when every time is
+a whole number (CSQPE's schedule) and by one type-1 NUFFT otherwise, and
+``_polish`` refines the winning cell by safeguarded Newton ascent on
 |G|^2.  QMEGS is one ``_peak``; QCELS is one ``_peak`` and one
 ``_polish`` per later level; CSQPE is one ``_peak`` per greedy pick.
 Every exp(i x t) at the data times comes from one ``dirichlet.cis``.
 
 scipy is imported where it is called, so that importing the package does
-not load it: ``_scan`` takes ``next_fast_len`` from ``scipy.fft``, and the
-histogram fit's NNLS goes through the module-level ``nnls`` wrapper, which
-imports ``scipy.optimize`` on call and which the per-layer trace in
-perfbench/tracing.py counts by name in this module.
+not load it: ``_scan`` takes ``fft`` and ``_gridding`` ``next_fast_len``
+from ``scipy.fft``, and the histogram fit's NNLS goes through the
+module-level ``nnls`` wrapper, which imports ``scipy.optimize`` on call
+and which the per-layer trace in perfbench/tracing.py counts by name in
+this module.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,34 +76,64 @@ def _filtered(z, times, xs):
     return np.exp(-1j * np.outer(xs, times)) @ z / times.size
 
 
-def _scan(z, times, K):
-    """G on the K-cell midpoint grid x_j = -pi + (j + 1/2) 2 pi / K.
+@functools.lru_cache(maxsize=32)
+def _gridding(K):
+    """The NUFFT's constants for K cells: (M, R, width, deconv), deconv read-only.
 
-    One type-1 NUFFT with Gaussian gridding (Dutt & Rokhlin 1993; Greengard
-    & Lee, SIAM Rev. 46, 2004).  With h = 2 pi / K and x_c the cell nearest
-    0, G(x_c + m h) = sum_k c_k exp(-i m h t_k) for c_k = z_k exp(-i x_c t_k)
-    / N and |m| <= K / 2.  On a fine grid of M cells of [0, 2 pi), M the
-    first FFT-friendly length from 2K (oversampling R = M / K >= 2), the
-    record h t_k sits at cell t_k M / K.  Each c_k is spread there by the
-    Gaussian exp(-s^2 / 4 tau), one FFT gives the Fourier coefficients of
-    the sum, and dividing by the Gaussian's own, sqrt(tau / pi)
-    exp(-m^2 tau), recovers G at every m, to ~1e-12 of mean |z_k|.
-
-    The records go _CHUNK_NODES at a time, their phase ramp from one
-    ``cis``, onto the M cells padded by _SPREAD - 1 in front and _SPREAD
-    behind, so a record needs one reduction mod M; the padding cells are
-    added onto the M cells at the end, each at its cell mod M, which wraps
-    more than once when M < 2 _SPREAD.
+    M is the first FFT-friendly length from 2K and R = M / K; width is the
+    Gaussian's exponent per squared fine cell, and deconv the K factors
+    sqrt(pi / tau) exp(tau m^2) / M that undo its Fourier coefficients at
+    m = -K // 2 .. K - 1 - K // 2.
     """
     from scipy.fft import next_fast_len
 
     M = next_fast_len(2 * K)
     R = M / K
-    centre = K // 2
     tau = np.pi * _SPREAD / (K * K * R * (R - 0.5))
-    x_c = -np.pi + (centre + 0.5) * (_TWO_PI / K)
     # exp(-s^2 / 4 tau) at s = 2 pi d / M, d the fine-cell distance u - node
     width = np.pi * (R - 0.5) / (R * _SPREAD)
+    m = np.arange(-(K // 2), K - K // 2, dtype=float)
+    deconv = np.sqrt(np.pi / tau) / M * np.exp(tau * m * m)
+    deconv.setflags(write=False)
+    return M, R, width, deconv
+
+
+def _scan(z, times, K):
+    """G on the K-cell midpoint grid x_j = -pi + (j + 1/2) 2 pi / K.
+
+    With h = 2 pi / K and x_c the cell nearest 0, G(x_c + m h) =
+    sum_k c_k exp(-i m h t_k) for c_k = z_k exp(-i x_c t_k) / N and
+    |m| <= K / 2, the phase ramp from one ``cis``.  When every t_k is a
+    whole number, as on CSQPE's schedule, exp(-i m h t_k) depends on t_k
+    only mod K: the c_k are binned at t_k mod K and one length-K FFT gives
+    G exactly.
+
+    Any other time layout takes one type-1 NUFFT with Gaussian gridding
+    (Dutt & Rokhlin 1993; Greengard & Lee, SIAM Rev. 46, 2004).  On a fine
+    grid of M cells of [0, 2 pi), M from ``_gridding`` (oversampling
+    R = M / K >= 2), the record h t_k sits at cell t_k M / K.  Each c_k is
+    spread there by the Gaussian exp(-s^2 / 4 tau), one FFT gives the
+    Fourier coefficients of the sum, and dividing by the Gaussian's own,
+    sqrt(tau / pi) exp(-m^2 tau), recovers G at every m, to ~1e-12 of mean
+    |z_k|.  The records go _CHUNK_NODES at a time onto the M cells padded
+    by _SPREAD - 1 in front and _SPREAD behind, so a record needs one
+    reduction mod M; the padding cells are added onto the M cells at the
+    end, each at its cell mod M, which wraps more than once when
+    M < 2 _SPREAD.
+    """
+    from scipy.fft import fft
+
+    centre = K // 2
+    x_c = -np.pi + (centre + 0.5) * (_TWO_PI / K)
+    # t - floor(t) is 0 exactly for whole t, and NaN or nonzero otherwise
+    if np.all(times - np.floor(times) == 0.0):
+        cos, sin = cis(x_c * times)
+        c = z * (cos - 1j * sin)
+        bins = np.mod(times, K).astype(np.intp)
+        f = fft(np.bincount(bins, c.real, K) + 1j * np.bincount(bins, c.imag, K))
+        # the coefficient of m = -centre .. K - 1 - centre sits at FFT bin m mod K
+        return np.concatenate((f[K - centre :], f[: K - centre])) * (1.0 / times.size)
+    M, R, width, deconv = _gridding(K)
     # one row per spread cell, one column per record: numpy runs the long
     # axis innermost; padded cell p holds fine cell (p - _SPREAD + 1) mod M
     offsets = np.arange(1 - _SPREAD, _SPREAD + 1, dtype=float)[:, None]
@@ -123,32 +156,41 @@ def _scan(z, times, K):
     pad = np.r_[: _SPREAD - 1, _SPREAD - 1 + M : grid.size]
     np.add.at(fine, (pad - _SPREAD + 1) % M, grid[pad])
     # the coefficient of m = -centre .. K - 1 - centre sits at FFT bin m mod M
-    f = np.fft.fft(fine)
-    m = np.arange(-centre, K - centre, dtype=float)
-    scale = np.sqrt(np.pi / tau) / (M * times.size)
-    return np.concatenate((f[M - centre :], f[: K - centre])) * scale * np.exp(tau * m * m)
+    f = fft(fine)
+    return np.concatenate((f[M - centre :], f[: K - centre])) * (deconv / times.size)
 
 
 def _polish(z, times, x, lo, hi):
     """Safeguarded Newton ascent on f = |G|^2 from x, inside [lo, hi].
 
-    Each evaluation is one ``cis`` of x t and three dot products, for G,
-    G' = G[-i t z] and G'' = G[-t^2 z]; then f' = 2 Re(conj(G) G') and
-    f'' = 2 (|G'|^2 + Re(conj(G) G'')).  Where f is concave the step is
-    Newton's, elsewhere it runs to the bracket end uphill; either is clipped
-    to [lo, hi] and halved until f does not fall.  On steps below
-    1e-3 / max|t|, where f is flat to rounding, whether it falls is judged
-    by the trapezoid of f' instead.  It stops once a step is no longer than
-    _STEP_TOL.  Returns (x, G(x), number of evaluations).
+    With z = a + i b, the records of G, G' = G[-i t z] and G'' = G[-t^2 z]
+    are (a, b), (t b, -t a) and (-t^2 a, -t^2 b), the rows of one real
+    (6, N) weight matrix W: each evaluation is one ``cis`` of x t and two
+    real products, W cos and W sin, which give the real and imaginary
+    parts of all three as Re = (W cos)_a + (W sin)_b and
+    Im = (W cos)_b - (W sin)_a.  Then f' = 2 Re(conj(G) G') and
+    f'' = 2 (|G'|^2 + Re(conj(G) G'')), on Python floats.  Where f is
+    concave the step is Newton's, elsewhere it runs to the bracket end
+    uphill; either is clipped to [lo, hi] and halved until f does not fall.
+    On steps below 1e-3 / max|t|, where f is flat to rounding, whether it
+    falls is judged by the trapezoid of f' instead.  It stops once a step
+    is no longer than _STEP_TOL.  Returns (x, G(x), number of evaluations).
     """
-    w = np.stack([z, -1j * times * z, -times * times * z]) / times.size
+    a, b = z.real, z.imag
+    ta, tb = times * a, times * b
+    w = np.stack([a, b, tb, -ta, -times * ta, -times * tb]) / times.size
     reach = np.max(np.abs(times))
 
     def evaluate(x):
         cos, sin = cis(x * times)
-        g, g1, g2 = w @ (cos - 1j * sin)
-        gc = g.conjugate()
-        return g, abs(g) ** 2, 2.0 * (gc * g1).real, 2.0 * (abs(g1) ** 2 + (gc * g2).real)
+        ca, cb, c1a, c1b, c2a, c2b = (w @ cos).tolist()
+        sa, sb, s1a, s1b, s2a, s2b = (w @ sin).tolist()
+        gr, gi = ca + sb, cb - sa
+        g1r, g1i = c1a + s1b, c1b - s1a
+        g2r, g2i = c2a + s2b, c2b - s2a
+        d1 = 2.0 * (gr * g1r + gi * g1i)
+        d2 = 2.0 * (g1r * g1r + g1i * g1i + gr * g2r + gi * g2i)
+        return complex(gr, gi), gr * gr + gi * gi, d1, d2
 
     g, f, d1, d2 = evaluate(x)
     evals = 1

@@ -21,7 +21,6 @@ import numpy as np
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
     _TWO_PI,
-    cis,
     dirichlet,
     dirichlet_derivative,
     register_chunks,
@@ -76,15 +75,26 @@ def ht_expectations(spectrum, t):
 
     A scalar t gives two floats; an array of times gives two arrays, one
     value per time in flattened order.  The times are walked
-    _CHUNK_NODES at a time, so the (chunk, L) angles stay in cache, and
-    each chunk's cos and sin come from one ``cis``.
+    _CHUNK_NODES at a time, so the (chunk, L) angles stay in cache.  Each
+    chunk reads both sums from one half-angle tangent, the 1/2 folded into
+    the phases: with tau = tan(theta t / 2) and q = 1 / (1 + tau^2),
+    cos = 2 q - 1 and sin = 2 tau q, so C = 2 c.q - sum c and
+    S = 2 c.(tau q), six array passes and two products a chunk.
     """
     times = np.ravel(np.asarray(t, dtype=float))
+    half = 0.5 * spectrum.phases
+    c2, total = 2.0 * spectrum.overlaps, spectrum.overlaps.sum()
     C, S = np.empty(times.size), np.empty(times.size)
     for lo in range(0, times.size, _CHUNK_NODES):
-        cos, sin = cis(np.outer(times[lo : lo + _CHUNK_NODES], spectrum.phases))
-        np.matmul(cos, spectrum.overlaps, out=C[lo : lo + _CHUNK_NODES])
-        np.matmul(sin, spectrum.overlaps, out=S[lo : lo + _CHUNK_NODES])
+        tau = np.multiply.outer(times[lo : lo + _CHUNK_NODES], half)
+        np.tan(tau, out=tau)
+        q = np.multiply(tau, tau)
+        q += 1.0
+        np.reciprocal(q, out=q)
+        tau *= q
+        np.matmul(q, c2, out=C[lo : lo + _CHUNK_NODES])
+        np.matmul(tau, c2, out=S[lo : lo + _CHUNK_NODES])
+    C -= total
     if np.ndim(t) == 0:
         return float(C[0]), float(S[0])
     return C, S

@@ -22,7 +22,15 @@ from qpe_bounds import (
 )
 from qpe_bounds.bench import qcels_levels
 from qpe_bounds.errors import EmptyData, NoPeaksDetected, ScheduleMismatch
-from qpe_bounds.estimators import _filtered, _fit_start, _near, _peak, _scan, _wrap
+from qpe_bounds.estimators import (
+    _filtered,
+    _fit_start,
+    _gridding,
+    _near,
+    _peak,
+    _scan,
+    _wrap,
+)
 from qpe_bounds.simulate import HtSample
 
 
@@ -238,24 +246,35 @@ def test_direct_sum_on_a_short_grid():
     assert np.max(np.abs(_filtered(z, times, grid) - want)) < 1e-12
 
 
-@pytest.mark.parametrize("layout", ["random", "integer", "arithmetic"])
+@pytest.mark.parametrize("layout", ["random", "integer", "arithmetic", "wrapped", "nudged"])
 @pytest.mark.parametrize("T", [3, 40, 1000])
 def test_scan_matches_direct_sum(layout, T):
     # the three Hadamard-test layouts: truncated-normal-like real times with
-    # |t| <= T (QMEGS), integers 1..T (CSQPE), k h / N_t (QCELS)
+    # |t| <= T (QMEGS), integers 1..T (CSQPE), k h / N_t (QCELS); whole
+    # times in [-4T, 4T], which wrap mod K both ways; and the CSQPE layout
+    # with one time off the integers, which leaves the exact path
     rng = np.random.default_rng(T)
     N = 300
     times = {
         "random": rng.uniform(-T, T, N),
         "integer": rng.integers(1, T + 1, N).astype(float),
         "arithmetic": np.arange(1, N + 1) * T / N,
+        "wrapped": rng.integers(-4 * T, 4 * T + 1, N).astype(float),
+        "nudged": rng.integers(1, T + 1, N) + (np.arange(N) == N // 2) / 3.0,
     }[layout]
     z = np.exp(1j * 0.7 * times) + 0.3 * (rng.normal(size=N) + 1j * rng.normal(size=N))
+    # whole times take the exact DFT: only the reference's own rounding of
+    # x t, up to |x t| eps a term, stays
+    bound = 1e-12 if layout in ("integer", "wrapped") else 1e-11
     # even, odd, QMEGS; below 2 _SPREAD cells the padded grid folds onto
     # the fine one more than once
     for K in (4 * T, 4 * T + 1, int(np.ceil(4.0 * np.pi * T)), 1, 2, 3, 7):
         xs = -np.pi + (np.arange(K) + 0.5) * (2.0 * np.pi / K)
-        assert np.max(np.abs(_scan(z, times, K) - _filtered(z, times, xs))) <= 1e-11
+        assert np.max(np.abs(_scan(z, times, K) - _filtered(z, times, xs))) <= bound
+        # the per-K constants are shared by every later scan at this K
+        deconv = _gridding(K)[3]
+        with pytest.raises(ValueError, match="read-only"):
+            deconv[0] = 0.0
 
 
 def test_taken_cells_by_index_match_the_full_grid():

@@ -103,8 +103,21 @@ def test_ht_blocks_are_symmetric_psd_and_even_in_t(s, t):
     assert np.allclose(G.full(), full, rtol=1e-12, atol=1e-12 * np.max(np.abs(full)))
 
 
+@st.composite
+def _campaign_spectra(draw):
+    """Twenty modes, the campaign size, at seeded phases and weights.
+
+    The weights sum to one only within the spectrum's tolerance, so a C
+    that takes sum c = 1 for granted is off by up to 5e-13.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.05, 1.0, 20)
+    weights *= (1.0 + rng.uniform(-5e-13, 5e-13)) / weights.sum()
+    return Spectrum(rng.uniform(-np.pi, np.pi, 20), weights)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_spectra(), _time_arrays())
+@given(st.one_of(_spectra(), _campaign_spectra()), _time_arrays())
 def test_ht_expectations_are_the_direct_sums(s, t):
     C, S = ht_expectations(s, t)
     assert C.shape == S.shape == t.shape
@@ -342,6 +355,8 @@ def test_polish_stays_in_its_bracket_and_never_lowers_the_power(
     lo, hi = x - left * 4.0 / T, x + right * 4.0 / T
     got, g, _ = _polish(z, times, x, lo, hi)
     assert lo <= got <= hi
+    # CSQPE feeds the returned G back as its atom's amplitude
+    assert g == pytest.approx(_filtered(z, times, np.array([got]))[0], rel=1e-12, abs=0.0)
     assert abs(g) ** 2 == pytest.approx(_power(z, times, got), rel=1e-9, abs=1e-15)
     assert _power(z, times, got) >= _power(z, times, x) - 1e-12 * np.mean(np.abs(z)) ** 2
 
