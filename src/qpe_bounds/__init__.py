@@ -34,6 +34,7 @@ from .errors import (
     NoLinearCostForm,
     NoPeaksDetected,
     NormalizationFailure,
+    PhaseOnlyFim,
     RpeRequiresPowerOfTwo,
     ScheduleMismatch,
     SingularFim,

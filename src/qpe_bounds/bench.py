@@ -141,15 +141,18 @@ def qcels_levels(T, N_t):
     return [T / 2 ** (m - j) for j in range(1, m + 1)]
 
 
-def accounting(spectrum, kind, horizons, N_t, N_s, label=0):
+def accounting(spectrum, kind, horizons, N_t, N_s, label=0, *, overlaps_known=False):
     """(g0, gamma, bound, t_total, fim) of N_t times x N_s shots per horizon.
 
     Blocks and costs add up over ``horizons``; with T = horizons[-1], the
     bound T * t_total / I_ii floors T * t_total * MSE for every protocol
     (MSE >= 1 / I_ii).  With N = len(horizons) N_t N_s, the reported
     gamma = t_total / (N T) and g0 = I_ii / (N T^2) give bound = gamma / g0.
+    I_ii is one theta-theta entry, so ``overlaps_known`` (passed to
+    ``total_fim``) gives the same numbers from the theta rows alone; the
+    returned fim is then that block, which ``diag_ratio`` refuses.
     """
-    fims = [total_fim(spectrum, kind, h, N_t, N_s) for h in horizons]
+    fims = [total_fim(spectrum, kind, h, N_t, N_s, overlaps_known=overlaps_known) for h in horizons]
     fim = sum(fims[1:], fims[0])
     ttl = sum(t_total(kind, h, N_t, N_s) for h in horizons)
     T, N = float(horizons[-1]), len(horizons) * N_t * N_s
@@ -160,19 +163,19 @@ def accounting(spectrum, kind, horizons, N_t, N_s, label=0):
 
 def g_i(spectrum, kind, T, N_t, N_s, label=0):
     """Normalized information I_ii / (N_t N_s T^2) at one horizon T, any protocol."""
-    return accounting(spectrum, kind, [T], N_t, N_s, label)[0]
+    return accounting(spectrum, kind, [T], N_t, N_s, label, overlaps_known=True)[0]
 
 
 def cost_product_bound(spectrum, kind, T, N_t, N_s, label=0):
     """Floor T * t_total / I_ii on T * t_total * MSE at one horizon T, any protocol."""
-    return accounting(spectrum, kind, [T], N_t, N_s, label)[2]
+    return accounting(spectrum, kind, [T], N_t, N_s, label, overlaps_known=True)[2]
 
 
-def _accounting(spectrum, pspec, T, target):
+def _accounting(spectrum, pspec, T, target, overlaps_known=False):
     """Accounting over the horizons the point's estimator samples."""
-    kind = pspec.kind
-    horizons = qcels_levels(T, pspec.N_t) if kind == ProtocolKind.QCELS else [T]
-    return accounting(spectrum, kind, horizons, pspec.N_t, pspec.N_s, target)
+    kind, N_t, N_s = pspec.kind, pspec.N_t, pspec.N_s
+    horizons = qcels_levels(T, N_t) if kind == ProtocolKind.QCELS else [T]
+    return accounting(spectrum, kind, horizons, N_t, N_s, target, overlaps_known=overlaps_known)
 
 
 def _grid(config):
@@ -185,7 +188,9 @@ def _pass(config, extra=None):
 
     Each row gets c0, g0, gamma, bound and t_total; ``extra(row, spectrum,
     fim, point_idx, pspec, T)`` may fill more columns.  Both run inside
-    one try, so a failure lands in that point's error column.
+    one try, so a failure lands in that point's error column.  Without
+    ``extra`` nothing reads past I_ii, so only the theta-theta blocks are
+    built (``overlaps_known``); an ``extra`` gets the full matrix.
     """
     rows = []
     for idx, (alpha, pspec, T) in enumerate(_grid(config)):
@@ -197,7 +202,7 @@ def _pass(config, extra=None):
             s = make_spectrum(config.spectrum, config.L, alpha)
             row.c0 = s.overlap(config.target)
             row.g0, row.gamma, row.bound, row.t_total, fim = _accounting(
-                s, pspec, T, config.target
+                s, pspec, T, config.target, overlaps_known=extra is None
             )
             if extra is not None:
                 extra(row, s, fim, idx, pspec, T)

@@ -21,6 +21,10 @@ class SingularFim(ArithmeticError):
         self.condition = condition
 
 
+class PhaseOnlyFim(ValueError):
+    """The Fisher matrix holds only its theta-theta block (overlaps known)."""
+
+
 class NoLinearCostForm(ValueError):
     """The protocol has no linear total-cost constant gamma."""
 

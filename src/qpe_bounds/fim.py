@@ -1,7 +1,9 @@
 """Fisher information of the two measurement families, one 2L x 2L matrix.
 
 Parameters are the 2L reals (theta_1..theta_L, c_1..c_L) with the overlaps
-treated as free coordinates.  Both families build the matrix the same way,
+treated as free coordinates; with ``overlaps_known`` every builder keeps
+only the theta rows and returns the L x L theta-theta block, all that
+1 / I_ii reads.  Both families build the matrix the same way,
 sum over outcomes of grad p grad p^T / p: each chunk of outcomes is one
 stack A of gradient columns scaled by the square roots of their weights,
 and adds A A^T, which BLAS forms as a symmetric rank-k update, so the sum
@@ -25,7 +27,7 @@ from .dirichlet import (  # noqa: F401
     dirichlet_derivative,
     register_chunks,
 )
-from .errors import DegenerateDistribution, ZeroSecondMoment
+from .errors import DegenerateDistribution, PhaseOnlyFim, ZeroSecondMoment
 from .schedules import _C, ProtocolKind, _point, realize, register_width
 from .spectrum import _index_of
 
@@ -42,13 +44,16 @@ class BlockFim:
     """Symmetric 2L x 2L Fisher matrix; row i is mode i's theta, row L + i its c.
 
     The modes keep the spectrum's order, so a mode's label is its row.
+    With ``overlaps_known`` the matrix is the L x L theta-theta block alone,
+    and ``full()`` raises PhaseOnlyFim.
     """
 
     matrix: np.ndarray
+    overlaps_known: bool = False
 
     @property
     def L(self):
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[0] // (1 if self.overlaps_known else 2)
 
     @property
     def theta_theta(self):
@@ -56,16 +61,20 @@ class BlockFim:
         return self.matrix[: self.L, : self.L]
 
     def full(self):
+        if self.overlaps_known:
+            raise PhaseOnlyFim("only the theta-theta block was built (overlaps known)")
         return self.matrix
 
     def index_of(self, label):
         return _index_of(self.L, label)
 
     def __add__(self, other):
-        return BlockFim(self.matrix + other.matrix)
+        if self.overlaps_known != other.overlaps_known:
+            raise PhaseOnlyFim("cannot add a theta-theta block to a full Fisher matrix")
+        return BlockFim(self.matrix + other.matrix, self.overlaps_known)
 
     def __mul__(self, scalar):
-        return BlockFim(float(scalar) * self.matrix)
+        return BlockFim(float(scalar) * self.matrix, self.overlaps_known)
 
     __rmul__ = __mul__
 
@@ -108,11 +117,12 @@ def _second_moment(spectrum):
     return sm
 
 
-def _ht_walk(spectrum, times, weights):
+def _ht_walk(spectrum, times, weights, overlaps_known=False):
     """The node times, flattened, walked _CHUNK_NODES at a time.
 
     Yields per chunk (aC, aS, dC, dS): the (2L, nodes) gradients of C and
-    S over (theta, c), each column scaled by sqrt(w / (1 - C^2)) and
+    S over (theta, c), or their L theta rows with ``overlaps_known``, each
+    column scaled by sqrt(w / (1 - C^2)) and
     sqrt(w / (1 - S^2)), so the chunk's Fisher sum is
     aC aC^T + aS aS^T; and the walk's own 1 - C^2 and 1 - S^2 per node.
     A measurement with 1 - C^2 (or 1 - S^2) below _SINGULAR_TOL is
@@ -131,7 +141,7 @@ def _ht_walk(spectrum, times, weights):
     L, n = th.size, min(t.size, _CHUNK_NODES)
     half, cc = 0.5 * th[:, None], c[:, None]
     tau_, t2_, q_, u_ = np.empty((4, L, n))
-    aC_, aS_ = np.empty((2, 2 * L, n))
+    aC_, aS_ = np.empty((2, L if overlaps_known else 2 * L, n))
     dC_, dS_, sC_, sS_ = np.empty((4, n))
     for lo in range(0, t.size, n):
         tj, wj = t[lo : lo + n], w[lo : lo + n]
@@ -176,8 +186,9 @@ def _ht_walk(spectrum, times, weights):
         # sin); the 2 of sin = 2 tau q rides on the column scales
         half_sin = np.multiply(tau, q, out=u)
         cos = np.multiply(np.subtract(1.0, t2, out=t2), q, out=t2)
-        np.multiply(cos, sC, out=aC[L:])
-        np.multiply(half_sin, 2.0 * sS, out=aS[L:])
+        if not overlaps_known:
+            np.multiply(cos, sC, out=aC[L:])
+            np.multiply(half_sin, 2.0 * sS, out=aS[L:])
         np.multiply(half_sin, -2.0 * tj * sC, out=aC[:L])
         np.multiply(cos, tj * sS, out=aS[:L])
         aC[:L] *= cc
@@ -196,7 +207,7 @@ def _gram(aC, aS):
     return aC @ aC.T + aS @ aS.T
 
 
-def _ht_blocks_weighted(spectrum, times, weights):
+def _ht_blocks_weighted(spectrum, times, weights, overlaps_known=False):
     """Weighted sum over times of the per-time Hadamard-test Fisher matrix.
 
     The real and imaginary measurements are independent Bernoullis with
@@ -211,19 +222,21 @@ def _ht_blocks_weighted(spectrum, times, weights):
     ``times`` and ``weights`` have one shape, read flattened.  The times
     are walked _CHUNK_NODES at a time (``_ht_walk``), so the (2L, chunk)
     stacks stay in cache; the sum is one symmetric Gram product of the
-    weight-scaled columns a chunk.
+    weight-scaled columns a chunk; with ``overlaps_known`` the stacks
+    hold the L theta rows and the sum is the theta-theta block alone.
     """
-    F = np.zeros((2 * spectrum.L, 2 * spectrum.L))
-    for aC, aS, _, _ in _ht_walk(spectrum, times, weights):
+    size = spectrum.L if overlaps_known else 2 * spectrum.L
+    F = np.zeros((size, size))
+    for aC, aS, _, _ in _ht_walk(spectrum, times, weights, overlaps_known):
         F += _gram(aC, aS)
-    return BlockFim(F)
+    return BlockFim(F, overlaps_known)
 
 
-def ht_fim_single(spectrum, t):
+def ht_fim_single(spectrum, t, overlaps_known=False):
     """Fisher matrix of the Bernoulli pair measured after evolution time t."""
     if not np.isfinite(t):
         raise ValueError(f"t={t!r} is not finite")
-    return _ht_blocks_weighted(spectrum, [t], [1.0])
+    return _ht_blocks_weighted(spectrum, [t], [1.0], overlaps_known)
 
 
 def f_i(spectrum, label, t):
@@ -244,7 +257,8 @@ def f_i(spectrum, label, t):
     c_i = spectrum.overlaps[pos]
     if c_i == 0.0:
         raise ValueError("the gain factor of a mode with zero overlap is undefined")
-    return float(ht_fim_single(spectrum, t).theta_theta[pos, pos] / (c_i * t) ** 2)
+    info = ht_fim_single(spectrum, t, overlaps_known=True).theta_theta[pos, pos]
+    return float(info / (c_i * t) ** 2)
 
 
 def f_i_max(spectrum, label):
@@ -257,7 +271,7 @@ def f_i_max(spectrum, label):
     return 1.0 + spectrum.phase(label) ** 2 / _second_moment(spectrum)
 
 
-def qft_fim(spectrum, n):
+def qft_fim(spectrum, n, overlaps_known=False):
     """Fisher matrix of one n-ancilla transform-readout circuit.
 
     Outcome y has probability sum_l c_l D_M(theta_l - 2 pi y / M)^2 / M^2
@@ -265,26 +279,28 @@ def qft_fim(spectrum, n):
     sum_y grad p(y) grad p(y)^T / p(y), is summed along ``register_chunks``
     (its derivative walk, _DERIVATIVE_CHUNK bins at a time) as one
     symmetric product A A^T a chunk, A = grad p / sqrt(p) built in one
-    (2L, chunk) buffer.
+    (2L, chunk) buffer, or its L rows c dK / sqrt(p) with ``overlaps_known``.
     """
     c = spectrum.overlaps
     L = c.size
-    F = np.zeros((2 * L, 2 * L))
+    size = L if overlaps_known else 2 * L
+    F = np.zeros((size, size))
     buf = None
     for v, dK in register_chunks(n, spectrum.phases, derivative=True):  # v = d p(y) / d c_l
         p = c @ v
         if np.min(p) < 1e-300:
             raise DegenerateDistribution("an outcome probability underflowed")
         if buf is None:  # the first chunk is the widest
-            buf = np.empty((2 * L, p.size))
+            buf = np.empty((size, p.size))
         A = buf[:, : p.size]
         r = 1.0 / np.sqrt(p)
         # d p(y) / d(theta, c), each column over sqrt(p(y))
         np.multiply(dK, r, out=A[:L])
         A[:L] *= c[:, None]
-        np.multiply(v, r, out=A[L:])
+        if not overlaps_known:
+            np.multiply(v, r, out=A[L:])
         F += A @ A.T
-    return BlockFim(F)
+    return BlockFim(F, overlaps_known)
 
 
 _PANEL_NODES = 32
@@ -323,7 +339,7 @@ def _panel_error(trace, half):
     return 2.0 * half * np.minimum(tail, tail * tail / (head + 1e-300))
 
 
-def _qmegs_level(spectrum, T, lefts, half, allowance=None):
+def _qmegs_level(spectrum, T, lefts, half, allowance=None, overlaps_known=False):
     """One level of the time average: the panels [l, l + 2 half] of x in [0, 1].
 
     A panel settles on its own nodes: when ``_panel_error`` is at most
@@ -336,17 +352,18 @@ def _qmegs_level(spectrum, T, lefts, half, allowance=None):
     mode's resolution.  The decision is taken chunk by chunk inside one
     walk, so the settled panels' blocks are summed apart from the others
     with no second pass; an aligned node counts as ``_ht_walk``'s limit
-    column in both.  Returns (settled, rest, done): the full blocks of
-    the settled panels and of the others, and per panel whether it
-    settled.
+    column in both.  Returns (settled, rest, done): the blocks of the
+    settled panels and of the others, theta-theta alone with
+    ``overlaps_known``, and per panel whether it settled.
     """
     L = spectrum.L
     nb = _PANEL_NODES
     x = (lefts + half)[:, None] + half * _gl_nodes[None, :]
     w = half * _gl_weights * 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
-    blocks = np.zeros((2, 2 * L, 2 * L))
+    size = L if overlaps_known else 2 * L
+    blocks = np.zeros((2, size, size))
     done = []
-    for aC, aS, dC, dS in _ht_walk(spectrum, T * x, w):
+    for aC, aS, dC, dS in _ht_walk(spectrum, T * x, w, overlaps_known):
         # a chunk is _CHUNK_NODES // nb = 32 whole panels
         rows = dC.size // nb
         ok = np.zeros(rows, dtype=bool)
@@ -366,7 +383,7 @@ def _qmegs_level(spectrum, T, lefts, half, allowance=None):
     return blocks[0], blocks[1], np.concatenate(done)
 
 
-def _qmegs_expected_blocks(spectrum, T):
+def _qmegs_expected_blocks(spectrum, T, overlaps_known=False):
     """E[Fisher matrix] under the truncated-normal time density, width T.
 
     Composite Gauss-Legendre on t = T x, from
@@ -404,9 +421,12 @@ def _qmegs_expected_blocks(spectrum, T):
     returned at the stopping resolution as regularized surrogates; the
     theta rows of the inverse are insensitive to the divergent direction,
     which only tightens the c-sector Schur complement toward its limit.
+    With ``overlaps_known`` only the theta-theta block is built; the stop
+    reads nothing else, so the levels are the same.
     One DEBUG record on the ``qpe_bounds.fim`` logger gives the start
     panel count, the levels run, the panels evaluated and settled, the
-    finest panel count and the final relative change.
+    finest panel count, the final relative change and the block built
+    (``theta`` or ``full``).
     """
     L = spectrum.L
     # the start: about one panel per 8 radians of the fastest phase
@@ -418,8 +438,8 @@ def _qmegs_expected_blocks(spectrum, T):
         start *= 2
     panels, half = start, 1.0 / start
     lefts = np.arange(panels // 2) * (2.0 * half)
-    _, rest, _ = _qmegs_level(spectrum, T, lefts, half)
-    F = np.zeros((2 * L, 2 * L))
+    _, rest, _ = _qmegs_level(spectrum, T, lefts, half, None, overlaps_known)
+    F = np.zeros_like(rest)
     levels, evaluated, settled = 1, lefts.size, 0
     while True:
         if 2 * panels > _MAX_PANELS:
@@ -428,7 +448,7 @@ def _qmegs_expected_blocks(spectrum, T):
         lefts = np.stack([lefts, lefts + 2.0 * half], axis=1).ravel()
         tt = rest[:L, :L]
         allowance = _QUAD_REL_TOL * (np.max(np.abs(F[:L, :L] + tt)) + 1e-300)
-        done_F, rest, done = _qmegs_level(spectrum, T, lefts, half, allowance)
+        done_F, rest, done = _qmegs_level(spectrum, T, lefts, half, allowance, overlaps_known)
         levels, evaluated = levels + 1, evaluated + lefts.size
         level = done_F[:L, :L] + rest[:L, :L]
         rel = np.max(np.abs(level - tt)) / (np.max(np.abs(F[:L, :L] + level)) + 1e-300)
@@ -443,27 +463,31 @@ def _qmegs_expected_blocks(spectrum, T):
         lefts = lefts[~done]
     _log.debug(
         "qmegs time average, T=%g: start %d panels, %d levels, %d panels evaluated, "
-        "%d settled, finest %d panels, relative change %.3g",
+        "%d settled, finest %d panels, relative change %.3g, %s block",
         T, start, levels, evaluated, settled, panels, rel,
+        "theta" if overlaps_known else "full",
     )
-    return BlockFim(F)
+    return BlockFim(F, overlaps_known)
 
 
-def total_fim(spectrum, kind, T, N_t, N_s):
+def total_fim(spectrum, kind, T, N_t, N_s, *, overlaps_known=False):
     """Fisher matrix accumulated over a whole campaign.
 
     Deterministic schedules are summed exactly; CSQPE averages over the
     integer times 1..T in closed sum; QMEGS uses the converged quadrature
-    expectation.
+    expectation.  ``overlaps_known`` builds the theta-theta block alone
+    (the phases' Fisher matrix with the overlaps known), enough for g0
+    and the bound but not for ``diag_ratio``.
     """
     kind, T, N_t, N_s = _point(kind, T, N_t, N_s)
+    known = overlaps_known
     if kind == ProtocolKind.QFT_QPE:
-        return float(N_s) * qft_fim(spectrum, register_width(T))
+        return float(N_s) * qft_fim(spectrum, register_width(T), known)
     if kind in (ProtocolKind.QCELS, ProtocolKind.RPE):
         times = realize(kind, T, N_t).times
-        return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times))
+        return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times), known)
     if kind == ProtocolKind.CSQPE:
         times = np.arange(1, T + 1, dtype=float)
         w = np.full(times.size, 1.0 / times.size)
-        return float(N_s * N_t) * _ht_blocks_weighted(spectrum, times, w)
-    return float(N_s * N_t) * _qmegs_expected_blocks(spectrum, T)
+        return float(N_s * N_t) * _ht_blocks_weighted(spectrum, times, w, known)
+    return float(N_s * N_t) * _qmegs_expected_blocks(spectrum, T, known)

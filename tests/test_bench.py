@@ -246,6 +246,40 @@ def test_check_diag_and_gi_sweep_rows():
     assert gi[0].g0 == pytest.approx(want, rel=1e-12)
 
 
+def test_only_the_diag_ratio_tables_build_the_full_matrix(monkeypatch):
+    # bounds and gi read I_ii alone and ask for the theta-theta block;
+    # diag and bench read diag_ratio, whose inverse entry needs the c rows
+    path = Path(__file__).resolve().parents[1] / "demos" / "bench_config.json"
+    cfg = replace(CampaignConfig.from_dict(json.loads(path.read_text())), trials=2)
+    build, asked = bench_module.total_fim, []
+
+    def spy(*args, overlaps_known=False):
+        asked.append(overlaps_known)
+        return build(*args, overlaps_known=overlaps_known)
+
+    monkeypatch.setattr(bench_module, "total_fim", spy)
+    tables = {"bounds": lambda c: sweep_bounds(c)[0], "gi": gi_sweep}
+    rows = {}
+    for name, run, known in (
+        *((name, run, True) for name, run in tables.items()),
+        ("diag", check_diag, False),
+        ("bench", run_campaign, False),
+    ):
+        asked.clear()
+        rows[name] = run(cfg)
+        assert asked and set(asked) == {known}, name
+        assert not any(row.error for row in rows[name]), name
+    # bounds and gi forced onto the full path
+    monkeypatch.setattr(bench_module, "total_fim", lambda *args, overlaps_known: build(*args))
+    for name, run in tables.items():
+        want = run(cfg)
+        assert len(want) == len(rows[name])
+        for got, full in zip(rows[name], want):
+            assert (got.alpha, got.protocol, got.T) == (full.alpha, full.protocol, full.T)
+            assert got.g0 == pytest.approx(full.g0, rel=1e-13)
+            assert got.bound == pytest.approx(full.bound, rel=1e-13)
+
+
 def test_table_rows_match_the_bound_functions():
     # gi and bounds rows equal g_i / cost_product_bound wherever both
     # describe the same campaign; for QCELS the rows pass the doubling

@@ -21,7 +21,7 @@ from qpe_bounds import (
     total_fim,
     t_total,
 )
-from qpe_bounds.errors import NoLinearCostForm, RpeRequiresPowerOfTwo, SingularFim
+from qpe_bounds.errors import NoLinearCostForm, PhaseOnlyFim, RpeRequiresPowerOfTwo, SingularFim
 
 
 def _toy(tt, tc, cc):
@@ -41,6 +41,30 @@ def test_crlb_on_correlated_two_by_two():
     assert crlb_diag(F) == pytest.approx(0.5)
     assert crlb_full(F) == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert diag_ratio(F) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def test_a_phase_only_matrix_refuses_what_needs_the_c_rows():
+    # built with the overlaps known, the matrix is the 3 x 3 theta-theta
+    # block; a 2L x 2L reading of it would take L = 1 and index or invert
+    # the wrong entries
+    s = Spectrum([0.7, -0.4, 0.1], [0.5, 0.3, 0.2])
+    full = total_fim(s, "csqpe", 15, 6, 1)
+    theta = total_fim(s, "csqpe", 15, 6, 1, overlaps_known=True)
+    assert theta.matrix.shape == (3, 3) and theta.L == full.L == 3
+    for F, k in ((theta, 1.0), (2.0 * theta, 2.0), (theta * 3, 3.0), (theta + theta, 2.0)):
+        assert F.overlaps_known
+        for refused in (F.full, lambda: crlb_full(F, 2), lambda: diag_ratio(F, 2)):
+            with pytest.raises(PhaseOnlyFim):
+                refused()
+        # what reads the theta-theta block alone still works
+        assert F.index_of(2) == 2
+        assert crlb_diag(F, 2) == pytest.approx(crlb_diag(full, 2) / k, rel=1e-13)
+    for mixed in (lambda: theta + full, lambda: full + theta):
+        with pytest.raises(PhaseOnlyFim):
+            mixed()
+    # a matrix given to the constructor is a full (theta, c) matrix
+    toy = _toy(2.0, 1.0, 2.0)
+    assert not toy.overlaps_known and toy.L == 1 and toy.full() is toy.matrix
 
 
 def test_full_bound_never_below_diagonal_surrogate():

@@ -347,9 +347,9 @@ def _settled_panels(monkeypatch, s, T):
         errors.append(error(trace, half))
         return errors[-1]
 
-    def spy(spectrum, T, lefts, half, allowance=None):
+    def spy(spectrum, T, lefts, half, allowance=None, *known):
         errors.clear()
-        out = level(spectrum, T, lefts, half, allowance)
+        out = level(spectrum, T, lefts, half, allowance, *known)
         if allowance is not None:
             ratio = np.concatenate(errors) / (allowance * 2.0 * half)
             panels.extend((lefts[j], half, ratio[j]) for j in np.flatnonzero(out[2]))
@@ -398,8 +398,8 @@ def test_a_level_that_would_settle_every_panel_settles_none(monkeypatch, caplog)
     s = make_spectrum("uniform", 20, 0.4)
     level = fim_module._qmegs_level
 
-    def settle_all(spectrum, T, lefts, half, allowance=None):
-        done_F, rest, done = level(spectrum, T, lefts, half, allowance)
+    def settle_all(spectrum, T, lefts, half, allowance=None, *known):
+        done_F, rest, done = level(spectrum, T, lefts, half, allowance, *known)
         if allowance is not None:
             return done_F + rest, 0.0 * rest, np.ones_like(done)
         return done_F, rest, done
@@ -408,7 +408,7 @@ def test_a_level_that_would_settle_every_panel_settles_none(monkeypatch, caplog)
     with caplog.at_level(logging.DEBUG, logger="qpe_bounds.fim"):
         got = _qmegs_expected_blocks(s, 400).full()
     (record,) = [r for r in caplog.records if r.name == "qpe_bounds.fim"]
-    _, _, levels, _, settled, finest, _ = record.args
+    _, _, levels, _, settled, finest, _, _ = record.args
     assert settled == 0 and levels > 2
     want = _fine_level(s, 400, finest).full()
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
@@ -420,7 +420,16 @@ def test_time_average_reports_its_work_in_one_debug_record(caplog):
         _qmegs_expected_blocks(s, 400)
     (record,) = [r for r in caplog.records if r.name == "qpe_bounds.fim"]
     assert record.levelno == logging.DEBUG
-    T, start, levels, evaluated, settled, finest, rel = record.args
+    T, start, levels, evaluated, settled, finest, rel, block = record.args
+    assert block == "full" and record.getMessage().endswith(", full block")
+    # the phase-only build names its block and runs the same levels: the
+    # stop and the settling read the theta rows alone
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qpe_bounds.fim"):
+        _qmegs_expected_blocks(s, 400, overlaps_known=True)
+    (theta,) = [r for r in caplog.records if r.name == "qpe_bounds.fim"]
+    assert theta.args[-1] == "theta" and theta.getMessage().endswith(", theta block")
+    assert theta.args[:6] == record.args[:6]
     # 2^ceil(log2(400 * 0.95 / 8)) = 64
     assert T == 400 and start == 64
     assert finest == start * 2 ** (levels - 1) <= fim_module._MAX_PANELS
@@ -462,16 +471,20 @@ def test_ht_blocks_are_additive_across_chunk_boundaries():
 
 def test_fisher_sums_are_exactly_symmetric():
     # every chunk adds A A^T of one buffer, which BLAS fills symmetrically,
-    # so no builder symmetrizes; each case walks several chunks
+    # so no builder symmetrizes; each case walks several chunks, with the
+    # c rows and without them
     rng = np.random.default_rng(22)
     s = make_spectrum("uniform", 20, 0.4)
     t = rng.uniform(0.0, 3000.0, 5000)
-    for F in (
-        _ht_blocks_weighted(s, t, rng.uniform(0.5, 1.5, t.size)).full(),
-        _qmegs_expected_blocks(s, 400).full(),
-        qft_fim(s, 14).full(),
-    ):
-        assert np.array_equal(F, F.T)
+    w = rng.uniform(0.5, 1.5, t.size)
+    for known in (False, True):
+        for F in (
+            _ht_blocks_weighted(s, t, w, known).matrix,
+            _qmegs_expected_blocks(s, 400, known).matrix,
+            qft_fim(s, 14, known).matrix,
+        ):
+            assert F.shape == ((1 if known else 2) * s.L,) * 2
+            assert np.array_equal(F, F.T)
 
 
 def _exact_gaps(s, times):

@@ -161,6 +161,33 @@ def test_total_fim_is_linear_in_shots(s, campaign, N_s, k):
     assert np.allclose(many, k * one, rtol=1e-12, atol=1e-12 * k * np.max(np.abs(one)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_spectra(), st.sampled_from(_CAMPAIGNS), st.integers(1, 5), st.integers(2, 7), st.data())
+def test_phase_only_build_is_the_theta_block_of_the_full_one(s, campaign, N_s, k, data):
+    # the shorter stacks are blocked differently by BLAS, so the two agree
+    # to roundoff of the largest entry, not bit for bit
+    kind, T, N_t = campaign
+    full = total_fim(s, kind, T, N_t, N_s)
+    theta = total_fim(s, kind, T, N_t, N_s, overlaps_known=True)
+    F, want = theta.theta_theta, full.theta_theta
+    assert theta.overlaps_known and theta.L == s.L and theta.matrix.shape == (s.L, s.L)
+    assert np.array_equal(F, F.T)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(F - want)) <= 1e-13 * scale
+    many = total_fim(s, kind, T, N_t, k * N_s, overlaps_known=True).theta_theta
+    assert np.allclose(many, k * F, rtol=1e-12, atol=1e-12 * k * scale)
+    # g0 and the bound read one diagonal entry, a sum of squares, which
+    # both builds hold to its own relative roundoff; a dyadic mode on the
+    # register grid has none and no bound
+    label = data.draw(st.sampled_from(list(s.labels)))
+    pos = full.index_of(label)
+    if want[pos, pos] > 0.0:
+        g0, _, bound, _, _ = accounting(s, kind, [T], N_t, N_s, label)
+        got = accounting(s, kind, [T], N_t, N_s, label, overlaps_known=True)
+        assert got[0] == pytest.approx(g0, rel=1e-13)
+        assert got[2] == pytest.approx(bound, rel=1e-13)
+
+
 # relative to the largest entry; the worst of 23000 draws was 5.5e-16
 _PERMUTE_TOL = 1e-13
 
