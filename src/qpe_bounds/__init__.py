@@ -30,6 +30,7 @@ from .dirichlet import (
 from .errors import (
     DegenerateDistribution,
     DegenerateSpectrum,
+    DependentCenters,
     EmptyData,
     NoLinearCostForm,
     NoPeaksDetected,

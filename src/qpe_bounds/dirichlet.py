@@ -30,7 +30,8 @@ _TWO_PI = 2.0 * np.pi
 # pi, including the rounding of math.pi itself
 _PI_HI = math.ldexp(round(math.ldexp(math.pi, 24)), -24)
 _PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16
-# the cached half-angle table holds 2M bins; larger grids build their slice
+# a cached half-angle table holds 2M bins, and two are kept because sweeps
+# alternate two registers (T = 1023 and 16383); larger grids build their slice
 _TABLE_BINS = 1 << 20
 # bins per (L, chunk) kernel stack of the register walk ``register_chunks``;
 # the derivative walk, which ``fim.qft_fim`` stacks into a (2L, chunk) Gram
@@ -140,7 +141,7 @@ def _reduced_sincos(m, i):
     return np.sin(a), np.cos(a)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _half_angle_table(m):
     sin, cos = _reduced_sincos(m, np.arange(2 * m))
     sin.setflags(write=False)

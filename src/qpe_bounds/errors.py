@@ -45,5 +45,9 @@ class ScheduleMismatch(ValueError):
     """The data's time grid does not have the shape the estimator needs."""
 
 
+class DependentCenters(ValueError):
+    """Two kernel centers of the histogram fit coincide, so its Gram is singular."""
+
+
 class NoPeaksDetected(RuntimeError):
     """Peak detection found nothing above threshold."""

@@ -37,7 +37,7 @@ from .dirichlet import (  # noqa: F401
     dirichlet_derivative,
     squared_kernel_grid,
 )
-from .errors import EmptyData, NoPeaksDetected, ScheduleMismatch
+from .errors import DependentCenters, EmptyData, NoPeaksDetected, ScheduleMismatch
 from .fim import _CHUNK_NODES
 from .schedules import _count, _point, _whole
 
@@ -53,10 +53,13 @@ _LAM_START = 1e-3
 _LAM_FACTOR = 10.0
 _LAM_MAX = 1e12
 _FIT_STEP_TOL = 1e-9
+# a Cholesky pivot of the fit's Gram at or below this share of its diagonal is
+# a dependent row (about 1e-6 bin apart): merged centers leave rounding there
+_GRAM_FLOOR = 1e-12
 # the least offset, in bins, at which _fit_start puts a peak from its bin
 _START_FLOOR = 1e-3
 # the widest register the histogram fit takes: its K and dK over all 2^n bins
-# cost about 67 B per (peak, bin), 2.6 GiB at ten peaks and n = 22
+# cost about 42 B per (peak, bin), 1.6 GiB at ten peaks and n = 22
 _FIT_MAX_N = 22
 
 
@@ -365,39 +368,70 @@ def nnls(A, b):
     return nnls(A, b)
 
 
+def _gram_model(M, thetas, p_hat):
+    """The mixture at thetas, NNLS amplitudes solved in its Gram: (K, dK, G, amps, r, f).
+
+    With G = K K^T = L L^T, |K^T a - p_hat|^2 = |L^T a - L^-1 K p_hat|^2 + const,
+    so nnls(L^T, L^-1 K p_hat) minimizes as nnls(K^T, p_hat) does.  A pivot
+    L_ii^2 <= _GRAM_FLOOR G_ii raises DependentCenters.  r = K^T a - p_hat and
+    f = r.r stay explicit over the M bins: f expanded in the Gram would cancel.
+    """
+    K, dK = squared_kernel_grid(M, thetas, derivative=True)
+    # K @ K.T on one buffer goes to OpenBLAS syrk, about 3x slower at (5, 4096) than gemm on a copy
+    G = K @ K.copy().T
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = np.zeros_like(G)  # a failed factor reads as zero pivots
+    if np.any(np.diag(L) ** 2 <= _GRAM_FLOOR * np.diag(G)):
+        raise DependentCenters("two kernel centers coincide: their Gram is singular")
+    amps = nnls(L.T, np.linalg.solve(L, K @ p_hat))[0]
+    r = amps @ K - p_hat
+    return K, dK, G, amps, r, r @ r
+
+
+def _kaufman_system(K, dK, G, amps, r):
+    """Kaufman's J^T J and -J^T r in P x P algebra: (act, A, g).
+
+    J = P_perp dKa^T diag(a) on the active rows (a > 0), P_perp projecting off the
+    span of Ka.  With KJ = (Ka dKa^T) diag(a), Ka Ka^T = La La^T and W = La^-1 KJ:
+    J^T J = diag(a) (dKa dKa^T) diag(a) - W^T W, -J^T r = W^T La^-1 (Ka r) - a (dKa r).
+    """
+    act = amps > 0.0
+    a = amps[act]
+    ix = np.ix_(act, act)
+    La = np.linalg.cholesky(G[ix])
+    W = np.linalg.solve(La, np.column_stack(((K @ dK.T)[ix] * a, (K @ r)[act])))
+    Wj, wr = W[:, :-1], W[:, -1]
+    A = a[:, None] * (dK @ dK.copy().T)[ix] * a - Wj.T @ Wj
+    return act, A, Wj.T @ wr - a * (dK @ r)[act]
+
+
 def _kernel_fit(p_hat, M, thetas):
     """Levenberg-Marquardt on all centers at once, NNLS amplitudes projected out.
 
-    Variable projection (Golub & Pereyra 1973/2003) with Kaufman's Jacobian:
-    amps x dK of the active columns, projected off their span by one thin
-    QR.  The damping is lam diag(J^T J), and a step counts only when the
-    residual falls; the model is linearized again only after such a step.
-    Returns (thetas, amps, residual, model evaluations).
+    Variable projection (Golub & Pereyra 1973/2003) with Kaufman's Jacobian (BIT 15,
+    49, 1975) in P x P algebra, by ``_gram_model`` and ``_kaufman_system``.  The damping
+    is lam diag(J^T J); a step counts only when the residual falls, which a trial with
+    dependent centers does not, and the model is linearized again only after such a
+    step.  A dependent start raises DependentCenters.  Returns (thetas, amps, f, evals).
     """
-
-    def model(thetas):
-        K, dK = squared_kernel_grid(M, thetas, derivative=True)
-        amps = nnls(K.T, p_hat)[0]
-        r = K.T @ amps - p_hat
-        return K, dK, amps, r, r @ r
-
-    K, dK, amps, r, f = model(thetas)
+    K, dK, G, amps, r, f = _gram_model(M, thetas, p_hat)
     evals, lam, moved = 1, _LAM_START, True
     while lam <= _LAM_MAX:
         if moved:
-            act = amps > 0.0
-            Q = np.linalg.qr(K[act].T)[0]
-            J = amps[act] * dK[act].T
-            J -= Q @ (Q.T @ J)
-            A, g = J.T @ J, -(J.T @ r)
+            act, A, g = _kaufman_system(K, dK, G, amps, r)
         step = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), g, rcond=None)[0]
         trial = thetas.copy()
         trial[act] += step
-        new = model(trial)
+        try:
+            new = _gram_model(M, trial, p_hat)
+        except DependentCenters:
+            new = None
         evals += 1
-        moved = new[4] < f
+        moved = new is not None and new[5] < f
         if moved:
-            thetas, (K, dK, amps, r, f), lam = trial, new, lam / _LAM_FACTOR
+            thetas, (K, dK, G, amps, r, f), lam = trial, new, lam / _LAM_FACTOR
         else:
             lam *= _LAM_FACTOR
         # a larger lam only shortens the step, so a short one ends the fit, taken or not

@@ -195,7 +195,7 @@ def test_squared_kernel_grid_without_the_table(monkeypatch):
 
 def test_squared_kernel_grid_cache_is_bounded():
     info = kernel._half_angle_table.cache_info()
-    assert info.maxsize == 1 and kernel._TABLE_BINS == 1 << 20
+    assert info.maxsize == 2 and kernel._TABLE_BINS == 1 << 20
     kernel._half_angle_table.cache_clear()
     M = 1 << 20
     got = squared_kernel_grid(M, 0.3, lo=50062, hi=50070)
@@ -203,6 +203,19 @@ def test_squared_kernel_grid_cache_is_bounded():
     y = np.arange(50062, 50070)
     want = dirichlet(M, 0.3 - 2.0 * np.pi * y / M) ** 2 / M**2
     assert np.allclose(got, want, rtol=1e-6, atol=1e-15)
+
+
+def test_half_angle_table_holds_two_alternating_grid_sizes():
+    # a uniform diag or gi sweep alternates its QFT rows between T = 1023
+    # and 16383 per alpha: each size is built once, not once per switch
+    kernel._half_angle_table.cache_clear()
+    want = {M: squared_kernel_grid(M, 0.3, lo=5, hi=40, derivative=True) for M in (1024, 16384)}
+    kernel._half_angle_table.cache_clear()
+    for M in (1024, 16384) * 4:
+        got = squared_kernel_grid(M, 0.3, lo=5, hi=40, derivative=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want[M]))
+    info = kernel._half_angle_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
 
 
 def _cis_cases():

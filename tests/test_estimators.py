@@ -19,13 +19,16 @@ from qpe_bounds import (
     sample_ht,
     sample_ht_exact,
     sample_qft,
+    squared_kernel_grid,
 )
+from qpe_bounds import estimators
 from qpe_bounds.bench import qcels_levels
-from qpe_bounds.errors import EmptyData, NoPeaksDetected, ScheduleMismatch
+from qpe_bounds.errors import DependentCenters, EmptyData, NoPeaksDetected, ScheduleMismatch
 from qpe_bounds.estimators import (
     _filtered,
     _fit_start,
     _gridding,
+    _kernel_fit,
     _near,
     _peak,
     _scan,
@@ -216,6 +219,41 @@ def test_histogram_fit_validation():
         fit_qft_histogram(np.ones(4) / 4.0, 23)  # too wide, refused before the length
     with pytest.raises(NoPeaksDetected):
         fit_qft_histogram(np.zeros(16), 4)
+
+
+def test_kernel_fit_refuses_a_dependent_start():
+    # fit_qft_histogram starts its centers >= 2 bins apart; a direct call
+    # with merged ones has a singular Gram, at or within rounding of it
+    p = qft_probabilities(_three_mode(), 8)
+    for start in ([THETA0, THETA0, 1.7], [THETA0, THETA0 + 1e-9, 1.7], [0.3, 0.3]):
+        with pytest.raises(DependentCenters):
+            _kernel_fit(p, p.size, np.array(start))
+
+
+def test_a_trial_that_merges_two_centers_is_a_step_not_taken(monkeypatch):
+    s = _three_mode()
+    p = qft_probabilities(s, 8)
+    start = _fit_start(p, np.rint(s.phases * p.size / (2.0 * np.pi)).astype(int) % p.size)
+    want = _kernel_fit(p, p.size, start)
+    calls = []
+
+    def first_trial_merged(m, thetas, derivative):
+        calls.append(np.array(thetas))
+        if len(calls) == 2:
+            thetas = np.array(thetas)
+            thetas[1] = thetas[0]
+        return squared_kernel_grid(m, thetas, derivative=derivative)
+
+    monkeypatch.setattr(estimators, "squared_kernel_grid", first_trial_merged)
+    thetas, amps, resid, evals = _kernel_fit(p, p.size, start)
+    assert evals == len(calls)
+    # the centers stayed at the start: the next trial steps from there
+    # again, the same way but under ten times the damping, so less far
+    first, second = calls[1] - start, calls[2] - start
+    assert first @ second > 0.99 * np.linalg.norm(first) * np.linalg.norm(second)
+    assert np.linalg.norm(second) < np.linalg.norm(first)
+    assert np.max(np.abs(thetas - want[0])) <= 1e-12
+    assert resid <= 1e-20
 
 
 def test_curvefit_qft_on_sampled_outcomes():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from qpe_bounds import (
     CampaignConfig,
@@ -41,8 +42,14 @@ from qpe_bounds import (
     write_qft_csv,
 )
 from qpe_bounds.bench import accounting, qcels_levels
-from qpe_bounds.dirichlet import register_chunks
-from qpe_bounds.estimators import _filtered, _polish, _wrap
+from qpe_bounds.dirichlet import register_chunks, squared_kernel_grid
+from qpe_bounds.estimators import (
+    _filtered,
+    _gram_model,
+    _kaufman_system,
+    _polish,
+    _wrap,
+)
 from qpe_bounds.fim import _LEGENDRE_ROWS, _gl_nodes, _ht_blocks_weighted
 from qpe_bounds.simulate import sample_qft
 
@@ -440,6 +447,68 @@ def test_mirrored_data_negate_every_estimate(s, kind, seed):
             a, b = (estimate_csqpe(d, len(s.labels)).theta_hat
                     for d in (data, _mirror_ht(data)))
     assert abs(_wrap(a + b)) <= (1e-8 if kind == "qft" else 1e-9)
+
+
+@st.composite
+def _kernel_mixtures(draw):
+    """(M, centers, noisy histogram): P = 1..10 centers at least 2 bins apart on 2^n bins.
+
+    Center i sits at 3 k_i + u_i bins for distinct k_i and u_i in [0, 1), so
+    neighbours, the pair across bin 0 included, lie at least 2 bins apart.
+    The histogram draws N_s shots from a mixture with weights of one sign.
+    """
+    M = 2 ** draw(st.integers(6, 12))
+    P = draw(st.integers(1, 10))
+    k = np.array(draw(st.lists(st.integers(0, M // 3 - 1), min_size=P, max_size=P, unique=True)))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=P, max_size=P)))
+    thetas = _wrap(2.0 * np.pi * (3 * k + u) / M)
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=P, max_size=P)))
+    p = (w / w.sum()) @ squared_kernel_grid(M, thetas)
+    N_s = draw(st.sampled_from([100, 10_000, 1_000_000]))
+    p_hat = np.random.default_rng(draw(_seeds)).multinomial(N_s, p / p.sum()) / N_s
+    return M, thetas, p_hat
+
+
+def _qr_kaufman(K, dK, amps, r):
+    """Kaufman's J for the active rows, projected off their span by a thin QR: (act, J^T J, -J^T r)."""
+    act = amps > 0.0
+    Q = np.linalg.qr(K[act].T)[0]
+    J = amps[act] * dK[act].T
+    J -= Q @ (Q.T @ J)
+    return act, J.T @ J, -(J.T @ r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_mixtures())
+def test_gram_fit_system_is_the_tall_nnls_and_qr_projection(mixture):
+    # the fit's P x P algebra against the (M, P) path it stands for: NNLS on
+    # K^T, and Kaufman's J projected by a thin QR of the active rows
+    M, thetas, p_hat = mixture
+    K, dK, G, amps, r, f = _gram_model(M, thetas, p_hat)
+    want = nnls(K.T, p_hat)[0]
+    r_want = K.T @ want - p_hat
+    # with every center on a bin each kernel is one bin, the fit is exact,
+    # and f and g are rounding, which no relative match describes
+    assume(r_want @ r_want > 1e-24 * (p_hat @ p_hat))
+    assert np.max(np.abs(amps - want)) <= 1e-9 * np.max(want)
+    assert abs(f - r_want @ r_want) <= 1e-10 * (r_want @ r_want)
+    act, A, g = _kaufman_system(K, dK, G, amps, r)
+    act_want, A_want, g_want = _qr_kaufman(K, dK, amps, r)
+    assert np.array_equal(act, act_want)
+    assert np.max(np.abs(A - A_want)) <= 1e-10 * np.max(np.abs(A_want))
+    assert np.max(np.abs(g - g_want)) <= 1e-10 * np.max(np.abs(g_want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 9), st.integers(1, 60), _seeds)
+def test_histogram_fit_of_few_shots_never_raises_a_linalg_error(n, N_s, seed):
+    # a few shots make many one-shot peaks (no shot threshold here), up to
+    # ten centers on sparse data that may wander together; a merged trial
+    # is a step not taken
+    rng = np.random.default_rng(seed)
+    p_hat = np.bincount(rng.integers(0, 2**n, N_s), minlength=2**n) / N_s
+    est = fit_qft_histogram(p_hat, n)
+    assert np.isfinite(est.theta_hat) and np.all(est.amplitudes >= 0.0)
 
 
 # Config fuzz: a config with its fields near their valid ranges, with up to
