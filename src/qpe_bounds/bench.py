@@ -73,12 +73,11 @@ class CampaignConfig:
         self.protocols = [
             p if isinstance(p, ProtocolSpec) else ProtocolSpec(**p) for p in self.protocols
         ]
-        for name in ("L", "trials", "seed", "target"):
+        self.L = _count("L", self.L)
+        for name in ("trials", "seed", "target"):
             setattr(self, name, _whole(name, getattr(self, name)))
         if self.spectrum not in _PHASE_FAMILIES:
             raise ValueError(f"unknown spectrum family {self.spectrum!r}")
-        if self.L < 1:
-            raise ValueError("L must be at least 1")
         if not isinstance(self.alphas, list) or not self.alphas or any(
             isinstance(a, bool) or not isinstance(a, Real) or not 0.0 < a < 1.0
             for a in self.alphas
@@ -148,7 +147,8 @@ def accounting(spectrum, kind, horizons, N_t, N_s, label=0, *, overlaps_known=Fa
     bound T * t_total / I_ii floors T * t_total * MSE for every protocol
     (MSE >= 1 / I_ii).  With N = len(horizons) N_t N_s, the reported
     gamma = t_total / (N T) and g0 = I_ii / (N T^2) give bound = gamma / g0.
-    I_ii is one theta-theta entry, so ``overlaps_known`` (passed to
+    I_ii is one theta-theta entry, read by ``BlockFim.information``
+    (SingularFim unless above 0), so ``overlaps_known`` (passed to
     ``total_fim``) gives the same numbers from the theta rows alone; the
     returned fim is then that block, which ``diag_ratio`` refuses.
     """
@@ -156,8 +156,7 @@ def accounting(spectrum, kind, horizons, N_t, N_s, label=0, *, overlaps_known=Fa
     fim = sum(fims[1:], fims[0])
     ttl = sum(t_total(kind, h, N_t, N_s) for h in horizons)
     T, N = float(horizons[-1]), len(horizons) * N_t * N_s
-    pos = fim.index_of(label)
-    info = float(fim.theta_theta[pos, pos])
+    info = fim.information(label)
     return info / (N * T**2), ttl / (N * T), T * ttl / info, ttl, fim
 
 

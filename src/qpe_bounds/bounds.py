@@ -85,18 +85,13 @@ def crlb_full(fim, label=0):
 
 
 def crlb_diag(fim, label=0):
-    """Diagonal surrogate 1/I_{ii}; never below the full bound."""
-    pos = fim.index_of(label)
-    entry = fim.theta_theta[pos, pos]
-    if entry <= 0.0:
-        raise SingularFim("diagonal Fisher entry is not positive")
-    return float(1.0 / entry)
+    """Diagonal surrogate 1/I_{ii}, never above the full bound; SingularFim unless I_ii > 0."""
+    return 1.0 / fim.information(label)
 
 
 def diag_ratio(fim, label=0):
     """I_{ii} (I^-1)_{ii} >= 1; how much the diagonal shortcut understates."""
-    pos = fim.index_of(label)
-    return float(fim.theta_theta[pos, pos]) * crlb_full(fim, label)
+    return fim.information(label) * crlb_full(fim, label)
 
 
 def rpe_fim_bounds(spectrum, T, N_s, label=0):

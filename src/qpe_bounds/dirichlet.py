@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .schedules import _MAX_N, _whole
+from .schedules import _count, _width
 
 _TWO_PI = 2.0 * np.pi
 # pi in two parts for the reduction theta/2 = pi j / M + d: _PI_HI keeps 26
@@ -205,30 +205,28 @@ def _kernel_rows(m, thetas, lo, hi, K, dK, work):
         dK[i, at] = 2.0 * dn * dirichlet_derivative(m, 2.0 * d) / m
 
 
-def squared_kernel_grid(m, theta, lo=0, hi=None, derivative=False):
-    """K(theta, y) = D_M(theta - 2 pi y / M)^2 / M^2 on the bins y = lo..hi-1.
+def squared_kernel_grid(m, theta, derivative=False):
+    """K(theta, y) = D_M(theta - 2 pi y / M)^2 / M^2 on the M bins; m is a count.
 
     With s, c = sin, cos(theta/2 - pi y / M) the closed forms are
     K = sin^2(M theta/2) / (M^2 s^2) and
     dK/dtheta = [(M/2) sin(M theta) s - sin^2(M theta/2) c] / (M^2 s^3);
     s and c come from a cached half-angle table by angle subtraction, so no
     vector transcendental is evaluated per theta (grids above 2^19 bins
-    build their slice of the table per call).  The one bin nearest
+    build their angles per call).  The one bin nearest
     theta, where s can vanish, takes the scalar ratio (limit 1) and the
     series of ``dirichlet_derivative``, one call for all such bins of the
-    grid.  ``hi`` defaults to M.  The result
-    has shape theta.shape + (hi - lo,); with ``derivative`` it is the pair
-    (K, dK/dtheta).
+    grid.  The result has shape theta.shape + (M,); with ``derivative`` it
+    is the pair (K, dK/dtheta).  It takes no slice: ``register_chunks`` is
+    the one walk over a register's bins a chunk at a time.
     """
-    hi = m if hi is None else hi
+    m = _count("m", m)
     theta = np.asarray(theta, dtype=float)
-    shape = theta.shape + (hi - lo,)
-    K = np.empty((theta.size, hi - lo))
+    shape = theta.shape + (m,)
+    K = np.empty((theta.size, m))
     dK = np.empty_like(K) if derivative else None
-    _kernel_rows(m, theta.ravel().tolist(), lo, hi, K, dK, np.empty((3, hi - lo)))
-    if not derivative:
-        return K.reshape(shape)
-    return K.reshape(shape), dK.reshape(shape)
+    _kernel_rows(m, theta.ravel().tolist(), 0, m, K, dK, np.empty((3, m)))
+    return (K.reshape(shape), dK.reshape(shape)) if derivative else K.reshape(shape)
 
 
 def register_chunks(n, theta, derivative=False):
@@ -239,10 +237,7 @@ def register_chunks(n, theta, derivative=False):
     walk: the next chunk overwrites it, so a caller takes what it needs
     from a chunk before it asks for the next.
     """
-    n = _whole("n", n)
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must be between 1 and {_MAX_N}")
-    M = 2**n
+    M = 2 ** _width(n)
     theta = np.asarray(theta, dtype=float)
     # M and the chunk are powers of two, so every chunk has one width
     width = min(_DERIVATIVE_CHUNK if derivative else _CHUNK, M)

@@ -39,7 +39,7 @@ from .dirichlet import (  # noqa: F401
 )
 from .errors import DependentCenters, EmptyData, NoPeaksDetected, ScheduleMismatch
 from .fim import _CHUNK_NODES
-from .schedules import _count, _point, _whole
+from .schedules import _count, _point, _width
 
 # half-width, in fine-grid cells, of the Gaussian that _scan spreads each
 # record over; at oversampling >= 2 its edge value is <= exp(-9 pi) ~ 5e-13
@@ -441,7 +441,7 @@ def _kernel_fit(p_hat, M, thetas):
 
 
 def _fit_width(n):
-    n = _whole("n", n)
+    n = _width(n)
     if n > _FIT_MAX_N:
         raise ValueError(f"the histogram fit takes registers of n <= {_FIT_MAX_N}")
     return n

@@ -27,7 +27,7 @@ from .dirichlet import (  # noqa: F401
     dirichlet_derivative,
     register_chunks,
 )
-from .errors import DegenerateDistribution, PhaseOnlyFim, ZeroSecondMoment
+from .errors import DegenerateDistribution, PhaseOnlyFim, SingularFim, ZeroSecondMoment
 from .schedules import _C, ProtocolKind, _point, realize, register_width
 from .spectrum import _index_of
 
@@ -67,6 +67,13 @@ class BlockFim:
 
     def index_of(self, label):
         return _index_of(self.L, label)
+
+    def information(self, label):
+        """I_ii of mode ``label`` as a float; SingularFim unless above 0 (so NaN too)."""
+        entry = float(self.matrix.diagonal()[self.index_of(label)])  # theta rows come first
+        if not entry > 0.0:
+            raise SingularFim("diagonal Fisher entry is not positive")
+        return entry
 
     def __add__(self, other):
         if self.overlaps_known != other.overlaps_known:

@@ -1,7 +1,8 @@
 """Campaign points, measurement-time schedules and their cost constants.
 
-``_point`` holds every rule for a campaign point (kind, T, N_t, N_s); each
-entry point that takes one checks it there.  Each Hadamard-test protocol
+``_point`` holds every rule for a campaign point (kind, T, N_t, N_s) and
+``_width`` the rule for a register width; each entry point that takes one
+checks it there.  Each Hadamard-test protocol
 is characterized by how it draws evolution times t_k up to a cutoff T.
 Two scalars summarize a schedule family: gamma, the linear total-cost
 constant (t_total = gamma * N_s * N_t * T), and chi, the normalized
@@ -59,6 +60,14 @@ def _count(name, value):
     if value < 1:
         raise ValueError(f"{name}={value} must be at least 1")
     return value
+
+
+def _width(n):
+    """A register width: a whole n from 1 to _MAX_N."""
+    n = _whole("n", n)
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must be between 1 and {_MAX_N}")
+    return n
 
 
 def _as_float(value):

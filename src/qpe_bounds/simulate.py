@@ -107,25 +107,23 @@ def _ht_probabilities(spectrum, times):
     return p
 
 
-def sample_ht(spectrum, schedule, N_s, seed=0):
-    """Binomial counts of the Hadamard-test pair at every scheduled time."""
+def _ht_sample(spectrum, schedule, N_s, counts):
+    """The HtSample whose outcome-0 counters are ``counts(N_s, p)``, real part first."""
     N_s = _count("N_s", N_s)
     t = schedule.times
-    p_re, p_im = _ht_probabilities(spectrum, t)
-    rng = np.random.default_rng(seed)
-    n_re0 = rng.binomial(N_s, p_re).astype(float)
-    n_im0 = rng.binomial(N_s, p_im).astype(float)
+    n_re0, n_im0 = (counts(N_s, p) for p in _ht_probabilities(spectrum, t))
     return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s))
+
+
+def sample_ht(spectrum, schedule, N_s, seed=0):
+    """Binomial counts of the Hadamard-test pair at every scheduled time."""
+    rng = np.random.default_rng(seed)
+    return _ht_sample(spectrum, schedule, N_s, lambda N, p: rng.binomial(N, p).astype(float))
 
 
 def sample_ht_exact(spectrum, schedule, N_s=1):
     """Noise-free variant: counters set to their exact expectations."""
-    N_s = _count("N_s", N_s)
-    t = schedule.times
-    p_re, p_im = _ht_probabilities(spectrum, t)
-    n_re0 = N_s * p_re
-    n_im0 = N_s * p_im
-    return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s))
+    return _ht_sample(spectrum, schedule, N_s, lambda N, p: N * p)
 
 
 def _format(value):

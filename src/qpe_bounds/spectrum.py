@@ -9,7 +9,7 @@ the target is usually the largest-overlap mode, label 0.
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .schedules import _whole
+from .schedules import _count, _whole
 
 _SUM_TOL = 1e-12
 
@@ -134,6 +134,7 @@ def make_spectrum(kind, L, alpha):
     Mode l has the family's l-th phase and overlap c_l, so label 0 is the
     largest-overlap mode in every family (in tail_dense, the largest phase).
     """
+    L = _count("L", L)
     try:
         phases = _PHASE_FAMILIES[kind](L)
     except KeyError:

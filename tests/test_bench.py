@@ -599,6 +599,35 @@ def test_cli_bench_partial_failure_exits_two(tmp_path):
     assert "NoPeaksDetected" in text
 
 
+def test_cli_target_with_no_information_is_a_singular_fim_row(tmp_path):
+    # the odd-L uniform family puts mode (L - 1) / 2 at phase 0.0, bin 0 of
+    # every register: there every d p(y) / d theta_1 vanishes, so I_11 = 0
+    # and the register rows have no floor.  The Hadamard-test rows keep theirs
+    cfg = _write_config(tmp_path, _config_dict(
+        L=3, alphas=[0.5], target=1, trials=2,
+        protocols=[
+            {"kind": "qft", "T": [7, 255]},
+            {"kind": "qmegs", "T": [50], "N_t": 10},
+            {"kind": "csqpe", "T": [50], "N_t": 10},
+        ],
+    ))
+    s = make_spectrum("uniform", 3, 0.5)
+    for sub in ("bounds", "gi", "diag", "bench"):
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+        rows = _read_rows(out)
+        kinds = [row["protocol"] for row in rows]
+        assert kinds == ["qft"] * (1 if sub == "bounds" else 2) + ["qmegs", "csqpe"]
+        for row in rows:
+            if row["protocol"] == "qft":
+                assert row["error"] == "SingularFim: diagonal Fisher entry is not positive"
+            else:
+                assert row["error"] == ""
+                if "g0" in row:
+                    want = g_i(s, row["protocol"], 50, 10, 1, label=1)
+                    assert float(row["g0"]) == want
+
+
 def test_cli_bench_register_too_wide_to_fit_is_a_row_error(tmp_path, monkeypatch):
     # the fit's width cap, lowered from n = 22 to 4 so that T = 31 (n = 5)
     # crosses it: the row carries the error and bench exits 2

@@ -154,6 +154,34 @@ def test_phase_on_the_readout_grid_is_dropped_from_the_bound():
         crlb_full(qft_fim(Spectrum([0.0, 0.5], [0.7, 0.3]), 4), 0)
 
 
+def test_a_target_with_no_information_has_no_floor():
+    # mode 1 of the L = 3 uniform spectrum sits at phase 0.0, bin 0 of every
+    # register: off the bin each kernel has a double zero and on it its
+    # peak, so every d p(y) / d theta_1 vanishes and I_11 = 0 exactly
+    s = make_spectrum("uniform", 3, 0.5)
+    assert s.phase(1) == 0.0
+    for T in (7, 255):
+        F = total_fim(s, "qft", T, 1, 1)
+        assert F.matrix[1, 1] == 0.0
+        for refused in (
+            lambda: g_i(s, "qft", T, 1, 1, label=1),
+            lambda: cost_product_bound(s, "qft", T, 1, 1, label=1),
+            lambda: crlb_diag(F, 1),
+            lambda: diag_ratio(F, 1),
+        ):
+            with pytest.raises(SingularFim, match="^diagonal Fisher entry is not positive$"):
+                refused()
+
+
+def test_the_checked_diagonal_read_refuses_an_entry_not_above_zero():
+    assert _toy(4.0, 0.0, 9.0).information(0) == 4.0
+    for entry in (0.0, -1.0, np.nan):
+        F = _toy(entry, 0.0, 1.0)
+        for read in (lambda: F.information(0), lambda: crlb_diag(F), lambda: diag_ratio(F)):
+            with pytest.raises(SingularFim, match="^diagonal Fisher entry is not positive$"):
+                read()
+
+
 def test_cost_product_is_gamma_over_g():
     s = make_spectrum("uniform", 20, 0.4)
     for kind, T, N_t in [("qcels", 100, 10), ("qmegs", 100, 10), ("csqpe", 100, 10)]:

@@ -12,6 +12,7 @@ from qpe_bounds.dirichlet import (
     cis,
     dirichlet,
     dirichlet_derivative,
+    register_chunks,
     squared_derivative_sum,
     squared_kernel_grid,
     squared_kernel_sum,
@@ -169,7 +170,7 @@ def test_squared_kernel_grid_matches_oracle(case):
     assert np.array_equal(squared_kernel_grid(M, theta), K)
 
 
-def test_squared_kernel_grid_rows_and_slices():
+def test_squared_kernel_grid_rows_and_slices(monkeypatch):
     M = 1024
     thetas = np.array([[-0.95, 0.0], [2.0 * np.pi * 17 / M, 3.1]])
     K, dK = squared_kernel_grid(M, thetas, derivative=True)
@@ -177,29 +178,41 @@ def test_squared_kernel_grid_rows_and_slices():
     for idx in np.ndindex(thetas.shape):
         row = squared_kernel_grid(M, thetas[idx], derivative=True)
         assert np.array_equal(K[idx], row[0]) and np.array_equal(dK[idx], row[1])
-    part = squared_kernel_grid(M, thetas, lo=100, hi=612)
-    assert np.array_equal(part, K[..., 100:612])
+    # the slices come from the one slicer, register_chunks: at a chunk of
+    # 128 bins its eight chunks join into the whole grid, bit for bit
+    monkeypatch.setattr(kernel, "_CHUNK", 128)
+    monkeypatch.setattr(kernel, "_DERIVATIVE_CHUNK", 128)
+    parts = [part.copy() for part in register_chunks(10, thetas)]
+    assert len(parts) == 8 and np.array_equal(np.concatenate(parts, axis=-1), K)
+    pairs = [(k.copy(), d.copy()) for k, d in register_chunks(10, thetas, derivative=True)]
+    assert np.array_equal(np.concatenate([k for k, _ in pairs], axis=-1), K)
+    assert np.array_equal(np.concatenate([d for _, d in pairs], axis=-1), dK)
 
 
 def test_squared_kernel_grid_without_the_table(monkeypatch):
-    # grids whose doubled table would pass the cap build only their slice,
-    # with the same arithmetic, and never enter the cache
-    M = 256
-    cached = squared_kernel_grid(M, [0.3, -2.2], lo=7, hi=200, derivative=True)
-    kernel._half_angle_table.cache_clear()
-    monkeypatch.setattr(kernel, "_TABLE_BINS", 2 * M - 1)
-    sliced = squared_kernel_grid(M, [0.3, -2.2], lo=7, hi=200, derivative=True)
-    assert kernel._half_angle_table.cache_info().currsize == 0
-    assert all(np.array_equal(a, b) for a, b in zip(cached, sliced))
+    # grids whose doubled table would pass the cap build their angles per
+    # call, with the same arithmetic, and never enter the cache
+    for M in (256, 1024, 16384):
+        cached = squared_kernel_grid(M, [0.3, -2.2], derivative=True)
+        kernel._half_angle_table.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_TABLE_BINS", 2 * M - 1)
+            uncached = squared_kernel_grid(M, [0.3, -2.2], derivative=True)
+        assert kernel._half_angle_table.cache_info().currsize == 0
+        assert all(np.array_equal(a, b) for a, b in zip(cached, uncached))
 
 
 def test_squared_kernel_grid_cache_is_bounded():
     info = kernel._half_angle_table.cache_info()
     assert info.maxsize == 2 and kernel._TABLE_BINS == 1 << 20
+    assert kernel._CHUNK == 1 << 15
     kernel._half_angle_table.cache_clear()
-    M = 1 << 20
-    got = squared_kernel_grid(M, 0.3, lo=50062, hi=50070)
+    # bins 50062..50069 of a 2^20-bin register lie in its second chunk
+    walk = register_chunks(20, [0.3])
+    next(walk)
+    got = next(walk)[0, 50062 - (1 << 15):50070 - (1 << 15)]
     assert kernel._half_angle_table.cache_info().currsize == 0
+    M = 1 << 20
     y = np.arange(50062, 50070)
     want = dirichlet(M, 0.3 - 2.0 * np.pi * y / M) ** 2 / M**2
     assert np.allclose(got, want, rtol=1e-6, atol=1e-15)
@@ -209,10 +222,10 @@ def test_half_angle_table_holds_two_alternating_grid_sizes():
     # a uniform diag or gi sweep alternates its QFT rows between T = 1023
     # and 16383 per alpha: each size is built once, not once per switch
     kernel._half_angle_table.cache_clear()
-    want = {M: squared_kernel_grid(M, 0.3, lo=5, hi=40, derivative=True) for M in (1024, 16384)}
+    want = {M: squared_kernel_grid(M, 0.3, derivative=True) for M in (1024, 16384)}
     kernel._half_angle_table.cache_clear()
     for M in (1024, 16384) * 4:
-        got = squared_kernel_grid(M, 0.3, lo=5, hi=40, derivative=True)
+        got = squared_kernel_grid(M, 0.3, derivative=True)
         assert all(np.array_equal(a, b) for a, b in zip(got, want[M]))
     info = kernel._half_angle_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 6, 2)

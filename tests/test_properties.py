@@ -21,6 +21,7 @@ from qpe_bounds import (
     crlb_diag,
     crlb_full,
     estimate_csqpe,
+    estimate_curvefit_qft,
     estimate_qcels_ml,
     estimate_qmegs,
     f_i,
@@ -28,6 +29,7 @@ from qpe_bounds import (
     fit_qft_histogram,
     ht_expectations,
     ht_fim_single,
+    make_spectrum,
     qft_fim,
     qft_probabilities,
     read_ht_csv,
@@ -611,3 +613,56 @@ def test_every_entry_point_accepts_the_same_campaign_points(kind, T, N_t, N_s):
     if kind != "qft":  # QFT-QPE has no schedule, RPE's ignores N_t, none has N_s
         N_t = 1 if kind == "rpe" else N_t
         assert _accepts(realize, kind, T, N_t) == _accepts(t_total, kind, T, N_t, 1)
+
+
+# One rule a quantity, one message at every entry point that takes it: a
+# register width n is whole and 1 <= n <= 26, a grid size m and a mode
+# count L are whole and at least 1.  The histogram fit adds its own cap,
+# n <= 22, past the rule.
+_RULES = [
+    ("n", "n must be between 1 and 26", [0, -1, 27, 2.5, True, "3"], {
+        "register_chunks": lambda n: register_chunks(n, [0.3]),
+        "qft_probabilities": lambda n: qft_probabilities(_S2, n),
+        "sample_qft": lambda n: sample_qft(_S2, n, 10),
+        "qft_fim": lambda n: qft_fim(_S2, n),
+        "fit_qft_histogram": lambda n: fit_qft_histogram(np.array([1.0]), n),
+        "estimate_curvefit_qft": lambda n: estimate_curvefit_qft(QftSample(n, np.zeros(1, int))),
+    }),
+    ("m", "m={} must be at least 1", [0, -4, 2.5, True, "4"], {
+        "squared_kernel_grid": lambda m: squared_kernel_grid(m, [0.3]),
+    }),
+    ("L", "L={} must be at least 1", [0, 2.5, True, "3"], {
+        "make_spectrum_uniform": lambda L: make_spectrum("uniform", L, 0.4),
+        "make_spectrum_head_dense": lambda L: make_spectrum("head_dense", L, 0.4),
+        "make_spectrum_tail_dense": lambda L: make_spectrum("tail_dense", L, 0.4),
+        "CampaignConfig": lambda L: CampaignConfig(
+            "uniform", L, [0.4], [{"kind": "qmegs", "T": [10], "N_t": 2}]),
+    }),
+]
+
+
+def _rule_message(name, value, out_of_range):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return out_of_range.format(value)
+    return f"{name}={value!r} is not a whole number"
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    pytest.param(fn, value, _rule_message(name, value, out_of_range), id=f"{entry}-{value!r}")
+    for name, out_of_range, values, entries in _RULES
+    for entry, fn in entries.items()
+    for value in values
+])
+def test_every_entry_point_refuses_a_bad_input_by_its_rule(entry, value, message):
+    with pytest.raises(ValueError) as exc:
+        entry(value)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [23, 26])
+def test_the_histogram_fit_caps_the_width_past_the_rule(n):
+    for fit in (lambda: fit_qft_histogram(np.array([1.0]), n),
+                lambda: estimate_curvefit_qft(QftSample(n, np.zeros(1, int)))):
+        with pytest.raises(ValueError) as exc:
+            fit()
+        assert str(exc.value) == "the histogram fit takes registers of n <= 22"

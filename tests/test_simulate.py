@@ -247,6 +247,14 @@ def test_sample_ht_counts_and_determinism():
     assert not (np.array_equal(a.n_re0, c.n_re0) and np.array_equal(a.n_im0, c.n_im0))
     assert np.all(a.n_re0 + a.n_re1 == 200)
     assert np.all(a.n_im0 + a.n_im1 == 200)
+    # one stream, the real part drawn before the imaginary; the exact
+    # sampler reads the same probabilities
+    rng = np.random.default_rng(4)
+    p_re, p_im = ((1.0 + e) * 0.5 for e in ht_expectations(s, sched.times))
+    assert np.array_equal(a.n_re0, rng.binomial(200, p_re))
+    assert np.array_equal(a.n_im0, rng.binomial(200, p_im))
+    exact = sample_ht_exact(s, sched, 200)
+    assert np.array_equal(exact.n_re0, 200 * p_re) and np.array_equal(exact.n_im0, 200 * p_im)
     with pytest.raises(ValueError):
         sample_ht(s, sched, 0)
 
