@@ -79,9 +79,10 @@ def _inverse_entry(full, pos):
 
 
 def crlb_full(fim, label=0):
-    """Variance lower bound (I^-1)_{ii} from the full block matrix."""
-    pos = fim.index_of(label)
-    return _inverse_entry(fim.full(), pos)
+    """Variance lower bound (I^-1)_{ii} from the full block matrix; SingularFim unless I_ii > 0."""
+    full = fim.full()
+    fim.information(label)
+    return _inverse_entry(full, fim.index_of(label))
 
 
 def crlb_diag(fim, label=0):

@@ -12,9 +12,8 @@ so one scalar sine per theta and a half-angle table give the squared kernel
 
 ``cis`` is the unit-circle kernel for the Hadamard-test estimators: cos
 and sin of a whole array from one tangent of the half angle.  The
-Hadamard-test model reads the same tangent itself: ``fim.ht_expectations``
-sums C and S from it, and the Fisher walk ``fim._ht_walk`` its
-cancellation-free 1 -+ cos and 1 -+ sin.
+Hadamard-test model reads the same tangent in one place, ``fim._ht_law``,
+whose outcome probabilities the samplers, C and S and the Fisher walk share.
 """
 
 import functools

@@ -11,7 +11,8 @@ is exactly symmetric with no symmetrization.  All builders return a
 BlockFim; information is additive, so repeated shots scale it and
 independent times sum it.  ``total_fim`` checks its campaign point by
 ``schedules._point``; ``bench.accounting`` turns the matrix into g0 and
-the cost bound.
+the cost bound.  The Hadamard-test law is evaluated once, in ``_ht_law``,
+whose outcome probabilities the samplers and ``ht_expectations`` read too.
 """
 
 import logging
@@ -32,9 +33,9 @@ from .schedules import _C, ProtocolKind, _point, realize, register_width
 from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
-# nodes (times, records) per chunk of every per-time walk: the Fisher walk's
-# (L, chunk) tangents and (2L, chunk) stacks, ht_expectations' (chunk, L)
-# angles and _scan's (2 _SPREAD, chunk) spread stay in cache
+# nodes (times, records) per chunk of every per-time walk: the law's
+# (L, chunk) tangents, the Fisher walk's (2L, chunk) stacks and _scan's
+# (2 _SPREAD, chunk) spread stay in cache
 _CHUNK_NODES = 1024
 _TRUNC_NORM = _C * np.sqrt(_TWO_PI)
 
@@ -86,31 +87,55 @@ class BlockFim:
     __rmul__ = __mul__
 
 
+def _ht_law(spectrum, times):
+    """The Hadamard-test law at the times, flattened, _CHUNK_NODES at a time.
+
+    Yields per chunk (t, tau, q, p): the chunk's times, the (L, nodes)
+    tau = tan(theta t / 2) and q = 1 / (1 + tau^2), and the (2, nodes)
+    outcome-0 probabilities (1 + C) / 2 = c.q and (1 + S) / 2 =
+    c.((tau + 1)^2 q) / 2: sums of nonnegative terms, which neither cancel
+    nor fall below 0; their 1 is sum c, which may pass 1 by a rounding.
+    tau and q are contiguous views of one workspace (a strided view halves
+    the ufuncs' speed), overwritten by the next chunk.  A time that is not
+    finite raises ValueError before any chunk.
+    """
+    c = spectrum.overlaps
+    half = 0.5 * spectrum.phases
+    t = np.ravel(np.asarray(times, dtype=float))
+    if not np.isfinite(t).all():
+        raise ValueError(f"t={float(t[~np.isfinite(t)][0])!r} is not finite")
+    L = c.size
+    work = np.empty((3, L * min(t.size, _CHUNK_NODES)))
+    for lo in range(0, t.size, _CHUNK_NODES):
+        tj = t[lo : lo + _CHUNK_NODES]
+        tau, q, u = chunk = work[:, : L * tj.size].reshape(3, L, tj.size)
+        # einsum forms the outer product in about 3/4 of a broadcast multiply's time
+        np.einsum("l,n->ln", half, tj, out=tau)
+        np.tan(tau, out=tau)
+        np.multiply(tau, tau, out=q)
+        q += 1.0
+        np.divide(1.0, q, out=q)
+        np.add(tau, 1.0, out=u)
+        u *= u
+        u *= q
+        p = c @ chunk[1:]
+        p[1] *= 0.5
+        yield tj, tau, q, p
+
+
+def _ht_outcomes(spectrum, times):
+    """The (2, n) outcome-0 probabilities of ``_ht_law`` at the n flattened times."""
+    return np.hstack([np.empty((2, 0)), *(p for *_, p in _ht_law(spectrum, times))])
+
+
 def ht_expectations(spectrum, t):
     """(C, S) = (sum_l c_l cos(t theta_l), sum_l c_l sin(t theta_l)).
 
     A scalar t gives two floats; an array of times gives two arrays, one
-    value per time in flattened order.  The times are walked
-    _CHUNK_NODES at a time, so the (chunk, L) angles stay in cache.  Each
-    chunk reads both sums from one half-angle tangent, the 1/2 folded into
-    the phases: with tau = tan(theta t / 2) and q = 1 / (1 + tau^2),
-    cos = 2 q - 1 and sin = 2 tau q, so C = 2 c.q - sum c and
-    S = 2 c.(tau q), six array passes and two products a chunk.
+    value per time in flattened order, read from the outcome-0
+    probabilities p of ``_ht_law`` as 2 p - sum c.
     """
-    times = np.ravel(np.asarray(t, dtype=float))
-    half = 0.5 * spectrum.phases
-    c2, total = 2.0 * spectrum.overlaps, spectrum.overlaps.sum()
-    C, S = np.empty(times.size), np.empty(times.size)
-    for lo in range(0, times.size, _CHUNK_NODES):
-        tau = np.multiply.outer(times[lo : lo + _CHUNK_NODES], half)
-        np.tan(tau, out=tau)
-        q = np.multiply(tau, tau)
-        q += 1.0
-        np.reciprocal(q, out=q)
-        tau *= q
-        np.matmul(q, c2, out=C[lo : lo + _CHUNK_NODES])
-        np.matmul(tau, c2, out=S[lo : lo + _CHUNK_NODES])
-    C -= total
+    C, S = 2.0 * _ht_outcomes(spectrum, t) - spectrum.overlaps.sum()
     if np.ndim(t) == 0:
         return float(C[0]), float(S[0])
     return C, S
@@ -125,7 +150,7 @@ def _second_moment(spectrum):
 
 
 def _ht_walk(spectrum, times, weights, overlaps_known=False):
-    """The node times, flattened, walked _CHUNK_NODES at a time.
+    """The Fisher columns of ``_ht_law``'s chunks, one per node time.
 
     Yields per chunk (aC, aS, dC, dS): the (2L, nodes) gradients of C and
     S over (theta, c), or their L theta rows with ``overlaps_known``, each
@@ -137,47 +162,34 @@ def _ht_walk(spectrum, times, weights, overlaps_known=False):
     sum_l c_l theta_l^2 before the scaling, so every Gram product counts
     it alike.  dC and dS are taken before that.
 
-    The four arrays are views of one workspace allocated per walk: the
-    next chunk overwrites them, so a caller takes what it needs from a
-    chunk before it asks for the next.
+    The four arrays are views of workspaces allocated per walk, as the
+    law's are: a caller takes what it needs from a chunk before the next.
     """
-    th = spectrum.phases
     c = spectrum.overlaps
-    t = np.ravel(np.asarray(times, dtype=float))
     w = np.ravel(np.asarray(weights, dtype=float))
-    L, n = th.size, min(t.size, _CHUNK_NODES)
-    half, cc = 0.5 * th[:, None], c[:, None]
-    tau_, t2_, q_, u_ = np.empty((4, L, n))
-    aC_, aS_ = np.empty((2, L if overlaps_known else 2 * L, n))
-    dC_, dS_, sC_, sS_ = np.empty((4, n))
-    for lo in range(0, t.size, n):
-        tj, wj = t[lo : lo + n], w[lo : lo + n]
+    L, cc = c.size, c[:, None]
+    rows, n = (L if overlaps_known else 2 * L), min(w.size, _CHUNK_NODES)
+    scratch, stacks, per_node = np.empty((2, L * n)), np.empty((2, rows * n)), np.empty((4, n))
+    for (tj, tau, q, p), lo in zip(_ht_law(spectrum, times), range(0, w.size, _CHUNK_NODES)):
         m = tj.size
-        tau, t2, q, u = tau_[:, :m], t2_[:, :m], q_[:, :m], u_[:, :m]
-        aC, aS, dC, dS = aC_[:, :m], aS_[:, :m], dC_[:m], dS_[:m]
-        sC, sS = sC_[:m], sS_[:m]
-        # with tau = tan(theta t / 2) and q = 1 / (1 + tau^2), 1 - cos = 2 tau^2 q,
-        # 1 + cos = 2 q and 1 -+ sin = (tau -+ 1)^2 q are sums of nonnegative
-        # terms, so 1 - C^2 = (1 - C)(1 + C) does not cancel; the naive
-        # 1 - C^2 cancels catastrophically near the alignment times and
-        # poisons quadrature at large T
-        np.multiply(half, tj, out=tau)
-        np.tan(tau, out=tau)
+        wj = w[lo : lo + m]
+        t2, u = scratch[:, : L * m].reshape(2, L, m)
+        aC, aS = stacks[:, : rows * m].reshape(2, rows, m)
+        dC, dS, sC, sS = per_node[:, :m]
+        # 1 - cos = 2 tau^2 q and 1 -+ sin = (tau -+ 1)^2 q are sums of
+        # nonnegative terms like the law's, so 1 - C^2 = (1 - C)(1 + C) does
+        # not cancel; the naive 1 - C^2 cancels catastrophically near the
+        # alignment times and poisons quadrature at large T
         np.multiply(tau, tau, out=t2)
-        np.add(1.0, t2, out=q)
-        np.divide(1.0, q, out=q)
         np.multiply(t2, q, out=u)
         np.matmul(c, u, out=dC)
         dC *= 4.0
-        dC *= c @ q
+        dC *= p[0]
         np.subtract(tau, 1.0, out=u)
         u *= u
         u *= q
         np.matmul(c, u, out=dS)
-        np.add(tau, 1.0, out=u)
-        u *= u
-        u *= q
-        dS *= c @ u
+        dS *= 2.0 * p[1]
 
         # the column scales; a deterministic measurement becomes its limit
         # column, whose c-sector information diverges and is left out
@@ -202,7 +214,7 @@ def _ht_walk(spectrum, times, weights, overlaps_known=False):
         aS[:L] *= cc
         for a, s, b in zip((aC, aS), (sC, sS), bad):
             if b.any():
-                a[:L, b] = np.outer(c * th, tj[b] * s[b])
+                a[:L, b] = np.outer(c * spectrum.phases, tj[b] * s[b])
                 a[L:, b] = 0.0
         yield aC, aS, dC, dS
 
@@ -241,8 +253,6 @@ def _ht_blocks_weighted(spectrum, times, weights, overlaps_known=False):
 
 def ht_fim_single(spectrum, t, overlaps_known=False):
     """Fisher matrix of the Bernoulli pair measured after evolution time t."""
-    if not np.isfinite(t):
-        raise ValueError(f"t={t!r} is not finite")
     return _ht_blocks_weighted(spectrum, [t], [1.0], overlaps_known)
 
 

@@ -2,9 +2,10 @@
 
 No state vectors are involved, and both samplers draw counts, never
 single shots: a register trial is one multinomial over the 2^n bins of
-the kernel mixture, a Hadamard-test trial a binomial pair at every time.
-``write_csv`` writes every CSV of the package, tables and samples alike;
-the sample readers share one row reader and round-trip multi-trial datasets.
+the kernel mixture, a Hadamard-test trial a binomial pair at every time
+at the probabilities of ``fim._ht_law``.  ``write_csv`` writes every CSV
+of the package, tables and samples alike; the sample readers share one
+row reader and round-trip multi-trial datasets.
 """
 
 import csv
@@ -16,7 +17,7 @@ import numpy as np
 # perfbench/tracing.py wraps it by name in this module
 from .dirichlet import dirichlet, register_chunks  # noqa: F401
 from .errors import NormalizationFailure
-from .fim import ht_expectations
+from .fim import _ht_outcomes
 from .schedules import _count
 
 @dataclass
@@ -92,26 +93,14 @@ def sample_qft(spectrum, n, N_s, seed=0):
     return QftSample(int(n), np.concatenate(pieces).astype(np.int64, copy=False))
 
 
-def _ht_probabilities(spectrum, times):
-    """(1 + C) / 2 and (1 + S) / 2, clipped into [0, 1] in place.
-
-    Overlaps that sum to 1 within the spectrum's tolerance can put |C| or
-    |S| a rounding above 1 at an aligned time; the clip keeps both
-    outcomes of each measurement a probability.
-    """
-    p = ht_expectations(spectrum, times)
-    for q in p:
-        q += 1.0
-        q *= 0.5
-        np.clip(q, 0.0, 1.0, out=q)
-    return p
-
-
 def _ht_sample(spectrum, schedule, N_s, counts):
-    """The HtSample whose outcome-0 counters are ``counts(N_s, p)``, real part first."""
+    """The HtSample whose outcome-0 counters are ``counts(N_s, p)``, real part first.
+
+    p is ``fim._ht_law``'s, capped at 1: overlaps may sum to a rounding above 1.
+    """
     N_s = _count("N_s", N_s)
     t = schedule.times
-    n_re0, n_im0 = (counts(N_s, p) for p in _ht_probabilities(spectrum, t))
+    n_re0, n_im0 = (counts(N_s, p) for p in np.minimum(_ht_outcomes(spectrum, t), 1.0))
     return HtSample(t.copy(), n_re0, N_s - n_re0, n_im0, N_s - n_im0, float(N_s))
 
 

@@ -168,6 +168,7 @@ def test_a_target_with_no_information_has_no_floor():
             lambda: cost_product_bound(s, "qft", T, 1, 1, label=1),
             lambda: crlb_diag(F, 1),
             lambda: diag_ratio(F, 1),
+            lambda: crlb_full(F, 1),
         ):
             with pytest.raises(SingularFim, match="^diagonal Fisher entry is not positive$"):
                 refused()
@@ -177,7 +178,8 @@ def test_the_checked_diagonal_read_refuses_an_entry_not_above_zero():
     assert _toy(4.0, 0.0, 9.0).information(0) == 4.0
     for entry in (0.0, -1.0, np.nan):
         F = _toy(entry, 0.0, 1.0)
-        for read in (lambda: F.information(0), lambda: crlb_diag(F), lambda: diag_ratio(F)):
+        for read in (lambda: F.information(0), lambda: crlb_diag(F), lambda: diag_ratio(F),
+                     lambda: crlb_full(F)):
             with pytest.raises(SingularFim, match="^diagonal Fisher entry is not positive$"):
                 read()
 

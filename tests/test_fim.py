@@ -10,6 +10,8 @@ from scipy.special import erf
 from helpers import fd_fisher, ht_outcome_probs, qft_outcome_probs, random_spectrum
 from qpe_bounds import (
     BlockFim,
+    ProtocolKind,
+    Schedule,
     Spectrum,
     chi,
     cost_product_bound,
@@ -22,6 +24,7 @@ from qpe_bounds import (
     qft_fim,
     realize,
     rpe_fim_bounds,
+    sample_ht_exact,
     total_fim,
 )
 from qpe_bounds import fim as fim_module
@@ -487,10 +490,11 @@ def test_fisher_sums_are_exactly_symmetric():
             assert np.array_equal(F, F.T)
 
 
-def _exact_gaps(s, times):
-    # (sum c)^2 - C^2 and (sum c)^2 - S^2 to 50 digits at the walk's own
-    # float64 half angles 0.5 theta t, so the rounding of theta t drops out;
-    # the walk's 1 is the overlaps' sum, which can differ from 1 by an ulp
+def _exact_outcomes(s, times):
+    # the four outcome probabilities (1 + C) / 2, (1 - C) / 2, (1 + S) / 2
+    # and (1 - S) / 2, rows of a (4, n) array, to 50 digits at the walk's
+    # own float64 half angles 0.5 theta t, so the rounding of theta t drops
+    # out; the law's 1 is the overlaps' sum, which can differ from 1 by an ulp
     mpmath = pytest.importorskip("mpmath")
     out = []
     with mpmath.workdps(50):
@@ -500,34 +504,45 @@ def _exact_gaps(s, times):
             h = [2 * mpmath.mpf(v) for v in 0.5 * s.phases * t]
             C = mpmath.fsum(ci * mpmath.cos(hi) for ci, hi in zip(c, h))
             S = mpmath.fsum(ci * mpmath.sin(hi) for ci, hi in zip(c, h))
-            out.append([float((one - C) * (one + C)), float((one - S) * (one + S))])
+            out.append([float((one + C) / 2), float((one - C) / 2),
+                        float((one + S) / 2), float((one - S) / 2)])
     return np.array(out).T
 
 
 def test_walk_weights_are_relatively_precise_at_its_own_angles(monkeypatch):
     # with the limit column switched off, the yielded dC and dS are the
-    # walk's own 1 - C^2 and 1 - S^2, aligned neighbours included
+    # walk's own 1 - C^2 = 4 p_re0 p_re1 and 1 - S^2 = 4 p_im0 p_im1,
+    # aligned neighbours included; the samplers read the law's outcome-0
+    # probabilities p_re0 and p_im0, which sample_ht_exact gives at N_s = 1
     monkeypatch.setattr(fim_module, "_SINGULAR_TOL", 0.0)
     rng = np.random.default_rng(21)
     dyadic = Spectrum([0.25, -0.5, 0.75], [0.5, 0.3, 0.2])
     eps = 10.0 ** -np.arange(5.0, 10.0)
     # dyadic phases align at every multiple of 8 pi
     near = 8.0 * np.pi * np.outer(np.arange(1.0, 4.0), np.concatenate([1.0 + eps, 1.0 - eps]))
+    # phases 0.25 and 0.75 both reach cos = -1 at t = 4 pi, where the
+    # outcome-0 probability (1 + C) / 2 is small
+    opposed = 4.0 * np.pi * np.concatenate([1.0 + eps, 1.0 - eps])
     cases = [
         (dyadic, near.ravel()),
         (make_spectrum("uniform", 20, 0.4), rng.uniform(0.0, 3000.0, 40)),
         (make_spectrum("uniform", 5, 0.8), rng.uniform(0.0, 3000.0, 40)),
         (dyadic, 10.0 ** rng.uniform(6.0, 9.0, 8) / 0.75),
+        (Spectrum([0.25, 0.75], [0.6, 0.4]), opposed),
     ]
     for s, times in cases:
         (_, _, dC, dS), = fim_module._ht_walk(s, times, np.ones_like(times))
-        want = _exact_gaps(s, times)
-        err = np.abs(np.array([dC, dS]) - want) / want
-        assert np.max(err) <= 1e-11
+        want = _exact_outcomes(s, times)
+        gaps = 4.0 * want[[0, 2]] * want[[1, 3]]
+        assert np.max(np.abs(np.array([dC, dS]) - gaps) / gaps) <= 1e-11
+        data = sample_ht_exact(s, Schedule(ProtocolKind.QMEGS, 1.0, times.size, times), 1)
+        p = np.array([data.n_re0, data.n_im0])
+        assert np.max(np.abs(p - want[[0, 2]]) / want[[0, 2]]) <= 1e-11
     # the naive 1 - C^2 must fail this: next to alignment it misses by up to 100%
     C, _ = ht_expectations(dyadic, near.ravel())
-    want = _exact_gaps(dyadic, near.ravel())[0]
-    assert np.max(np.abs(1.0 - C**2 - want) / want) > 1e-6
+    want = _exact_outcomes(dyadic, near.ravel())
+    gap = 4.0 * want[0] * want[1]
+    assert np.max(np.abs(1.0 - C**2 - gap) / gap) > 1e-6
 
 
 @pytest.mark.parametrize("family, alpha, T",

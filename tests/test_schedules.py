@@ -8,6 +8,7 @@ from scipy.special import erf
 
 from qpe_bounds import (
     ProtocolKind,
+    Schedule,
     Spectrum,
     chi,
     cost_product_bound,
@@ -16,6 +17,7 @@ from qpe_bounds import (
     f_i,
     g_i,
     gamma,
+    ht_expectations,
     ht_fim_single,
     realize,
     rpe_fim_bounds,
@@ -250,6 +252,20 @@ _OUTSIDE_THE_RULES = {
     "ht_fim_single-t=nan": (lambda: ht_fim_single(_S, np.nan), "t=nan is not finite"),
     "f_i-t=inf": (lambda: f_i(_S, 0, np.inf), "t=inf is not finite"),
 }
+# a time that is not finite is refused by the Hadamard-test law itself, so
+# both samplers and ht_expectations raise its one message, never NaN counters
+for _t in (np.nan, np.inf, -np.inf):
+    _times = np.array([1.0, _t, 2.0])
+    _sched = Schedule(ProtocolKind.QMEGS, 10.0, 3, _times)
+    _OUTSIDE_THE_RULES.update({
+        f"sample_ht-t={_t}": (lambda s=_sched: sample_ht(_S, s, 2), f"t={_t} is not finite"),
+        f"sample_ht_exact-t={_t}": (
+            lambda s=_sched: sample_ht_exact(_S, s, 2), f"t={_t} is not finite"
+        ),
+        f"ht_expectations-t={_t}": (
+            lambda t=_times: ht_expectations(_S, t), f"t={_t} is not finite"
+        ),
+    })
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from qpe_bounds import (
     write_qft_csv,
 )
 from qpe_bounds.errors import NormalizationFailure
+from qpe_bounds.fim import _ht_outcomes
 
 
 def test_qft_probabilities_normalized_and_match_oracle():
@@ -247,14 +248,17 @@ def test_sample_ht_counts_and_determinism():
     assert not (np.array_equal(a.n_re0, c.n_re0) and np.array_equal(a.n_im0, c.n_im0))
     assert np.all(a.n_re0 + a.n_re1 == 200)
     assert np.all(a.n_im0 + a.n_im1 == 200)
-    # one stream, the real part drawn before the imaginary; the exact
-    # sampler reads the same probabilities
+    # one stream, the real part drawn before the imaginary, at the law's
+    # outcome-0 probabilities; the exact sampler reads the same ones, and
+    # they are (1 + C) / 2 and (1 + S) / 2 of ht_expectations
     rng = np.random.default_rng(4)
-    p_re, p_im = ((1.0 + e) * 0.5 for e in ht_expectations(s, sched.times))
+    p_re, p_im = _ht_outcomes(s, sched.times)
     assert np.array_equal(a.n_re0, rng.binomial(200, p_re))
     assert np.array_equal(a.n_im0, rng.binomial(200, p_im))
     exact = sample_ht_exact(s, sched, 200)
     assert np.array_equal(exact.n_re0, 200 * p_re) and np.array_equal(exact.n_im0, 200 * p_im)
+    for p, e in zip((p_re, p_im), ht_expectations(s, sched.times)):
+        assert np.max(np.abs(2.0 * p - s.overlaps.sum() - e)) <= 1e-15
     with pytest.raises(ValueError):
         sample_ht(s, sched, 0)
 
