@@ -9,7 +9,7 @@ is the diagonal-approximation quality factor (1 when parameters decouple).
 import numpy as np
 
 from .errors import SingularFim
-from .fim import f_i_max
+from .fim import _checked_diagonal, f_i_max
 from .schedules import _point
 
 
@@ -48,8 +48,9 @@ def _inverse_entry(full, pos):
     it stays a correct variance lower bound, merely capped at condition
     1e12.  Below that condition nothing is floored and the entry is the
     exact inverse entry up to roundoff.  SingularFim is reserved for
-    matrices that are not valid information matrices at all (nonpositive
-    diagonal, nonfinite entries, indefiniteness beyond roundoff).
+    matrices that are not valid information matrices at all: a diagonal
+    entry that ``fim._checked_diagonal`` refuses, as ``information`` does,
+    nonfinite entries, or indefiniteness beyond roundoff.
 
     A parameter other than pos whose whole row is zero carries no
     information and no coupling (a phase exactly on the transform-readout
@@ -62,10 +63,7 @@ def _inverse_entry(full, pos):
     if idle.any():
         full = full[np.ix_(~idle, ~idle)]
         pos -= int(np.count_nonzero(idle[:pos]))
-    d = np.diag(full).copy()
-    if not (np.all(np.isfinite(d)) and np.all(d > 0.0)):
-        raise SingularFim("Fisher matrix diagonal is not positive")
-    rd = 1.0 / np.sqrt(d)
+    rd = 1.0 / np.sqrt(_checked_diagonal(np.diag(full)))
     lam, vec = np.linalg.eigh(full * np.outer(rd, rd))
     if not np.all(np.isfinite(lam)) or lam[-1] <= 0.0:
         raise SingularFim("Fisher matrix is not positive semidefinite")
@@ -79,14 +77,12 @@ def _inverse_entry(full, pos):
 
 
 def crlb_full(fim, label=0):
-    """Variance lower bound (I^-1)_{ii} from the full block matrix; SingularFim unless I_ii > 0."""
-    full = fim.full()
-    fim.information(label)
-    return _inverse_entry(full, fim.index_of(label))
+    """Variance lower bound (I^-1)_{ii} from the full block matrix, by ``_inverse_entry``."""
+    return _inverse_entry(fim.full(), fim.index_of(label))
 
 
 def crlb_diag(fim, label=0):
-    """Diagonal surrogate 1/I_{ii}, never above the full bound; SingularFim unless I_ii > 0."""
+    """Diagonal surrogate 1/I_{ii}, never above the full bound; I_ii read by ``information``."""
     return 1.0 / fim.information(label)
 
 

@@ -7,8 +7,10 @@ takes the limit +-M at the shared zeros automatically.  The sign picked up
 by the reduction is (-1)^((M-1) k).
 
 On the M-point grid x = theta - 2 pi y / M every numerator is +-sin(M theta/2),
-so one scalar sine per theta and a half-angle table give the squared kernel
-(``squared_kernel_grid``); every register reader walks it by ``register_chunks``.
+so one scalar sine per theta and a half-angle table give the squared kernel,
+filled by one walk, ``_kernel_walk``: all M bins as one chunk for the
+histogram fit (``squared_kernel_grid``), a register's 2^n bins a chunk at a
+time for every other reader (``register_chunks``).
 
 ``cis`` is the unit-circle kernel for the Hadamard-test estimators: cos
 and sin of a whole array from one tangent of the half angle.  The
@@ -40,6 +42,10 @@ _TABLE_BINS = 1 << 20
 # ``simulate.sample_qft``
 _CHUNK = 1 << 15
 _DERIVATIVE_CHUNK = 1 << 12
+# nodes (times, records) per chunk of every per-time walk: the
+# Hadamard-test law's (L, chunk) tangents, its Fisher walk's (2L, chunk)
+# stacks and the estimators' (2 _SPREAD, chunk) spread stay in cache
+_CHUNK_NODES = 1024
 
 
 def cis(x):
@@ -204,6 +210,24 @@ def _kernel_rows(m, thetas, lo, hi, K, dK, work):
         dK[i, at] = 2.0 * dn * dirichlet_derivative(m, 2.0 * d) / m
 
 
+def _kernel_walk(m, theta, width, derivative):
+    """The kernel of every theta on the m bins, ``width`` (a divisor of m) bins a chunk.
+
+    Each chunk, K or (K, dK) of shape theta.shape + (width,), overwrites one
+    workspace allocated per walk, three scratch rows included: a caller
+    takes what it needs from a chunk before it asks for the next.
+    """
+    theta = np.asarray(theta, dtype=float)
+    shape = theta.shape + (width,)
+    thetas = theta.ravel().tolist()
+    K = np.empty((len(thetas), width))
+    dK = np.empty_like(K) if derivative else None
+    work = np.empty((3, width))
+    for lo in range(0, m, width):
+        _kernel_rows(m, thetas, lo, lo + width, K, dK, work)
+        yield (K.reshape(shape), dK.reshape(shape)) if derivative else K.reshape(shape)
+
+
 def squared_kernel_grid(m, theta, derivative=False):
     """K(theta, y) = D_M(theta - 2 pi y / M)^2 / M^2 on the M bins; m is a count.
 
@@ -216,39 +240,17 @@ def squared_kernel_grid(m, theta, derivative=False):
     theta, where s can vanish, takes the scalar ratio (limit 1) and the
     series of ``dirichlet_derivative``, one call for all such bins of the
     grid.  The result has shape theta.shape + (M,); with ``derivative`` it
-    is the pair (K, dK/dtheta).  It takes no slice: ``register_chunks`` is
-    the one walk over a register's bins a chunk at a time.
+    is the pair (K, dK/dtheta).  It is ``_kernel_walk`` in one chunk of all
+    M bins; ``register_chunks`` is the same walk a chunk at a time.
     """
     m = _count("m", m)
-    theta = np.asarray(theta, dtype=float)
-    shape = theta.shape + (m,)
-    K = np.empty((theta.size, m))
-    dK = np.empty_like(K) if derivative else None
-    _kernel_rows(m, theta.ravel().tolist(), 0, m, K, dK, np.empty((3, m)))
-    return (K.reshape(shape), dK.reshape(shape)) if derivative else K.reshape(shape)
+    return next(_kernel_walk(m, theta, m, derivative))
 
 
 def register_chunks(n, theta, derivative=False):
-    """``squared_kernel_grid`` on the 2^n bins, _CHUNK at a time; n is checked at the call.
+    """``_kernel_walk`` on the 2^n bins, _CHUNK at a time; n is checked at the call.
 
     With ``derivative`` the walk takes _DERIVATIVE_CHUNK bins at a time.
-    Each chunk is written into one K (and dK) workspace allocated per
-    walk: the next chunk overwrites it, so a caller takes what it needs
-    from a chunk before it asks for the next.
     """
-    M = 2 ** _width(n)
-    theta = np.asarray(theta, dtype=float)
-    # M and the chunk are powers of two, so every chunk has one width
-    width = min(_DERIVATIVE_CHUNK if derivative else _CHUNK, M)
-    shape = theta.shape + (width,)
-
-    def walk():
-        thetas = theta.ravel().tolist()
-        K = np.empty((len(thetas), width))
-        dK = np.empty_like(K) if derivative else None
-        work = np.empty((3, width))
-        for lo in range(0, M, width):
-            _kernel_rows(M, thetas, lo, lo + width, K, dK, work)
-            yield (K.reshape(shape), dK.reshape(shape)) if derivative else K.reshape(shape)
-
-    return walk()
+    M = 2 ** _width(n)  # a power of two, as both chunks are
+    return _kernel_walk(M, theta, min(_DERIVATIVE_CHUNK if derivative else _CHUNK, M), derivative)

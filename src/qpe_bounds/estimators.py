@@ -31,6 +31,7 @@ import numpy as np
 # dirichlet and dirichlet_derivative are no longer called here; the
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
+    _CHUNK_NODES,
     _TWO_PI,
     cis,
     dirichlet,
@@ -38,7 +39,6 @@ from .dirichlet import (  # noqa: F401
     squared_kernel_grid,
 )
 from .errors import DependentCenters, EmptyData, NoPeaksDetected, ScheduleMismatch
-from .fim import _CHUNK_NODES
 from .schedules import _count, _point, _width
 
 # half-width, in fine-grid cells, of the Gaussian that _scan spreads each

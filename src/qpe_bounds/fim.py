@@ -11,8 +11,9 @@ is exactly symmetric with no symmetrization.  All builders return a
 BlockFim; information is additive, so repeated shots scale it and
 independent times sum it.  ``total_fim`` checks its campaign point by
 ``schedules._point``; ``bench.accounting`` turns the matrix into g0 and
-the cost bound.  The Hadamard-test law is evaluated once, in ``_ht_law``,
-whose outcome probabilities the samplers and ``ht_expectations`` read too.
+the cost bound.  ``_ht_law`` evaluates the Hadamard-test law's outcome-0
+probabilities once, for the samplers, ``ht_expectations`` and ``_ht_walk``;
+the walk forms the outcome-1 sums from the law's tangents in its spent buffer.
 """
 
 import logging
@@ -23,6 +24,7 @@ import numpy as np
 # dirichlet and dirichlet_derivative are no longer called here; the
 # per-layer trace in perfbench/tracing.py wraps them by name in this module
 from .dirichlet import (  # noqa: F401
+    _CHUNK_NODES,
     _TWO_PI,
     dirichlet,
     dirichlet_derivative,
@@ -33,11 +35,14 @@ from .schedules import _C, ProtocolKind, _point, realize, register_width
 from .spectrum import _index_of
 
 _SINGULAR_TOL = 1e-12
-# nodes (times, records) per chunk of every per-time walk: the law's
-# (L, chunk) tangents, the Fisher walk's (2L, chunk) stacks and _scan's
-# (2 _SPREAD, chunk) spread stay in cache
-_CHUNK_NODES = 1024
 _TRUNC_NORM = _C * np.sqrt(_TWO_PI)
+
+
+def _checked_diagonal(d):
+    """d, diagonal Fisher entries; SingularFim unless each is finite and above 0."""
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        raise SingularFim("diagonal Fisher entry is not positive")
+    return d
 
 
 @dataclass
@@ -70,11 +75,8 @@ class BlockFim:
         return _index_of(self.L, label)
 
     def information(self, label):
-        """I_ii of mode ``label`` as a float; SingularFim unless above 0 (so NaN too)."""
-        entry = float(self.matrix.diagonal()[self.index_of(label)])  # theta rows come first
-        if not entry > 0.0:
-            raise SingularFim("diagonal Fisher entry is not positive")
-        return entry
+        """I_ii of mode ``label`` (theta rows come first) as a float, by ``_checked_diagonal``."""
+        return float(_checked_diagonal(self.matrix.diagonal()[self.index_of(label)]))
 
     def __add__(self, other):
         if self.overlaps_known != other.overlaps_known:
@@ -90,14 +92,15 @@ class BlockFim:
 def _ht_law(spectrum, times):
     """The Hadamard-test law at the times, flattened, _CHUNK_NODES at a time.
 
-    Yields per chunk (t, tau, q, p): the chunk's times, the (L, nodes)
-    tau = tan(theta t / 2) and q = 1 / (1 + tau^2), and the (2, nodes)
-    outcome-0 probabilities (1 + C) / 2 = c.q and (1 + S) / 2 =
-    c.((tau + 1)^2 q) / 2: sums of nonnegative terms, which neither cancel
-    nor fall below 0; their 1 is sum c, which may pass 1 by a rounding.
-    tau and q are contiguous views of one workspace (a strided view halves
-    the ufuncs' speed), overwritten by the next chunk.  A time that is not
-    finite raises ValueError before any chunk.
+    Yields per chunk (t, tau, q, spent, p): the chunk's times, the
+    (L, nodes) tau = tan(theta t / 2) and q = 1 / (1 + tau^2), the
+    (L, nodes) buffer that held (tau + 1)^2 q, free for the caller, and
+    the (2, nodes) outcome-0 probabilities (1 + C) / 2 = c.q and
+    (1 + S) / 2 = c.((tau + 1)^2 q) / 2: sums of nonnegative terms, which
+    neither cancel nor fall below 0; their 1 is sum c, which may pass 1
+    by a rounding.  The three are contiguous views of one workspace (a
+    strided view halves the ufuncs' speed), overwritten by the next chunk.
+    A time that is not finite raises ValueError before any chunk.
     """
     c = spectrum.overlaps
     half = 0.5 * spectrum.phases
@@ -120,7 +123,7 @@ def _ht_law(spectrum, times):
         u *= q
         p = c @ chunk[1:]
         p[1] *= 0.5
-        yield tj, tau, q, p
+        yield tj, tau, q, u, p
 
 
 def _ht_outcomes(spectrum, times):
@@ -162,18 +165,20 @@ def _ht_walk(spectrum, times, weights, overlaps_known=False):
     sum_l c_l theta_l^2 before the scaling, so every Gram product counts
     it alike.  dC and dS are taken before that.
 
-    The four arrays are views of workspaces allocated per walk, as the
-    law's are: a caller takes what it needs from a chunk before the next.
+    The outcome-1 sums (1 - C) / 2 = c.(tau^2 q) and (1 - S) / 2 =
+    c.((tau - 1)^2 q) / 2 take tau^2 in the law's spent buffer.  The arrays
+    yielded are views of workspaces allocated per walk, as the law's are:
+    a caller takes what it needs from a chunk before the next.
     """
     c = spectrum.overlaps
     w = np.ravel(np.asarray(weights, dtype=float))
     L, cc = c.size, c[:, None]
     rows, n = (L if overlaps_known else 2 * L), min(w.size, _CHUNK_NODES)
-    scratch, stacks, per_node = np.empty((2, L * n)), np.empty((2, rows * n)), np.empty((4, n))
-    for (tj, tau, q, p), lo in zip(_ht_law(spectrum, times), range(0, w.size, _CHUNK_NODES)):
+    scratch, stacks, per_node = np.empty(L * n), np.empty((2, rows * n)), np.empty((4, n))
+    for (tj, tau, q, t2, p), lo in zip(_ht_law(spectrum, times), range(0, w.size, _CHUNK_NODES)):
         m = tj.size
         wj = w[lo : lo + m]
-        t2, u = scratch[:, : L * m].reshape(2, L, m)
+        u = scratch[: L * m].reshape(L, m)
         aC, aS = stacks[:, : rows * m].reshape(2, rows, m)
         dC, dS, sC, sS = per_node[:, :m]
         # 1 - cos = 2 tau^2 q and 1 -+ sin = (tau -+ 1)^2 q are sums of

@@ -146,6 +146,11 @@ def realize(kind, T, N_t, seed=0):
     return Schedule(kind, float(T), times.size, times)
 
 
+def _rungs(kind, T, N_t):
+    """x of the arithmetic ladders: CSQPE's times 1..x (x = T), QCELS's k T / x (x = N_t)."""
+    return _count("T", T) if kind == ProtocolKind.CSQPE else _count("N_t", N_t)
+
+
 def gamma(kind, T=None, N_t=None):
     """Linear cost constant: t_total = gamma * N_s * N_t * T.
 
@@ -154,12 +159,9 @@ def gamma(kind, T=None, N_t=None):
     kind = ProtocolKind(kind)
     if kind == ProtocolKind.QMEGS:
         return 2.0 * np.sqrt(2.0 / np.pi) / _C * (1.0 - np.exp(-0.5))
-    if kind == ProtocolKind.CSQPE:
-        T = _count("T", T)
-        return (T + 1.0) / T
-    if kind == ProtocolKind.QCELS:
-        N_t = _count("N_t", N_t)
-        return (N_t + 1.0) / N_t
+    if kind in (ProtocolKind.CSQPE, ProtocolKind.QCELS):
+        x = _rungs(kind, T, N_t)
+        return (x + 1.0) / x
     raise NoLinearCostForm(f"{kind.value} has no linear total-cost constant")
 
 
@@ -168,12 +170,9 @@ def chi(kind, T=None, N_t=None):
     kind = ProtocolKind(kind)
     if kind == ProtocolKind.QMEGS:
         return 1.0 - np.sqrt(2.0 / (np.pi * np.e)) / _C
-    if kind == ProtocolKind.CSQPE:
-        T = _count("T", T)
-        return (T + 1.0) * (2.0 * T + 1.0) / (6.0 * T**2)
-    if kind == ProtocolKind.QCELS:
-        N_t = _count("N_t", N_t)
-        return (N_t + 1.0) * (2.0 * N_t + 1.0) / (6.0 * N_t**2)
+    if kind in (ProtocolKind.CSQPE, ProtocolKind.QCELS):
+        x = _rungs(kind, T, N_t)
+        return (x + 1.0) * (2.0 * x + 1.0) / (6.0 * x**2)
     if kind == ProtocolKind.RPE:
         T = _require_power_of_two(T)
         m = int(np.log2(T)) + 1

@@ -5,7 +5,8 @@ single shots: a register trial is one multinomial over the 2^n bins of
 the kernel mixture, a Hadamard-test trial a binomial pair at every time
 at the probabilities of ``fim._ht_law``.  ``write_csv`` writes every CSV
 of the package, tables and samples alike; the sample readers share one
-row reader and round-trip multi-trial datasets.
+row reader, round-trip multi-trial datasets and refuse what no sampler
+writes.
 """
 
 import csv
@@ -18,7 +19,7 @@ import numpy as np
 from .dirichlet import dirichlet, register_chunks  # noqa: F401
 from .errors import NormalizationFailure
 from .fim import _ht_outcomes
-from .schedules import _count
+from .schedules import _count, _width
 
 @dataclass
 class QftSample:
@@ -148,13 +149,13 @@ def write_csv(path, header, blocks, comment=None):
 
 
 def _read_trials(path):
-    """Each trial's rows under the header, trial column dropped; \\r\\n line ends read too."""
+    """(trial, rows) in trial order, trial column dropped; \\r\\n line ends read too."""
     trials = {}
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(line for line in fh if not line.startswith("#")) if r]
     for trial, *values in rows[1:]:
         trials.setdefault(int(trial), []).append(values)
-    return [trials[k] for k in sorted(trials)]
+    return sorted(trials.items())
 
 
 def write_qft_csv(samples, path, header_comment=None):
@@ -167,8 +168,18 @@ def write_qft_csv(samples, path, header_comment=None):
 
 
 def read_qft_csv(path, n):
-    """Inverse of write_qft_csv; n is not stored in the file."""
-    return [QftSample(n, np.array(rows, dtype=np.int64)[:, 0]) for rows in _read_trials(path)]
+    """Inverse of write_qft_csv; n is not stored in the file.
+
+    ValueError for a bin outside [0, 2^n), which no sampler writes.
+    """
+    n = _width(n)
+    out = []
+    for trial, rows in _read_trials(path):
+        y = np.array(rows, dtype=np.int64)[:, 0]
+        if y.min() < 0 or y.max() >= 2**n:
+            raise ValueError(f"trial {trial} has a bin outside [0, 2^{n})")
+        out.append(QftSample(n, y))
+    return out
 
 
 def write_ht_csv(samples, path, header_comment=None):
@@ -182,9 +193,18 @@ def write_ht_csv(samples, path, header_comment=None):
 
 
 def read_ht_csv(path):
+    """Inverse of write_ht_csv; a trial's N_s is the sum of its first row's pair.
+
+    ValueError for what no sampler writes: a negative counter, or a row
+    whose real or imaginary pair does not sum to its trial's N_s.
+    """
     out = []
-    for rows in _read_trials(path):
+    for trial, rows in _read_trials(path):
         rec = np.array(rows, dtype=float)
         N_s = float(rec[0, 1] + rec[0, 2])
+        if np.any(rec[:, 1:] < 0.0):
+            raise ValueError(f"trial {trial} has a negative counter")
+        if not np.all((rec[:, 1] + rec[:, 2] == N_s) & (rec[:, 3] + rec[:, 4] == N_s)):
+            raise ValueError(f"trial {trial} has a counter pair that does not sum to N_s={N_s!r}")
         out.append(HtSample(rec[:, 0], rec[:, 1], rec[:, 2], rec[:, 3], rec[:, 4], N_s))
     return out

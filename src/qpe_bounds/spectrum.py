@@ -100,17 +100,14 @@ def uniform_phases(L):
 def head_dense_phases(L):
     """Phases crowded near the lower end: -1 + 2 (i/(L-1))^2."""
     if L < 2:
-        raise ValueError("head-dense spectra need at least two modes")
+        raise ValueError("head- and tail-dense spectra need at least two modes")
     i = np.arange(L, dtype=float)
     return -1.0 + 2.0 * (i / (L - 1)) ** 2
 
 
 def tail_dense_phases(L):
-    """Phases crowded near the upper end; descending in mode index."""
-    if L < 2:
-        raise ValueError("tail-dense spectra need at least two modes")
-    i = np.arange(L, dtype=float)
-    return -1.0 + 2.0 * ((L - 1 - i) / (L - 1)) ** 2
+    """Phases crowded near the upper end: the head-dense phases reversed."""
+    return head_dense_phases(L)[::-1].copy()
 
 
 def geometric_overlaps(L, alpha):

@@ -347,7 +347,7 @@ def test_failed_accounting_lands_in_the_row():
     for rows in (gi_sweep(cfg), sweep_bounds(cfg)[0], check_diag(cfg), run_campaign(cfg)):
         assert len(rows) == 2
         assert all(
-            row.error == "ValueError: head-dense spectra need at least two modes"
+            row.error == "ValueError: head- and tail-dense spectra need at least two modes"
             and np.isnan(row.g0)
             for row in rows
         )

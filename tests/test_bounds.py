@@ -176,10 +176,16 @@ def test_a_target_with_no_information_has_no_floor():
 
 def test_the_checked_diagonal_read_refuses_an_entry_not_above_zero():
     assert _toy(4.0, 0.0, 9.0).information(0) == 4.0
-    for entry in (0.0, -1.0, np.nan):
+    for entry in (0.0, -1.0, np.nan, np.inf):
         F = _toy(entry, 0.0, 1.0)
         for read in (lambda: F.information(0), lambda: crlb_diag(F), lambda: diag_ratio(F),
                      lambda: crlb_full(F)):
+            with pytest.raises(SingularFim, match="^diagonal Fisher entry is not positive$"):
+                read()
+        # the overlap's entry, whose row is not all zero, is refused by the same rule
+        G = _toy(4.0, 1.0, entry)
+        assert crlb_diag(G) == 0.25
+        for read in (lambda: diag_ratio(G), lambda: crlb_full(G)):
             with pytest.raises(SingularFim, match="^diagonal Fisher entry is not positive$"):
                 read()
 

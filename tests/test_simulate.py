@@ -336,6 +336,43 @@ def test_csv_readers_take_crlf_files(tmp_path):
     assert rec.n_im0.tolist() == [4.0, 2.5] and rec.N_s == 5.0
 
 
+@pytest.mark.parametrize("rows, message", [
+    # N_s = 4 from trial 1's first row; its second row's real pair sums to 10
+    (["0,0.5,1,3,2,2", "1,1.5,3,1,2,2", "1,2.5,10,0,1,3"],
+     "trial 1 has a counter pair that does not sum to N_s=4.0"),
+    (["0,0.5,1,3,2,2", "0,0.7,1,3,2,1"], "trial 0 has a counter pair that does not sum to N_s=4.0"),
+    (["0,0.5,1,3,2,2", "0,2.0,-3,7,2,2"], "trial 0 has a negative counter"),
+    (["0,0.5,1,3,2,2", "0,2.0,1,3,-1,5"], "trial 0 has a negative counter"),
+])
+def test_ht_reader_refuses_counters_no_sampler_writes(tmp_path, rows, message):
+    path = tmp_path / "ht.csv"
+    path.write_text("\n".join(["trial,t,n_re0,n_re1,n_im0,n_im1", *rows, ""]))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_ht_csv(path)
+
+
+def test_ht_reader_takes_the_exact_sampler_fractional_counters(tmp_path):
+    # N p + (N - N p) is N again in floating point, so every row's pair sums to N_s
+    s = make_spectrum("uniform", 20, 0.4)
+    samples = [sample_ht_exact(s, realize("qmegs", 1000, 5000, seed=k), N_s)
+               for k, N_s in enumerate((1, 7, 10**5))]
+    path = tmp_path / "ht.csv"
+    write_ht_csv(samples, path)
+    for orig, rec in zip(samples, read_ht_csv(path), strict=True):
+        assert rec.N_s == orig.N_s
+        assert np.array_equal(rec.n_re1, orig.n_re1) and np.array_equal(rec.n_im1, orig.n_im1)
+
+
+@pytest.mark.parametrize("bad", [5000, 4096, -1])
+def test_qft_reader_refuses_a_bin_outside_the_register(tmp_path, bad):
+    path = tmp_path / "qft.csv"
+    path.write_text(f"trial,y\n0,4095\n1,3\n1,{bad}\n")
+    with pytest.raises(ValueError, match=rf"^trial 1 has a bin outside \[0, 2\^12\)$"):
+        read_qft_csv(path, 12)
+    with pytest.raises(ValueError, match="^n must be between 1 and 26$"):
+        read_qft_csv(path, 27)
+
+
 def test_fractional_shot_counts_are_rejected_not_truncated():
     # a binomial or shot count cannot be 2.5; drawing 2 and charging 2.5
     # would put fractional counts into n_re1 and scale the cost wrongly

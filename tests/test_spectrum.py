@@ -114,6 +114,16 @@ def test_tail_dense_phases_reverse_head():
     assert np.allclose(tail[::-1], head)
 
 
+def test_tail_dense_phases_keep_their_closed_form_bit_for_bit():
+    for L in range(2, 65):
+        i = np.arange(L, dtype=float)
+        tail = tail_dense_phases(L)
+        assert np.array_equal(tail, -1.0 + 2.0 * ((L - 1 - i) / (L - 1)) ** 2)
+        assert tail.flags.c_contiguous and tail.flags.owndata
+    with pytest.raises(ValueError, match="^head- and tail-dense spectra need at least two modes$"):
+        tail_dense_phases(1)
+
+
 def test_geometric_overlaps_normalized_and_decaying():
     c = geometric_overlaps(20, 0.4)
     assert c.sum() == pytest.approx(1.0)
