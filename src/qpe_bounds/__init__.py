@@ -58,6 +58,7 @@ from .fim import (
     ht_fim_single,
     qft_fim,
     total_fim,
+    total_fims,
 )
 from .schedules import ProtocolKind, Schedule, chi, gamma, realize, t_total
 from .simulate import (

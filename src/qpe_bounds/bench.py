@@ -29,7 +29,9 @@ from .estimators import (
     estimate_qcels_ml,
     estimate_qmegs,
 )
-from .fim import f_i_max, total_fim
+# total_fim is no longer called here; the per-layer trace in
+# perfbench/tracing.py wraps it by name in this module
+from .fim import _one, f_i_max, total_fim, total_fims  # noqa: F401
 from .schedules import ProtocolKind, _count, _point, _whole, realize, register_width, t_total
 from .simulate import sample_ht, sample_qft, write_csv, write_ht_csv, write_qft_csv
 from .spectrum import _PHASE_FAMILIES, make_spectrum
@@ -149,15 +151,43 @@ def accounting(spectrum, kind, horizons, N_t, N_s, label=0, *, overlaps_known=Fa
     gamma = t_total / (N T) and g0 = I_ii / (N T^2) give bound = gamma / g0.
     I_ii is one theta-theta entry, read by ``BlockFim.information``
     (SingularFim unless above 0), so ``overlaps_known`` (passed to
-    ``total_fim``) gives the same numbers from the theta rows alone; the
-    returned fim is then that block, which ``diag_ratio`` refuses.
+    ``total_fims``) gives the same numbers from the theta rows alone; the
+    returned fim is then that block, which ``diag_ratio`` refuses.  It is
+    ``accountings`` of the one spectrum, its error raised.
     """
-    fims = [total_fim(spectrum, kind, h, N_t, N_s, overlaps_known=overlaps_known) for h in horizons]
-    fim = sum(fims[1:], fims[0])
-    ttl = sum(t_total(kind, h, N_t, N_s) for h in horizons)
+    return _one(
+        accountings([spectrum], kind, horizons, N_t, N_s, label, overlaps_known=overlaps_known)
+    )
+
+
+def accountings(spectra, kind, horizons, N_t, N_s, label=0, *, overlaps_known=False):
+    """``accounting`` of each spectrum of a stack that shares one phase array.
+
+    Each horizon is one ``total_fims`` build for the whole stack.  A
+    spectrum's entry is its tuple, or the first error of its own: a
+    horizon's build (the first failing horizon's), then the cost, then
+    its I_ii read.
+    """
+    builds = []
+    for h in horizons:
+        try:
+            builds.append(total_fims(spectra, kind, h, N_t, N_s, overlaps_known=overlaps_known))
+        except _ROW_ERRORS as exc:
+            builds.append([exc] * len(spectra))
     T, N = float(horizons[-1]), len(horizons) * N_t * N_s
-    info = fim.information(label)
-    return info / (N * T**2), ttl / (N * T), T * ttl / info, ttl, fim
+    out = []
+    for fims in zip(*builds):
+        try:
+            for part in fims:
+                if isinstance(part, Exception):
+                    raise part
+            fim = sum(fims[1:], fims[0])
+            ttl = sum(t_total(kind, h, N_t, N_s) for h in horizons)
+            info = fim.information(label)
+            out.append((info / (N * T**2), ttl / (N * T), T * ttl / info, ttl, fim))
+        except _ROW_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
 def g_i(spectrum, kind, T, N_t, N_s, label=0):
@@ -170,11 +200,17 @@ def cost_product_bound(spectrum, kind, T, N_t, N_s, label=0):
     return accounting(spectrum, kind, [T], N_t, N_s, label, overlaps_known=True)[2]
 
 
+def _horizons(pspec, T):
+    """The horizons the point's estimator samples: QCELS's ladder, else [T]."""
+    return qcels_levels(T, pspec.N_t) if pspec.kind == ProtocolKind.QCELS else [T]
+
+
 def _accounting(spectrum, pspec, T, target, overlaps_known=False):
     """Accounting over the horizons the point's estimator samples."""
-    kind, N_t, N_s = pspec.kind, pspec.N_t, pspec.N_s
-    horizons = qcels_levels(T, N_t) if kind == ProtocolKind.QCELS else [T]
-    return accounting(spectrum, kind, horizons, N_t, N_s, target, overlaps_known=overlaps_known)
+    return accounting(
+        spectrum, pspec.kind, _horizons(pspec, T), pspec.N_t, pspec.N_s, target,
+        overlaps_known=overlaps_known,
+    )
 
 
 def _grid(config):
@@ -183,31 +219,47 @@ def _grid(config):
 
 
 def _pass(config, extra=None):
-    """One accounted BenchResult row per grid point.
+    """One accounted BenchResult row per grid point, in grid order.
 
     Each row gets c0, g0, gamma, bound and t_total; ``extra(row, spectrum,
-    fim, point_idx, pspec, T)`` may fill more columns.  Both run inside
-    one try, so a failure lands in that point's error column.  Without
-    ``extra`` nothing reads past I_ii, so only the theta-theta blocks are
-    built (``overlaps_known``); an ``extra`` gets the full matrix.
+    fim, point_idx, pspec, T)`` may fill more columns.  Every alpha has
+    the same phases, so each (protocol, T) is accounted once for the
+    whole alpha sweep (``accountings``).  A failure of a point's spectrum,
+    accounting or ``extra`` lands in that point's error column alone.
+    Without ``extra`` nothing reads past I_ii, so only the theta-theta
+    blocks are built (``overlaps_known``); an ``extra`` gets the full matrix.
     """
-    rows = []
-    for idx, (alpha, pspec, T) in enumerate(_grid(config)):
-        row = BenchResult(
-            config.spectrum, config.L, alpha, pspec.kind.value,
-            float(T), pspec.N_t, pspec.N_s, config.trials,
-        )
+    spectra = []
+    for alpha in config.alphas:
         try:
-            s = make_spectrum(config.spectrum, config.L, alpha)
-            row.c0 = s.overlap(config.target)
-            row.g0, row.gamma, row.bound, row.t_total, fim = _accounting(
-                s, pspec, T, config.target, overlaps_known=extra is None
-            )
-            if extra is not None:
-                extra(row, s, fim, idx, pspec, T)
+            spectra.append(make_spectrum(config.spectrum, config.L, alpha))
         except _ROW_ERRORS as exc:
-            row.error = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+            spectra.append(exc)
+    built = [s for s in spectra if not isinstance(s, Exception)]
+    points = [(p, T) for p in config.protocols for T in p.T]
+    # per point, the accounting of each alpha, or its spectrum's error
+    accounted = []
+    for pspec, T in points:
+        each = iter(accountings(
+            built, pspec.kind, _horizons(pspec, T), pspec.N_t, pspec.N_s, config.target,
+            overlaps_known=extra is None,
+        ))
+        accounted.append([s if isinstance(s, Exception) else next(each) for s in spectra])
+    rows = []
+    for i, (alpha, s) in enumerate(zip(config.alphas, spectra)):
+        for j, (pspec, T) in enumerate(points):
+            row = BenchResult(
+                config.spectrum, config.L, alpha, pspec.kind.value,
+                float(T), pspec.N_t, pspec.N_s, config.trials,
+            )
+            try:
+                row.c0 = _one([s]).overlap(config.target)
+                row.g0, row.gamma, row.bound, row.t_total, fim = _one([accounted[j][i]])
+                if extra is not None:
+                    extra(row, s, fim, i * len(points) + j, pspec, T)
+            except _ROW_ERRORS as exc:
+                row.error = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
     return rows
 
 

@@ -39,7 +39,7 @@ from .dirichlet import (  # noqa: F401
     squared_kernel_grid,
 )
 from .errors import DependentCenters, EmptyData, NoPeaksDetected, ScheduleMismatch
-from .schedules import _count, _point, _width
+from .schedules import _bins, _count, _point, _width
 
 # half-width, in fine-grid cells, of the Gaussian that _scan spreads each
 # record over; at oversampling >= 2 its edge value is <= exp(-9 pi) ~ 5e-13
@@ -514,6 +514,6 @@ def estimate_curvefit_qft(sample):
     """Histogram the outcomes and fit the squared-kernel mixture."""
     if sample.outcomes.size == 0:
         raise EmptyData("no outcomes")
-    M = 2 ** _fit_width(sample.n)
-    p_hat = np.bincount(sample.outcomes, minlength=M) / sample.N_s
+    n = _fit_width(sample.n)
+    p_hat = np.bincount(_bins(sample.outcomes, n, "the sample"), minlength=2**n) / sample.N_s
     return fit_qft_histogram(p_hat, sample.n, n_shots=sample.N_s)

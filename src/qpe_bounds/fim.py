@@ -14,6 +14,10 @@ independent times sum it.  ``total_fim`` checks its campaign point by
 the cost bound.  ``_ht_law`` evaluates the Hadamard-test law's outcome-0
 probabilities once, for the samplers, ``ht_expectations`` and ``_ht_walk``;
 the walk forms the outcome-1 sums from the law's tangents in its spent buffer.
+``total_fims`` builds a stack of spectra that share one phase array, as
+an alpha sweep's are: what the phases alone fix is formed once for the
+stack, and each function that builds one spectrum's matrix builds it
+as a stack of that one spectrum.
 """
 
 import logging
@@ -89,25 +93,33 @@ class BlockFim:
     __rmul__ = __mul__
 
 
-def _ht_law(spectrum, times):
+def _one(results):
+    """The result of a one-spectrum stack, raised if it is an error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _ht_law(spectra, times):
     """The Hadamard-test law at the times, flattened, _CHUNK_NODES at a time.
 
-    Yields per chunk (t, tau, q, spent, p): the chunk's times, the
+    ``spectra`` share one phase array, so the tangents are theirs alike.
+    Yields per chunk (t, tau, q, spent, ps): the chunk's times, the
     (L, nodes) tau = tan(theta t / 2) and q = 1 / (1 + tau^2), the
     (L, nodes) buffer that held (tau + 1)^2 q, free for the caller, and
-    the (2, nodes) outcome-0 probabilities (1 + C) / 2 = c.q and
-    (1 + S) / 2 = c.((tau + 1)^2 q) / 2: sums of nonnegative terms, which
-    neither cancel nor fall below 0; their 1 is sum c, which may pass 1
-    by a rounding.  The three are contiguous views of one workspace (a
-    strided view halves the ufuncs' speed), overwritten by the next chunk.
-    A time that is not finite raises ValueError before any chunk.
+    per spectrum the (2, nodes) outcome-0 probabilities (1 + C) / 2 = c.q
+    and (1 + S) / 2 = c.((tau + 1)^2 q) / 2: sums of nonnegative terms,
+    which neither cancel nor fall below 0; their 1 is sum c, which may
+    pass 1 by a rounding.  The three are contiguous views of one workspace
+    (a strided view halves the ufuncs' speed), overwritten by the next
+    chunk.  A time that is not finite raises ValueError before any chunk.
     """
-    c = spectrum.overlaps
-    half = 0.5 * spectrum.phases
+    half = 0.5 * spectra[0].phases
     t = np.ravel(np.asarray(times, dtype=float))
     if not np.isfinite(t).all():
         raise ValueError(f"t={float(t[~np.isfinite(t)][0])!r} is not finite")
-    L = c.size
+    L = half.size
     work = np.empty((3, L * min(t.size, _CHUNK_NODES)))
     for lo in range(0, t.size, _CHUNK_NODES):
         tj = t[lo : lo + _CHUNK_NODES]
@@ -121,14 +133,15 @@ def _ht_law(spectrum, times):
         np.add(tau, 1.0, out=u)
         u *= u
         u *= q
-        p = c @ chunk[1:]
-        p[1] *= 0.5
-        yield tj, tau, q, u, p
+        ps = [s.overlaps @ chunk[1:] for s in spectra]
+        for p in ps:
+            p[1] *= 0.5
+        yield tj, tau, q, u, ps
 
 
 def _ht_outcomes(spectrum, times):
     """The (2, n) outcome-0 probabilities of ``_ht_law`` at the n flattened times."""
-    return np.hstack([np.empty((2, 0)), *(p for *_, p in _ht_law(spectrum, times))])
+    return np.hstack([np.empty((2, 0)), *(ps[0] for *_, ps in _ht_law([spectrum], times))])
 
 
 def ht_expectations(spectrum, t):
@@ -152,76 +165,88 @@ def _second_moment(spectrum):
     return sm
 
 
-def _ht_walk(spectrum, times, weights, overlaps_known=False):
-    """The Fisher columns of ``_ht_law``'s chunks, one per node time.
+def _ht_walk(spectra, times, weights, overlaps_known, failed):
+    """The Fisher columns of ``_ht_law``'s chunks, one per node time and spectrum.
 
-    Yields per chunk (aC, aS, dC, dS): the (2L, nodes) gradients of C and
-    S over (theta, c), or their L theta rows with ``overlaps_known``, each
-    column scaled by sqrt(w / (1 - C^2)) and
-    sqrt(w / (1 - S^2)), so the chunk's Fisher sum is
-    aC aC^T + aS aS^T; and the walk's own 1 - C^2 and 1 - S^2 per node.
+    Yields per chunk, for each spectrum r of the stack in turn, (r, aC,
+    aS, dC, dS): the (2L, nodes) gradients of C and S over (theta, c), or
+    their L theta rows with ``overlaps_known``, each column scaled by
+    sqrt(w / (1 - C^2)) and sqrt(w / (1 - S^2)), so the chunk's Fisher sum
+    is aC aC^T + aS aS^T; and the walk's own 1 - C^2 and 1 - S^2 per node.
     A measurement with 1 - C^2 (or 1 - S^2) below _SINGULAR_TOL is
     deterministic: its column becomes its limit, (t c theta, 0) over
     sum_l c_l theta_l^2 before the scaling, so every Gram product counts
-    it alike.  dC and dS are taken before that.
+    it alike.  dC and dS are taken before that.  A spectrum whose columns
+    raise is left out from then on, its error kept in ``failed[r]``.
 
     The outcome-1 sums (1 - C) / 2 = c.(tau^2 q) and (1 - S) / 2 =
-    c.((tau - 1)^2 q) / 2 take tau^2 in the law's spent buffer.  The arrays
-    yielded are views of workspaces allocated per walk, as the law's are:
-    a caller takes what it needs from a chunk before the next.
+    c.((tau - 1)^2 q) / 2 and the gradients' tau q and (1 - tau^2) q
+    depend on the phases alone, so each chunk forms them once for the
+    stack, tau^2 and then (1 - tau^2) q in the law's spent buffer.  The
+    arrays yielded are views of workspaces allocated per walk, as the
+    law's are: a caller takes what it needs from a row before the next.
     """
-    c = spectrum.overlaps
     w = np.ravel(np.asarray(weights, dtype=float))
-    L, cc = c.size, c[:, None]
+    L = spectra[0].L
     rows, n = (L if overlaps_known else 2 * L), min(w.size, _CHUNK_NODES)
-    scratch, stacks, per_node = np.empty(L * n), np.empty((2, rows * n)), np.empty((4, n))
-    for (tj, tau, q, t2, p), lo in zip(_ht_law(spectrum, times), range(0, w.size, _CHUNK_NODES)):
+    # one workspace for the walk: as three arrays, glibc trimmed and
+    # refaulted them every walk (1464 minor faults a phase-only QMEGS
+    # build at T = 2000, uniform L = 20; none as one)
+    parts = np.split(np.empty((3 * L + 2 * rows + 4) * n), [3 * L * n, (3 * L + 2 * rows) * n])
+    shared, stacks, per_node = (part.reshape(k, -1) for part, k in zip(parts, (3, 2, 4)))
+    for (tj, tau, q, t2, ps), lo in zip(_ht_law(spectra, times), range(0, w.size, _CHUNK_NODES)):
         m = tj.size
         wj = w[lo : lo + m]
-        u = scratch[: L * m].reshape(L, m)
-        aC, aS = stacks[:, : rows * m].reshape(2, rows, m)
-        dC, dS, sC, sS = per_node[:, :m]
         # 1 - cos = 2 tau^2 q and 1 -+ sin = (tau -+ 1)^2 q are sums of
         # nonnegative terms like the law's, so 1 - C^2 = (1 - C)(1 + C) does
         # not cancel; the naive 1 - C^2 cancels catastrophically near the
         # alignment times and poisons quadrature at large T
+        t2q, t1q, half_sin = shared[:, : L * m].reshape(3, L, m)
         np.multiply(tau, tau, out=t2)
-        np.multiply(t2, q, out=u)
-        np.matmul(c, u, out=dC)
-        dC *= 4.0
-        dC *= p[0]
-        np.subtract(tau, 1.0, out=u)
-        u *= u
-        u *= q
-        np.matmul(c, u, out=dS)
-        dS *= 2.0 * p[1]
-
-        # the column scales; a deterministic measurement becomes its limit
-        # column, whose c-sector information diverges and is left out
-        # (zero-weight times in every schedule)
-        bad = (dC < _SINGULAR_TOL, dS < _SINGULAR_TOL)
-        for d, s, b in zip((dC, dS), (sC, sS), bad):
-            np.divide(wj, d, out=s, where=~b)
-            if b.any():
-                s[b] = wj[b] / _second_moment(spectrum)
-            np.sqrt(s, out=s)
-
+        np.multiply(t2, q, out=t2q)
+        np.subtract(tau, 1.0, out=t1q)
+        t1q *= t1q
+        t1q *= q
         # d C / d(theta, c) = (-c t sin, cos), d S / d(theta, c) = (c t cos,
         # sin); the 2 of sin = 2 tau q rides on the column scales
-        half_sin = np.multiply(tau, q, out=u)
+        np.multiply(tau, q, out=half_sin)
         cos = np.multiply(np.subtract(1.0, t2, out=t2), q, out=t2)
-        if not overlaps_known:
-            np.multiply(cos, sC, out=aC[L:])
-            np.multiply(half_sin, 2.0 * sS, out=aS[L:])
-        np.multiply(half_sin, -2.0 * tj * sC, out=aC[:L])
-        np.multiply(cos, tj * sS, out=aS[:L])
-        aC[:L] *= cc
-        aS[:L] *= cc
-        for a, s, b in zip((aC, aS), (sC, sS), bad):
-            if b.any():
-                a[:L, b] = np.outer(c * spectrum.phases, tj[b] * s[b])
-                a[L:, b] = 0.0
-        yield aC, aS, dC, dS
+        aC, aS = stacks[:, : rows * m].reshape(2, rows, m)
+        dC, dS, sC, sS = per_node[:, :m]
+        for r, (s, p) in enumerate(zip(spectra, ps)):
+            if r in failed:
+                continue
+            c = s.overlaps
+            np.matmul(c, t2q, out=dC)
+            dC *= 4.0
+            dC *= p[0]
+            np.matmul(c, t1q, out=dS)
+            dS *= 2.0 * p[1]
+            # the column scales; a deterministic measurement becomes its limit
+            # column, whose c-sector information diverges and is left out
+            # (zero-weight times in every schedule)
+            bad = (dC < _SINGULAR_TOL, dS < _SINGULAR_TOL)
+            try:
+                for d, sc, b in zip((dC, dS), (sC, sS), bad):
+                    np.divide(wj, d, out=sc, where=~b)
+                    if b.any():
+                        sc[b] = wj[b] / _second_moment(s)
+                    np.sqrt(sc, out=sc)
+            except ZeroSecondMoment as exc:
+                failed[r] = exc
+                continue
+            if not overlaps_known:
+                np.multiply(cos, sC, out=aC[L:])
+                np.multiply(half_sin, 2.0 * sS, out=aS[L:])
+            np.multiply(half_sin, -2.0 * tj * sC, out=aC[:L])
+            np.multiply(cos, tj * sS, out=aS[:L])
+            aC[:L] *= c[:, None]
+            aS[:L] *= c[:, None]
+            for a, sc, b in zip((aC, aS), (sC, sS), bad):
+                if b.any():
+                    a[:L, b] = np.outer(c * s.phases, tj[b] * sc[b])
+                    a[L:, b] = 0.0
+            yield r, aC, aS, dC, dS
 
 
 def _gram(aC, aS):
@@ -248,12 +273,22 @@ def _ht_blocks_weighted(spectrum, times, weights, overlaps_known=False):
     stacks stay in cache; the sum is one symmetric Gram product of the
     weight-scaled columns a chunk; with ``overlaps_known`` the stacks
     hold the L theta rows and the sum is the theta-theta block alone.
+    It is ``_ht_fims`` of the one spectrum, its error raised.
     """
-    size = spectrum.L if overlaps_known else 2 * spectrum.L
-    F = np.zeros((size, size))
-    for aC, aS, _, _ in _ht_walk(spectrum, times, weights, overlaps_known):
-        F += _gram(aC, aS)
-    return BlockFim(F, overlaps_known)
+    return _one(_ht_fims([spectrum], times, weights, overlaps_known))
+
+
+def _ht_fims(spectra, times, weights, overlaps_known=False):
+    """``_ht_blocks_weighted`` of each spectrum of a stack that shares one phase array.
+
+    One ``_ht_walk`` for the stack; one BlockFim per spectrum, or the
+    error its walk raised.
+    """
+    size = spectra[0].L if overlaps_known else 2 * spectra[0].L
+    F, failed = [np.zeros((size, size)) for _ in spectra], {}
+    for r, aC, aS, _, _ in _ht_walk(spectra, times, weights, overlaps_known, failed):
+        F[r] += _gram(aC, aS)
+    return [failed.get(r) or BlockFim(f, overlaps_known) for r, f in enumerate(F)]
 
 
 def ht_fim_single(spectrum, t, overlaps_known=False):
@@ -303,26 +338,40 @@ def qft_fim(spectrum, n, overlaps_known=False):
     symmetric product A A^T a chunk, A = grad p / sqrt(p) built in one
     (2L, chunk) buffer, or its L rows c dK / sqrt(p) with ``overlaps_known``.
     """
-    c = spectrum.overlaps
-    L = c.size
+    return _one(_qft_fims([spectrum], n, overlaps_known))
+
+
+def _qft_fims(spectra, n, overlaps_known=False):
+    """``qft_fim`` of each spectrum of a stack that shares one phase array.
+
+    The kernel walk is the phases' alone, so it is taken once; each
+    spectrum reads every chunk by its own p = c.K, columns and product.
+    One BlockFim per spectrum, or its DegenerateDistribution.
+    """
+    L = spectra[0].L
     size = L if overlaps_known else 2 * L
-    F = np.zeros((size, size))
+    F, failed = [np.zeros((size, size)) for _ in spectra], {}
     buf = None
-    for v, dK in register_chunks(n, spectrum.phases, derivative=True):  # v = d p(y) / d c_l
-        p = c @ v
-        if np.min(p) < 1e-300:
-            raise DegenerateDistribution("an outcome probability underflowed")
-        if buf is None:  # the first chunk is the widest
-            buf = np.empty((size, p.size))
-        A = buf[:, : p.size]
-        r = 1.0 / np.sqrt(p)
-        # d p(y) / d(theta, c), each column over sqrt(p(y))
-        np.multiply(dK, r, out=A[:L])
-        A[:L] *= c[:, None]
-        if not overlaps_known:
-            np.multiply(v, r, out=A[L:])
-        F += A @ A.T
-    return BlockFim(F, overlaps_known)
+    for v, dK in register_chunks(n, spectra[0].phases, derivative=True):  # v = d p(y) / d c_l
+        for r, s in enumerate(spectra):
+            if r in failed:
+                continue
+            c = s.overlaps
+            p = c @ v
+            if np.min(p) < 1e-300:
+                failed[r] = DegenerateDistribution("an outcome probability underflowed")
+                continue
+            if buf is None:  # the first chunk is the widest
+                buf = np.empty((size, p.size))
+            A = buf[:, : p.size]
+            rp = 1.0 / np.sqrt(p)
+            # d p(y) / d(theta, c), each column over sqrt(p(y))
+            np.multiply(dK, rp, out=A[:L])
+            A[:L] *= c[:, None]
+            if not overlaps_known:
+                np.multiply(v, rp, out=A[L:])
+            F[r] += A @ A.T
+    return [failed.get(r) or BlockFim(f, overlaps_known) for r, f in enumerate(F)]
 
 
 _PANEL_NODES = 32
@@ -361,48 +410,93 @@ def _panel_error(trace, half):
     return 2.0 * half * np.minimum(tail, tail * tail / (head + 1e-300))
 
 
-def _qmegs_level(spectrum, T, lefts, half, allowance=None, overlaps_known=False):
+def _qmegs_level(spectra, T, lefts, half, allowances, overlaps_known=False):
     """One level of the time average: the panels [l, l + 2 half] of x in [0, 1].
 
     A panel settles on its own nodes: when ``_panel_error`` is at most
-    _SETTLE_SHARE of its share of the stop, ``allowance`` (_QUAD_REL_TOL
-    times the largest theta-theta entry at the level before) times its
-    width 2 half, and no node of it has min(1 - C^2, 1 - S^2) below
-    _DIP_FLOOR.  ``allowance`` None settles nothing.  The error reads the
-    theta-theta trace at each node, sum_l (aC_l^2 + aS_l^2): every mode
-    shares the 1 - C^2 and 1 - S^2 denominators, so the trace sees each
-    mode's resolution.  The decision is taken chunk by chunk inside one
-    walk, so the settled panels' blocks are summed apart from the others
-    with no second pass; an aligned node counts as ``_ht_walk``'s limit
-    column in both.  Returns (settled, rest, done): the blocks of the
-    settled panels and of the others, theta-theta alone with
-    ``overlaps_known``, and per panel whether it settled.
+    _SETTLE_SHARE of its share of the stop, its spectrum's allowance
+    (_QUAD_REL_TOL times the largest theta-theta entry at the level
+    before) times its width 2 half, and no node of it has
+    min(1 - C^2, 1 - S^2) below _DIP_FLOOR.  An allowance None settles
+    nothing.  The error reads the theta-theta trace at each node,
+    sum_l (aC_l^2 + aS_l^2): every mode shares the 1 - C^2 and 1 - S^2
+    denominators, so the trace sees each mode's resolution.  The decision
+    is taken chunk by chunk inside one walk, so the settled panels' blocks
+    are summed apart from the others with no second pass; an aligned node
+    counts as ``_ht_walk``'s limit column in both.  Per spectrum of the
+    stack: (settled, rest, done), the blocks of the settled panels and of
+    the others, theta-theta alone with ``overlaps_known``, and per panel
+    whether it settled; or the error its walk raised.
     """
-    L = spectrum.L
+    L = spectra[0].L
     nb = _PANEL_NODES
     x = (lefts + half)[:, None] + half * _gl_nodes[None, :]
     w = half * _gl_weights * 2.0 * np.exp(-0.5 * x**2) / _TRUNC_NORM
     size = L if overlaps_known else 2 * L
-    blocks = np.zeros((2, size, size))
-    done = []
-    for aC, aS, dC, dS in _ht_walk(spectrum, T * x, w, overlaps_known):
+    blocks, done, failed = [np.zeros((2, size, size)) for _ in spectra], [[] for _ in spectra], {}
+    for r, aC, aS, dC, dS in _ht_walk(spectra, T * x, w, overlaps_known, failed):
         # a chunk is _CHUNK_NODES // nb = 32 whole panels
         rows = dC.size // nb
         ok = np.zeros(rows, dtype=bool)
-        if allowance is not None:
+        if allowances[r] is not None:
             trace = np.einsum("ln,ln->n", aC[:L], aC[:L])
             trace += np.einsum("ln,ln->n", aS[:L], aS[:L])
             err = _panel_error(trace.reshape(rows, nb), half)
             low = np.minimum(dC, dS).reshape(rows, nb).min(axis=1)
-            ok = (err <= _SETTLE_SHARE * allowance * 2.0 * half) & (low >= _DIP_FLOOR)
-        done.append(ok)
+            ok = (err <= _SETTLE_SHARE * allowances[r] * 2.0 * half) & (low >= _DIP_FLOOR)
+        done[r].append(ok)
         # one product per run of equal verdicts, on views: gathering the
         # columns cost more than the products
         cuts = [0, *(np.flatnonzero(ok[1:] != ok[:-1]) + 1), ok.size]
         for p0, p1 in zip(cuts[:-1], cuts[1:]):
             k, cols = int(not ok[p0]), slice(nb * p0, nb * p1)
-            blocks[k] += _gram(aC[:, cols], aS[:, cols])
-    return blocks[0], blocks[1], np.concatenate(done)
+            blocks[r][k] += _gram(aC[:, cols], aS[:, cols])
+    return [
+        failed[r] if r in failed else (b[0], b[1], np.concatenate(d))
+        for r, (b, d) in enumerate(zip(blocks, done))
+    ]
+
+
+def _qmegs_doubling(T, start, L, overlaps_known):
+    """One spectrum's levels of the time average, from ``start`` panels.
+
+    A generator: it yields the (lefts, half, allowance) of each level and
+    is sent that level's (settled, rest, done) from ``_qmegs_level``;
+    its return value is the time average, its error the cap's.  The
+    first level's allowance is None: it settles nothing.
+    """
+    panels, half = start, 1.0 / start
+    lefts = np.arange(panels // 2) * (2.0 * half)
+    _, rest, _ = yield lefts, half, None
+    F = np.zeros_like(rest)
+    levels, evaluated, settled = 1, lefts.size, 0
+    while True:
+        if 2 * panels > _MAX_PANELS:
+            raise ArithmeticError("time-average quadrature did not converge")
+        panels, half = 2 * panels, 0.5 * half
+        lefts = np.stack([lefts, lefts + 2.0 * half], axis=1).ravel()
+        tt = rest[:L, :L]
+        allowance = _QUAD_REL_TOL * (np.max(np.abs(F[:L, :L] + tt)) + 1e-300)
+        done_F, rest, done = yield lefts, half, allowance
+        levels, evaluated = levels + 1, evaluated + lefts.size
+        level = done_F[:L, :L] + rest[:L, :L]
+        rel = np.max(np.abs(level - tt)) / (np.max(np.abs(F[:L, :L] + level)) + 1e-300)
+        if rel < _QUAD_REL_TOL:
+            F += done_F + rest
+            break
+        if done.all():
+            # settling them all would end the doubling short of the stop
+            done_F, rest, done = 0.0 * F, done_F + rest, np.zeros_like(done)
+        F += done_F
+        settled += int(done.sum())
+        lefts = lefts[~done]
+    _log.debug(
+        "qmegs time average, T=%g: start %d panels, %d levels, %d panels evaluated, "
+        "%d settled, finest %d panels, relative change %.3g, %s block",
+        T, start, levels, evaluated, settled, panels, rel,
+        "theta" if overlaps_known else "full",
+    )
+    return BlockFim(F, overlaps_known)
 
 
 def _qmegs_expected_blocks(spectrum, T, overlaps_known=False):
@@ -448,48 +542,56 @@ def _qmegs_expected_blocks(spectrum, T, overlaps_known=False):
     One DEBUG record on the ``qpe_bounds.fim`` logger gives the start
     panel count, the levels run, the panels evaluated and settled, the
     finest panel count, the final relative change and the block built
-    (``theta`` or ``full``).
+    (``theta`` or ``full``).  It is ``_qmegs_fims`` of the one spectrum,
+    its error raised.
     """
-    L = spectrum.L
+    return _one(_qmegs_fims([spectrum], T, overlaps_known))
+
+
+def _qmegs_fims(spectra, T, overlaps_known=False):
+    """``_qmegs_expected_blocks`` of each spectrum of a stack that shares one phase array.
+
+    The spectra share the start, which reads the phases alone; each runs
+    its own ``_qmegs_doubling``, and the spectra whose levels ask for the
+    same panels walk them together: all of them at the first level, which
+    settles nothing, and at the second, which is every child of the
+    first.  A start past the cap raises for the stack.  One DEBUG record
+    per spectrum; one BlockFim per spectrum, or the error its own levels
+    raised.
+    """
     # the start: about one panel per 8 radians of the fastest phase
-    reach = T / 8.0 * float(np.max(np.abs(spectrum.phases)))
+    reach = T / 8.0 * float(np.max(np.abs(spectra[0].phases)))
     if not reach <= _MAX_PANELS // 2:
         raise ArithmeticError("time-average quadrature did not converge")
     start = 8
     while start < reach:
         start *= 2
-    panels, half = start, 1.0 / start
-    lefts = np.arange(panels // 2) * (2.0 * half)
-    _, rest, _ = _qmegs_level(spectrum, T, lefts, half, None, overlaps_known)
-    F = np.zeros_like(rest)
-    levels, evaluated, settled = 1, lefts.size, 0
-    while True:
-        if 2 * panels > _MAX_PANELS:
-            raise ArithmeticError("time-average quadrature did not converge")
-        panels, half = 2 * panels, 0.5 * half
-        lefts = np.stack([lefts, lefts + 2.0 * half], axis=1).ravel()
-        tt = rest[:L, :L]
-        allowance = _QUAD_REL_TOL * (np.max(np.abs(F[:L, :L] + tt)) + 1e-300)
-        done_F, rest, done = _qmegs_level(spectrum, T, lefts, half, allowance, overlaps_known)
-        levels, evaluated = levels + 1, evaluated + lefts.size
-        level = done_F[:L, :L] + rest[:L, :L]
-        rel = np.max(np.abs(level - tt)) / (np.max(np.abs(F[:L, :L] + level)) + 1e-300)
-        if rel < _QUAD_REL_TOL:
-            F += done_F + rest
-            break
-        if done.all():
-            # settling them all would end the doubling short of the stop
-            done_F, rest, done = 0.0 * F, done_F + rest, np.zeros_like(done)
-        F += done_F
-        settled += int(done.sum())
-        lefts = lefts[~done]
-    _log.debug(
-        "qmegs time average, T=%g: start %d panels, %d levels, %d panels evaluated, "
-        "%d settled, finest %d panels, relative change %.3g, %s block",
-        T, start, levels, evaluated, settled, panels, rel,
-        "theta" if overlaps_known else "full",
-    )
-    return BlockFim(F, overlaps_known)
+    doublings = [_qmegs_doubling(T, start, spectra[0].L, overlaps_known) for _ in spectra]
+    out, sent = {}, dict.fromkeys(range(len(spectra)))
+    while sent:
+        # (lefts, half, allowance per spectrum) of each set of panels asked for
+        asked = {}
+        for r, level in sent.items():
+            try:
+                lefts, half, allowance = doublings[r].send(level)
+            except StopIteration as stop:
+                out[r] = stop.value
+            except ArithmeticError as exc:
+                out[r] = exc
+            else:
+                asked.setdefault((lefts.tobytes(), half), (lefts, half, {}))[2][r] = allowance
+        sent = {}
+        for lefts, half, allowances in asked.values():
+            levels = _qmegs_level(
+                [spectra[r] for r in allowances], T, lefts, half,
+                list(allowances.values()), overlaps_known,
+            )
+            for r, level in zip(allowances, levels):
+                if isinstance(level, Exception):
+                    out[r] = level
+                else:
+                    sent[r] = level
+    return [out[r] for r in range(len(spectra))]
 
 
 def total_fim(spectrum, kind, T, N_t, N_s, *, overlaps_known=False):
@@ -499,17 +601,40 @@ def total_fim(spectrum, kind, T, N_t, N_s, *, overlaps_known=False):
     integer times 1..T in closed sum; QMEGS uses the converged quadrature
     expectation.  ``overlaps_known`` builds the theta-theta block alone
     (the phases' Fisher matrix with the overlaps known), enough for g0
-    and the bound but not for ``diag_ratio``.
+    and the bound but not for ``diag_ratio``.  It is ``total_fims`` of
+    the one spectrum, its error raised.
+    """
+    return _one(total_fims([spectrum], kind, T, N_t, N_s, overlaps_known=overlaps_known))
+
+
+def total_fims(spectra, kind, T, N_t, N_s, *, overlaps_known=False):
+    """``total_fim`` of each spectrum of a stack that shares one phase array.
+
+    What depends on the phases alone is built once for the stack: the
+    register kernel walk, the Hadamard-test law's tangents and the
+    walk's overlap-free rows, and the QMEGS levels that every spectrum
+    walks alike.  Each spectrum's matrix comes from the same operations,
+    in the same order, as a stack of that spectrum alone, so it is the
+    same to the last bit.  A checked point or a start past the QMEGS cap
+    raises for the stack; the error of one spectrum's own build (an
+    underflowed register outcome, a vanishing second moment, the QMEGS
+    cap reached at a later level) is returned in its place.
     """
     kind, T, N_t, N_s = _point(kind, T, N_t, N_s)
+    if not spectra:
+        return []
+    if not all(np.array_equal(s.phases, spectra[0].phases) for s in spectra):
+        raise ValueError("the spectra of a stack must share one phase array")
     known = overlaps_known
     if kind == ProtocolKind.QFT_QPE:
-        return float(N_s) * qft_fim(spectrum, register_width(T), known)
-    if kind in (ProtocolKind.QCELS, ProtocolKind.RPE):
+        scale, fims = float(N_s), _qft_fims(spectra, register_width(T), known)
+    elif kind in (ProtocolKind.QCELS, ProtocolKind.RPE):
         times = realize(kind, T, N_t).times
-        return float(N_s) * _ht_blocks_weighted(spectrum, times, np.ones_like(times), known)
-    if kind == ProtocolKind.CSQPE:
+        scale, fims = float(N_s), _ht_fims(spectra, times, np.ones_like(times), known)
+    elif kind == ProtocolKind.CSQPE:
         times = np.arange(1, T + 1, dtype=float)
         w = np.full(times.size, 1.0 / times.size)
-        return float(N_s * N_t) * _ht_blocks_weighted(spectrum, times, w, known)
-    return float(N_s * N_t) * _qmegs_expected_blocks(spectrum, T, known)
+        scale, fims = float(N_s * N_t), _ht_fims(spectra, times, w, known)
+    else:
+        scale, fims = float(N_s * N_t), _qmegs_fims(spectra, T, known)
+    return [f if isinstance(f, Exception) else scale * f for f in fims]

@@ -1,9 +1,10 @@
 """Campaign points, measurement-time schedules and their cost constants.
 
-``_point`` holds every rule for a campaign point (kind, T, N_t, N_s) and
-``_width`` the rule for a register width; each entry point that takes one
-checks it there.  Each Hadamard-test protocol
-is characterized by how it draws evolution times t_k up to a cutoff T.
+``_point`` holds every rule for a campaign point (kind, T, N_t, N_s),
+``_width`` the rule for a register width and ``_bins`` the rule for its
+outcomes; each entry point that takes one checks it there.  Each
+Hadamard-test protocol is characterized by how it draws evolution times
+t_k up to a cutoff T.
 Two scalars summarize a schedule family: gamma, the linear total-cost
 constant (t_total = gamma * N_s * N_t * T), and chi, the normalized
 second moment E[t^2]/T^2.
@@ -68,6 +69,14 @@ def _width(n):
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be between 1 and {_MAX_N}")
     return n
+
+
+def _bins(y, n, where):
+    """Outcomes y of an n-qubit register as an array; ValueError unless each is in [0, 2^n)."""
+    y = np.asarray(y)
+    if y.size and (y.min() < 0 or y.max() >= 2**n):
+        raise ValueError(f"{where} has a bin outside [0, 2^{n})")
+    return y
 
 
 def _as_float(value):

@@ -19,7 +19,11 @@ import numpy as np
 from .dirichlet import dirichlet, register_chunks  # noqa: F401
 from .errors import NormalizationFailure
 from .fim import _ht_outcomes
-from .schedules import _count, _width
+from .schedules import _bins, _count, _width
+
+_QFT_COLUMNS = ("trial", "y")
+_HT_COLUMNS = ("trial", "t", "n_re0", "n_re1", "n_im0", "n_im1")
+
 
 @dataclass
 class QftSample:
@@ -148,14 +152,49 @@ def write_csv(path, header, blocks, comment=None):
             fh.write("\n".join([*map(",".join, zip(*map(_cells, columns))), ""]))
 
 
-def _read_trials(path):
-    """(trial, rows) in trial order, trial column dropped; \\r\\n line ends read too."""
-    trials = {}
+def _read_trials(path, header, dtype):
+    """(trial, values) in trial order: a trial's rows as one dtype array, trial column dropped.
+
+    ``header`` names the file's columns, trial first; \\r\\n line ends
+    are read too.  ValueError naming the trial and the line for a row
+    with another column count or a cell that is not a number of the dtype.
+    """
+    trials, numbers = {}, []
+
+    def data(fh):
+        for number, line in enumerate(fh, 1):
+            if not line.startswith("#"):
+                numbers.append(number)
+                yield line
+
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#")) if r]
-    for trial, *values in rows[1:]:
-        trials.setdefault(int(trial), []).append(values)
-    return sorted(trials.items())
+        reader = csv.reader(data(fh))
+        rows = [(numbers[reader.line_num - 1], r) for r in reader if r][1:]
+    for line, (trial, *values) in rows:
+        where = f"trial {trial}, line {line}"
+        if len(values) + 1 != len(header):
+            raise ValueError(f"{where} has {len(values) + 1} columns, not {len(header)}")
+        try:
+            key = int(trial)
+        except ValueError:
+            raise ValueError(f"line {line} has the trial {trial!r}, not a whole number") from None
+        trials.setdefault(key, []).append((line, values))
+    out = []
+    for trial, rows in sorted(trials.items()):
+        try:
+            out.append((trial, np.array([values for _, values in rows], dtype=dtype)))
+        except ValueError:
+            for line, values in rows:
+                for cell in values:
+                    try:
+                        np.array(cell, dtype=dtype)
+                    except ValueError:
+                        number = "a whole number" if np.dtype(dtype).kind == "i" else "a number"
+                        raise ValueError(
+                            f"trial {trial}, line {line} has {cell!r}, not {number}"
+                        ) from None
+            raise
+    return out
 
 
 def write_qft_csv(samples, path, header_comment=None):
@@ -164,7 +203,7 @@ def write_qft_csv(samples, path, header_comment=None):
         [np.full(s.outcomes.size, k), np.asarray(s.outcomes, dtype=np.int64)]
         for k, s in enumerate(samples)
     )
-    write_csv(path, ["trial", "y"], blocks, header_comment)
+    write_csv(path, _QFT_COLUMNS, blocks, header_comment)
 
 
 def read_qft_csv(path, n):
@@ -174,11 +213,8 @@ def read_qft_csv(path, n):
     """
     n = _width(n)
     out = []
-    for trial, rows in _read_trials(path):
-        y = np.array(rows, dtype=np.int64)[:, 0]
-        if y.min() < 0 or y.max() >= 2**n:
-            raise ValueError(f"trial {trial} has a bin outside [0, 2^{n})")
-        out.append(QftSample(n, y))
+    for trial, rows in _read_trials(path, _QFT_COLUMNS, np.int64):
+        out.append(QftSample(n, _bins(rows[:, 0], n, f"trial {trial}")))
     return out
 
 
@@ -189,7 +225,7 @@ def write_ht_csv(samples, path, header_comment=None):
          *np.array((s.times, s.n_re0, s.n_re1, s.n_im0, s.n_im1), dtype=float)]
         for k, s in enumerate(samples)
     )
-    write_csv(path, ["trial", "t", "n_re0", "n_re1", "n_im0", "n_im1"], blocks, header_comment)
+    write_csv(path, _HT_COLUMNS, blocks, header_comment)
 
 
 def read_ht_csv(path):
@@ -199,8 +235,7 @@ def read_ht_csv(path):
     whose real or imaginary pair does not sum to its trial's N_s.
     """
     out = []
-    for trial, rows in _read_trials(path):
-        rec = np.array(rows, dtype=float)
+    for trial, rec in _read_trials(path, _HT_COLUMNS, float):
         N_s = float(rec[0, 1] + rec[0, 2])
         if np.any(rec[:, 1:] < 0.0):
             raise ValueError(f"trial {trial} has a negative counter")

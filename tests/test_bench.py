@@ -251,13 +251,13 @@ def test_only_the_diag_ratio_tables_build_the_full_matrix(monkeypatch):
     # diag and bench read diag_ratio, whose inverse entry needs the c rows
     path = Path(__file__).resolve().parents[1] / "demos" / "bench_config.json"
     cfg = replace(CampaignConfig.from_dict(json.loads(path.read_text())), trials=2)
-    build, asked = bench_module.total_fim, []
+    build, asked = bench_module.total_fims, []
 
     def spy(*args, overlaps_known=False):
         asked.append(overlaps_known)
         return build(*args, overlaps_known=overlaps_known)
 
-    monkeypatch.setattr(bench_module, "total_fim", spy)
+    monkeypatch.setattr(bench_module, "total_fims", spy)
     tables = {"bounds": lambda c: sweep_bounds(c)[0], "gi": gi_sweep}
     rows = {}
     for name, run, known in (
@@ -270,7 +270,7 @@ def test_only_the_diag_ratio_tables_build_the_full_matrix(monkeypatch):
         assert asked and set(asked) == {known}, name
         assert not any(row.error for row in rows[name]), name
     # bounds and gi forced onto the full path
-    monkeypatch.setattr(bench_module, "total_fim", lambda *args, overlaps_known: build(*args))
+    monkeypatch.setattr(bench_module, "total_fims", lambda *args, overlaps_known: build(*args))
     for name, run in tables.items():
         want = run(cfg)
         assert len(want) == len(rows[name])
@@ -351,6 +351,39 @@ def test_failed_accounting_lands_in_the_row():
             and np.isnan(row.g0)
             for row in rows
         )
+
+
+def test_a_row_whose_target_overlap_underflows_fails_alone(tmp_path, capsys):
+    # alpha 1e-300 puts c_2 = 1e-600, which underflows to 0, so every
+    # protocol's I_22 is 0 there; the alpha 0.5 rows built in the same
+    # stacks must keep the bytes they have alone
+    protocols = [
+        {"kind": "qmegs", "T": [40], "N_t": 10, "N_s": 2},
+        {"kind": "csqpe", "T": [30], "N_t": 10, "N_s": 2},
+        {"kind": "qcels", "T": [32], "N_t": 8, "N_s": 2},
+        {"kind": "rpe", "T": [16], "N_s": 2},
+        {"kind": "qft", "T": [63], "N_s": 500},
+    ]
+    base = _config_dict(L=4, target=2, trials=2, protocols=protocols)
+    both = _write_config(tmp_path, {**base, "alphas": [1e-300, 0.5]}, "both.json")
+    alone = _write_config(tmp_path, {**base, "alphas": [0.5]}, "alone.json")
+    for sub in ("bounds", "diag", "gi", "bench"):
+        paths = [str(tmp_path / f"{sub}_{name}.csv") for name in ("both", "alone")]
+        assert main([sub, "--config", both, "--out", paths[0]]) == 2
+        main([sub, "--config", alone, "--out", paths[1]])
+        got, want = (Path(p).read_text().splitlines() for p in paths)
+        failed, kept = got[2 : 2 + len(protocols)], got[2 + len(protocols) :]
+        singular = ",SingularFim: diagonal Fisher entry is not positive"
+        assert all(r.endswith(singular) for r in failed)
+        if sub != "bench":  # bench seeds its trials by grid index, which the first alpha moves
+            assert got[:2] + kept == want
+        else:
+            got, alone_rows = _read_rows(paths[0])[len(protocols) :], _read_rows(paths[1])
+            accounted = ("c0", "g0", "gamma", "bound", "t_total", "f0_max", "diag_ratio")
+            assert [[r[k] for k in accounted] for r in got] == [
+                [r[k] for k in accounted] for r in alone_rows
+            ]
+    capsys.readouterr()
 
 
 def test_write_rows_csv_format(tmp_path):

@@ -18,6 +18,7 @@ from qpe_bounds import (
     f_i,
     f_i_max,
     g_i,
+    geometric_overlaps,
     ht_expectations,
     ht_fim_single,
     make_spectrum,
@@ -26,9 +27,10 @@ from qpe_bounds import (
     rpe_fim_bounds,
     sample_ht_exact,
     total_fim,
+    uniform_phases,
 )
 from qpe_bounds import fim as fim_module
-from qpe_bounds.errors import RpeRequiresPowerOfTwo, ZeroSecondMoment
+from qpe_bounds.errors import DegenerateDistribution, RpeRequiresPowerOfTwo, ZeroSecondMoment
 from qpe_bounds.fim import _ht_blocks_weighted, _qmegs_expected_blocks
 
 
@@ -299,11 +301,12 @@ def test_qmegs_level_counts_an_aligned_node_by_its_limit(monkeypatch):
     monkeypatch.setattr(fim_module, "_panel_error", spy)
 
     def dip(T):
-        nodes = fim_module._ht_walk(s, T * ((lefts + half)[:, None] + half * g), np.ones((4, 32)))
+        times = T * ((lefts + half)[:, None] + half * g)
+        nodes = fim_module._ht_walk([s], times, np.ones((4, 32)), False, {})
         return min(min(np.min(dC), np.min(dS)) for *_, dC, dS in nodes)
 
     def level(T):
-        settled, rest, _ = fim_module._qmegs_level(s, T, lefts, half, allowance=1.0)
+        (settled, rest, _), = fim_module._qmegs_level([s], T, lefts, half, allowances=[1.0])
         return (settled + rest)[:3, :3]
 
     block = level(T)
@@ -350,12 +353,13 @@ def _settled_panels(monkeypatch, s, T):
         errors.append(error(trace, half))
         return errors[-1]
 
-    def spy(spectrum, T, lefts, half, allowance=None, *known):
+    def spy(spectra, T, lefts, half, allowances, *known):
         errors.clear()
-        out = level(spectrum, T, lefts, half, allowance, *known)
+        out = level(spectra, T, lefts, half, allowances, *known)
+        (allowance,), ((_, _, done),) = allowances, out
         if allowance is not None:
             ratio = np.concatenate(errors) / (allowance * 2.0 * half)
-            panels.extend((lefts[j], half, ratio[j]) for j in np.flatnonzero(out[2]))
+            panels.extend((lefts[j], half, ratio[j]) for j in np.flatnonzero(done))
         return out
 
     monkeypatch.setattr(fim_module, "_panel_error", spy_error)
@@ -401,11 +405,11 @@ def test_a_level_that_would_settle_every_panel_settles_none(monkeypatch, caplog)
     s = make_spectrum("uniform", 20, 0.4)
     level = fim_module._qmegs_level
 
-    def settle_all(spectrum, T, lefts, half, allowance=None, *known):
-        done_F, rest, done = level(spectrum, T, lefts, half, allowance, *known)
-        if allowance is not None:
-            return done_F + rest, 0.0 * rest, np.ones_like(done)
-        return done_F, rest, done
+    def settle_all(spectra, T, lefts, half, allowances, *known):
+        ((done_F, rest, done),) = out = level(spectra, T, lefts, half, allowances, *known)
+        if allowances != [None]:
+            return [(done_F + rest, 0.0 * rest, np.ones_like(done))]
+        return out
 
     monkeypatch.setattr(fim_module, "_qmegs_level", settle_all)
     with caplog.at_level(logging.DEBUG, logger="qpe_bounds.fim"):
@@ -531,7 +535,7 @@ def test_walk_weights_are_relatively_precise_at_its_own_angles(monkeypatch):
         (Spectrum([0.25, 0.75], [0.6, 0.4]), opposed),
     ]
     for s, times in cases:
-        (_, _, dC, dS), = fim_module._ht_walk(s, times, np.ones_like(times))
+        (_, _, _, dC, dS), = fim_module._ht_walk([s], times, np.ones_like(times), False, {})
         want = _exact_outcomes(s, times)
         gaps = 4.0 * want[[0, 2]] * want[[1, 3]]
         assert np.max(np.abs(np.array([dC, dS]) - gaps) / gaps) <= 1e-11
@@ -556,6 +560,60 @@ def test_time_average_does_not_depend_on_the_chunk_size(monkeypatch, family, alp
         monkeypatch.setattr(fim_module, "_CHUNK_NODES", nodes)
         got = _qmegs_expected_blocks(s, T).full()
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+_STACK_CAMPAIGNS = [
+    ("qmegs", 400, 4), ("csqpe", 100, 4), ("qcels", 64, 8), ("rpe", 32, 1), ("qft", 1023, 1),
+]
+
+
+@pytest.mark.parametrize("kind, T, N_t", _STACK_CAMPAIGNS)
+def test_an_alpha_sweep_builds_each_row_as_alone(kind, T, N_t):
+    stack = [make_spectrum("uniform", 20, a) for a in (0.2, 0.4, 0.6, 0.8)]
+    for known in (False, True):
+        rows = fim_module.total_fims(stack, kind, T, N_t, 3, overlaps_known=known)
+        for s, row in zip(stack, rows, strict=True):
+            want = total_fim(s, kind, T, N_t, 3, overlaps_known=known)
+            assert np.array_equal(row.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("kind, T, N_t", _STACK_CAMPAIGNS)
+def test_a_row_whose_build_fails_leaves_the_others_alone(kind, T, N_t):
+    # all weight on phase 0: sum c theta^2 = 0 has no aligned-time limit, and
+    # every register bin far from 0 underflows
+    phases = uniform_phases(20) - uniform_phases(20)[9]
+    weights = np.zeros(20)
+    weights[9] = 1.0
+    bad, good = Spectrum(phases, weights), Spectrum(phases, geometric_overlaps(20, 0.4))
+    with pytest.raises((ZeroSecondMoment, DegenerateDistribution)) as alone:
+        total_fim(bad, kind, T, N_t, 1)
+    rows = fim_module.total_fims([good, bad, good], kind, T, N_t, 1)
+    assert type(rows[1]) is alone.type and str(rows[1]) == str(alone.value)
+    want = total_fim(good, kind, T, N_t, 1).matrix
+    assert np.array_equal(rows[0].matrix, want) and np.array_equal(rows[2].matrix, want)
+
+
+def test_a_stack_walks_what_its_phases_fix_once(monkeypatch):
+    # one register walk for the stack, and the first two QMEGS levels
+    # together; from the third each row settles its own panels
+    stack = [make_spectrum("uniform", 20, a) for a in (0.2, 0.4, 0.6, 0.8)]
+    walks, levels = [], []
+    chunks, level = fim_module.register_chunks, fim_module._qmegs_level
+    monkeypatch.setattr(
+        fim_module, "register_chunks", lambda *a, **k: walks.append(a) or chunks(*a, **k)
+    )
+
+    def spy(spectra, *args):
+        levels.append(len(spectra))
+        return level(spectra, *args)
+
+    monkeypatch.setattr(fim_module, "_qmegs_level", spy)
+    fim_module.total_fims(stack, "qft", 1023, 1, 1)
+    fim_module.total_fims(stack, "qmegs", 400, 4, 1)
+    assert len(walks) == 1
+    assert levels[:2] == [4, 4] and sum(levels) < 4 * len(levels)
+    with pytest.raises(ValueError, match="share one phase array"):
+        fim_module.total_fims([stack[0], make_spectrum("head_dense", 20, 0.4)], "qft", 1023, 1, 1)
 
 
 def test_total_fim_qft_scales_with_shots():

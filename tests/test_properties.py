@@ -40,6 +40,7 @@ from qpe_bounds import (
     sample_ht_exact,
     t_total,
     total_fim,
+    total_fims,
     write_ht_csv,
     write_qft_csv,
 )
@@ -195,6 +196,40 @@ def test_phase_only_build_is_the_theta_block_of_the_full_one(s, campaign, N_s, k
         got = accounting(s, kind, [T], N_t, N_s, label, overlaps_known=True)
         assert got[0] == pytest.approx(g0, rel=1e-13)
         assert got[2] == pytest.approx(bound, rel=1e-13)
+
+
+def _built(build):
+    """build()'s matrix, or its error's type and message."""
+    try:
+        return build().matrix
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, tuple):
+        return isinstance(got, Exception) and (type(got), str(got)) == want
+    return not isinstance(got, Exception) and np.array_equal(got.matrix, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spectra(), st.sampled_from(_CAMPAIGNS), st.integers(1, 3), st.data())
+def test_a_stack_over_shared_phases_builds_each_row_as_alone(s, campaign, N_s, data):
+    # rows of weight 0 here and there: a row whose second moment vanishes
+    # fails alone, and the others keep their bits
+    kind, T, N_t = campaign
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    stack = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        w = np.array(data.draw(st.lists(weight, min_size=s.L, max_size=s.L)))
+        assume(w.sum() > 0.0)
+        stack.append(Spectrum(s.phases, w / w.sum()))
+    for known in (False, True):
+        rows = total_fims(stack, kind, T, N_t, N_s, overlaps_known=known)
+        assert len(rows) == len(stack)
+        for row, one in zip(rows, stack):
+            want = _built(lambda: total_fim(one, kind, T, N_t, N_s, overlaps_known=known))
+            assert _same(row, want)
 
 
 # relative to the largest entry; the worst of 23000 draws was 5.5e-16

@@ -9,8 +9,10 @@ from scipy.stats import chi2
 
 from helpers import qft_outcome_probs, random_spectrum
 from qpe_bounds import (
+    QftSample,
     Schedule,
     Spectrum,
+    estimate_curvefit_qft,
     make_spectrum,
     qft_fim,
     t_total,
@@ -371,6 +373,49 @@ def test_qft_reader_refuses_a_bin_outside_the_register(tmp_path, bad):
         read_qft_csv(path, 12)
     with pytest.raises(ValueError, match="^n must be between 1 and 26$"):
         read_qft_csv(path, 27)
+
+
+def test_the_reader_and_the_fit_share_one_register_bin_rule(tmp_path):
+    # the edges of a 4-qubit register: 0 and 15 are bins, -1 and 16 are not
+    s = Spectrum([0.3, -0.5], [0.6, 0.4])
+    shots = sample_qft(s, 4, 2000, seed=3).outcomes
+    for edge in (0, 15):
+        y = np.append(shots, edge)
+        path = tmp_path / "qft.csv"
+        write_qft_csv([QftSample(4, y)], path)
+        (read,) = read_qft_csv(path, 4)
+        assert np.array_equal(read.outcomes, y)
+        assert np.isfinite(estimate_curvefit_qft(QftSample(4, y)).theta_hat)
+    for bad in (-1, 16):
+        y = np.append(shots, bad)
+        path.write_text("trial,y\n" + "".join(f"0,{v}\n" for v in y))
+        with pytest.raises(ValueError, match=r"^trial 0 has a bin outside \[0, 2\^4\)$"):
+            read_qft_csv(path, 4)
+        with pytest.raises(ValueError, match=r"^the sample has a bin outside \[0, 2\^4\)$"):
+            estimate_curvefit_qft(QftSample(4, y))
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    # a row with a missing column, which read as an IndexError
+    (read_ht_csv, "trial,t,n_re0,n_re1,n_im0,n_im1\n0,0.5,1,3,2\n",
+     "trial 0, line 2 has 5 columns, not 6"),
+    (read_ht_csv, "# c\ntrial,t,n_re0,n_re1,n_im0,n_im1\n0,0.5,1,3,2,2\n1,0.5,1,3,2,2,7\n",
+     "trial 1, line 4 has 7 columns, not 6"),
+    (read_ht_csv, "trial,t,n_re0,n_re1,n_im0,n_im1\n0,0.5,1,3,2,2\n0,0.7,one,3,2,2\n",
+     "trial 0, line 3 has 'one', not a number"),
+    # a bin that is not a number, which read as int()'s own message
+    (lambda path: read_qft_csv(path, 4), "trial,y\n0,x\n",
+     "trial 0, line 2 has 'x', not a whole number"),
+    (lambda path: read_qft_csv(path, 4), "# c\ntrial,y\n1,3\n0,2\n1,2.5\n",
+     "trial 1, line 5 has '2.5', not a whole number"),
+    (lambda path: read_qft_csv(path, 4), "trial,y\n0,3\nzero,2\n",
+     "line 3 has the trial 'zero', not a whole number"),
+])
+def test_sample_readers_name_the_trial_and_line_of_a_malformed_row(tmp_path, reader, text, message):
+    path = tmp_path / "sample.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reader(path)
 
 
 def test_fractional_shot_counts_are_rejected_not_truncated():
